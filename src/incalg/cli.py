@@ -88,6 +88,22 @@ def _function_arg(name, preorder, ring):
     return load_function(name, preorder, ring)
 
 
+def _load_weights(args):
+    quotient = load_preorder(args.poset).quotient()
+    return load_weight_system(args.weights, quotient, _ring_of(args))
+
+
+def _valid_weights(args):
+    """The --weights system, or None once its first chain-condition
+    failure has been reported on stderr."""
+    ws = _load_weights(args)
+    bad = ws.violations()
+    if bad:
+        print(f"not a weight system: chain condition fails at {bad[0]}", file=sys.stderr)
+        return None
+    return ws
+
+
 def _cmd_info(args) -> int:
     preorder = load_preorder(args.poset)
     quotient = preorder.quotient()
@@ -113,9 +129,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    preorder = load_preorder(args.poset)
-    quotient = preorder.quotient()
-    ws = load_weight_system(args.weights, quotient, _ring_of(args))
+    ws = _load_weights(args)
     bad = ws.violations()
     doc = {
         "ring": str(ws.ring),
@@ -139,15 +153,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_is_inner(args) -> int:
-    preorder = load_preorder(args.poset)
-    quotient = preorder.quotient()
-    ws = load_weight_system(args.weights, quotient, _ring_of(args))
-    bad = ws.violations()
-    if bad:
-        print(
-            f"not a weight system: chain condition fails at {bad[0]}",
-            file=sys.stderr,
-        )
+    ws = _valid_weights(args)
+    if ws is None:
         return 1
     found = find_potential(ws, args.root)
     if isinstance(found, NotInnerWitness):
@@ -167,40 +174,24 @@ def _cmd_is_inner(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    preorder = load_preorder(args.poset)
-    quotient = preorder.quotient()
-    ws = load_weight_system(args.weights, quotient, _ring_of(args))
-    bad = ws.violations()
-    if bad:
-        print(
-            f"not a weight system: chain condition fails at {bad[0]}",
-            file=sys.stderr,
-        )
+    ws = _valid_weights(args)
+    if ws is None:
         return 1
     w1, w0, potential = decompose(ws, args.root)
+    texts = {
+        "w1": weight_system_to_json(w1),
+        "w0": weight_system_to_json(w0),
+        "potential": potential_to_json(potential),
+    }
     if args.out:
-        paths = {
-            "w1": f"{args.out}.w1.json",
-            "w0": f"{args.out}.w0.json",
-            "potential": f"{args.out}.potential.json",
-        }
-        with open(paths["w1"], "w", encoding="utf-8") as fh:
-            fh.write(weight_system_to_json(w1))
-        with open(paths["w0"], "w", encoding="utf-8") as fh:
-            fh.write(weight_system_to_json(w0))
-        with open(paths["potential"], "w", encoding="utf-8") as fh:
-            fh.write(potential_to_json(potential))
+        paths = {name: f"{args.out}.{name}.json" for name in texts}
+        for name, text in texts.items():
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
         sys.stdout.write(_dump(paths))
     else:
-        sys.stdout.write(
-            _dump(
-                {
-                    "tree_trivial": json.loads(weight_system_to_json(w1)),
-                    "coboundary": json.loads(weight_system_to_json(w0)),
-                    "potential": json.loads(potential_to_json(potential)),
-                }
-            )
-        )
+        keys = {"w1": "tree_trivial", "w0": "coboundary", "potential": "potential"}
+        sys.stdout.write(_dump({keys[name]: json.loads(t) for name, t in texts.items()}))
     return 0
 
 
@@ -265,10 +256,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    preorder = load_preorder(args.poset)
-    quotient = preorder.quotient()
-    ws = load_weight_system(args.weights, quotient, _ring_of(args))
-    f = _function_arg(args.function, preorder, ws.ring)
+    ws = _load_weights(args)
+    f = _function_arg(args.function, ws.poset.source, ws.ring)
     _emit(args, function_to_json(ws.apply(f)))
     return 0
 

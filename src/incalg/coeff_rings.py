@@ -61,9 +61,6 @@ class Ring:
             self._central_set = cache
         return a in cache
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class ZMod(Ring):
     """Integers modulo n, elements encoded as residues in range(n)."""
@@ -290,26 +287,19 @@ class MatrixRing(Ring):
         return cache
 
     def determinant(self, a):
-        return _int_det([list(row) for row in a]) % self.base.n
+        return determinant(self.base, a)
 
     def is_unit(self, a) -> bool:
-        return math.gcd(self.determinant(a), self.base.n) == 1
+        return self.base.is_unit(self.determinant(a))
 
     def inverse(self, a):
-        n = self.base.n
-        det = self.determinant(a)
-        if math.gcd(det, n) != 1:
+        try:
+            inv = adjugate_inverse(self.base, a)
+        except NonUnitError:
             raise NonUnitError(
-                f"{self.format_element(a)} has non-unit determinant {det} in {self}"
-            )
-        dinv = pow(det, -1, n)
-        k = self.size
-        rows = [list(row) for row in a]
-        adj = [
-            [(-1) ** (i + j) * _int_det(_minor(rows, j, i)) for j in range(k)]
-            for i in range(k)
-        ]
-        return tuple(tuple((dinv * adj[i][j]) % n for j in range(k)) for i in range(k))
+                f"{self.format_element(a)} has non-unit determinant {self.determinant(a)} in {self}"
+            ) from None
+        return tuple(tuple(row) for row in inv)
 
     def central_units(self):
         # center of a full matrix ring over a commutative base: scalar matrices
@@ -362,23 +352,40 @@ class MatrixRing(Ring):
         return hash(("Matrix", self.size, self.base.n))
 
 
-def _minor(rows, i, j):
-    return [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-
-
-def _int_det(rows) -> int:
-    """Laplace expansion over the integers; fine for desk-scale sizes."""
+def determinant(ring, rows):
+    """Laplace expansion along the first row over a commutative ring;
+    fine for desk-scale sizes.  Rows may be lists or tuples."""
     k = len(rows)
     if k == 0:
-        return 1
+        return ring.one()
     if k == 1:
         return rows[0][0]
-    total = 0
+    zero = ring.zero()
+    total = zero
     for j, a in enumerate(rows[0]):
-        if a == 0:
+        if a == zero:
             continue
-        total += (-1) ** j * a * _int_det(_minor(rows, 0, j))
+        term = ring.mul(a, determinant(ring, [r[:j] + r[j + 1:] for r in rows[1:]]))
+        total = ring.add(total, term) if j % 2 == 0 else ring.sub(total, term)
     return total
+
+
+def adjugate_inverse(ring, rows):
+    """Inverse det^-1 adj(A) of a square matrix over a commutative ring,
+    as a list of row lists; NonUnitError when the determinant is no unit."""
+    det = determinant(ring, rows)
+    if not ring.is_unit(det):
+        raise NonUnitError(f"matrix determinant {ring.format_element(det)} is not a unit")
+    dinv = ring.inverse(det)
+    k = len(rows)
+    out = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            cof = determinant(ring, [r[:i] + r[i + 1:] for t, r in enumerate(rows) if t != j])
+            row.append(ring.mul(dinv, cof if (i + j) % 2 == 0 else ring.neg(cof)))
+        out.append(row)
+    return out
 
 
 def _split_top_level(text: str):

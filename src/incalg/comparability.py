@@ -99,6 +99,22 @@ def spanning_tree(graph: ComparabilityGraph, root=None) -> SpanningTree:
     return SpanningTree(graph, root)
 
 
+def tree_of(poset, root=None) -> SpanningTree:
+    """The BFS tree of a quotient poset's comparability graph for a root.
+
+    Graph and trees are built once and cached on the poset, which never
+    changes; the cache key is the resolved root, so None and the least
+    class share one tree.
+    """
+    root = min(poset.reps) if root is None else poset.rep(root)
+    tree = poset._trees.get(root)
+    if tree is None:
+        if poset._graph is None:
+            poset._graph = ComparabilityGraph(poset)
+        tree = poset._trees[root] = spanning_tree(poset._graph, root)
+    return tree
+
+
 @dataclass(frozen=True)
 class FundamentalCycle:
     """Closed walk for one non-tree edge: the edge first, tree path back."""

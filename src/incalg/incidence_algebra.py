@@ -10,13 +10,17 @@ Functions split into a class-diagonal part (pairs inside one equivalence
 class) and a strict part (pairs across classes); the strict part of any
 function is nilpotent, which gives the finite inversion series used by
 :func:`invert`.
+
+``IncidenceFunction(...)`` trusts its arguments and is what the algebra
+uses internally; :meth:`IncidenceFunction.from_entries` and the JSON
+reader validate support and encoding once, at the boundary.
 """
 
 from __future__ import annotations
 
 import json
 
-from .coeff_rings import NonUnitError, RingMismatchError
+from .coeff_rings import NonUnitError, RingMismatchError, adjugate_inverse, determinant
 
 
 class SupportError(ValueError):
@@ -123,9 +127,6 @@ class IncidenceFunction:
             and other.entries == self.entries
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return f"IncidenceFunction({len(self.entries)} entries over {self.ring})"
 
@@ -165,13 +166,6 @@ def zeta(preorder, ring) -> IncidenceFunction:
     return IncidenceFunction(preorder, ring, {p: one for p in preorder.comparable_pairs()})
 
 
-def class_idempotent(preorder, ring, x) -> IncidenceFunction:
-    """Diagonal indicator of the equivalence class of x."""
-    members = preorder.quotient().class_members(x)
-    one = ring.one()
-    return IncidenceFunction(preorder, ring, {(t, t): one for t in members})
-
-
 def matrix_unit(preorder, ring, x, y) -> IncidenceFunction:
     """Single entry one at (x, y); requires x strictly below y."""
     if not preorder.lt(x, y):
@@ -179,68 +173,27 @@ def matrix_unit(preorder, ring, x, y) -> IncidenceFunction:
     return IncidenceFunction(preorder, ring, {(x, y): ring.one()})
 
 
-def block(f: IncidenceFunction, x, y):
-    """Matrix of f on class(x) times class(y), members in label order."""
-    quotient = f.preorder.quotient()
-    rows = quotient.class_members(x)
-    cols = quotient.class_members(y)
-    return [[f.value(s, t) for t in cols] for s in rows]
-
-
-def _ring_det(ring, rows):
-    k = len(rows)
-    if k == 0:
-        return ring.one()
-    if k == 1:
-        return rows[0][0]
-    zero = ring.zero()
-    total = zero
-    for j in range(k):
-        a = rows[0][j]
-        if a == zero:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = ring.mul(a, _ring_det(ring, minor))
-        total = ring.add(total, term) if j % 2 == 0 else ring.sub(total, term)
-    return total
+def _require_commutative(ring):
+    if not ring.commutative:
+        raise NotImplementedError(
+            "block inversion over a noncommutative coefficient ring needs singleton classes"
+        )
 
 
 def matrix_is_invertible(ring, rows) -> bool:
     """Invertibility of a square matrix over the coefficient ring."""
     if len(rows) == 1:
         return ring.is_unit(rows[0][0])
-    if not ring.commutative:
-        raise NotImplementedError(
-            "block inversion over a noncommutative coefficient ring needs singleton classes"
-        )
-    return ring.is_unit(_ring_det(ring, [list(r) for r in rows]))
+    _require_commutative(ring)
+    return ring.is_unit(determinant(ring, rows))
 
 
 def invert_matrix(ring, rows):
     """Inverse by adjugate over a commutative ring (any ring for 1x1)."""
-    k = len(rows)
-    if k == 1:
+    if len(rows) == 1:
         return [[ring.inverse(rows[0][0])]]
-    if not ring.commutative:
-        raise NotImplementedError(
-            "block inversion over a noncommutative coefficient ring needs singleton classes"
-        )
-    rows = [list(r) for r in rows]
-    det = _ring_det(ring, rows)
-    if not ring.is_unit(det):
-        raise NonUnitError(f"matrix determinant {ring.format_element(det)} is not a unit")
-    dinv = ring.inverse(det)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = [r[:i] + r[i + 1:] for t, r in enumerate(rows) if t != j]
-            cof = _ring_det(ring, minor)
-            if (i + j) % 2 == 1:
-                cof = ring.neg(cof)
-            row.append(ring.mul(dinv, cof))
-        out.append(row)
-    return out
+    _require_commutative(ring)
+    return adjugate_inverse(ring, rows)
 
 
 def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
@@ -344,19 +297,34 @@ def function_to_json(f: IncidenceFunction) -> str:
     return json.dumps({"entries": records}, indent=2, sort_keys=True) + "\n"
 
 
-def function_from_json(text: str, preorder, ring) -> IncidenceFunction:
+def read_records(text: str, what: str, list_key: str, fields, error):
+    """Top-level object and string records of a JSON ``{list_key: [...]}`` file.
+
+    Each record must be an object holding a string under every name in
+    ``fields``; it comes back as the tuple of those strings.  Bad JSON, a
+    missing list and any other record raise ``error``.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise SupportError(f"bad function file: {e}") from None
-    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
-        raise SupportError('function file needs an "entries" list')
-    entries = []
-    for rec in obj["entries"]:
-        if not isinstance(rec, dict) or not {"from", "to", "value"} <= set(rec):
-            raise SupportError(f"malformed function entry {rec!r}")
-        entries.append((rec["from"], rec["to"], ring.parse_element(rec["value"])))
-    return IncidenceFunction.from_entries(preorder, ring, entries)
+        raise error(f"bad {what} file: {e}") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get(list_key), list):
+        raise error(f'{what} file needs a "{list_key}" list')
+    strings = (str,) * len(fields)
+    rows = []
+    for rec in obj[list_key]:
+        row = tuple(map(rec.get, fields)) if isinstance(rec, dict) else None
+        if row is None or tuple(map(type, row)) != strings:
+            raise error(f"malformed {what} entry {rec!r}: needs string fields {', '.join(fields)}")
+        rows.append(row)
+    return obj, rows
+
+
+def function_from_json(text: str, preorder, ring) -> IncidenceFunction:
+    _, rows = read_records(text, "function", "entries", ("from", "to", "value"), SupportError)
+    return IncidenceFunction.from_entries(
+        preorder, ring, [(x, y, ring.parse_element(v)) for x, y, v in rows]
+    )
 
 
 def load_function(path, preorder, ring) -> IncidenceFunction:

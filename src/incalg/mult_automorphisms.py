@@ -16,6 +16,12 @@ is decided on the comparability graph: propagate a potential along a
 spanning tree and compare on the remaining edges, or equivalently test all
 fundamental cycle weights for one.  The decomposition splits any valid
 system uniquely into a tree-trivial factor times a coboundary factor.
+
+``WeightSystem(...)`` and ``Potential(...)`` trust their arguments, like
+``IncidenceFunction(...)``: values keyed by class representatives, total,
+central units.  Input from outside goes through the validating
+``from_values`` classmethods (or the JSON readers, which use the same
+check), so internal builders never re-check what they construct.
 """
 
 from __future__ import annotations
@@ -24,52 +30,74 @@ import json
 from dataclasses import dataclass
 
 from .coeff_rings import parse_ring_spec
-from .comparability import (
-    ComparabilityGraph,
-    FundamentalCycle,
-    cycle_weight,
-    fundamental_cycles,
-    spanning_tree,
-)
-from .incidence_algebra import IncidenceFunction
+from .comparability import FundamentalCycle, cycle_weight, fundamental_cycles, tree_of
+from .incidence_algebra import IncidenceFunction, read_records
 
 
 class WeightSystemError(ValueError):
     """Totality, centrality, carrier, or chain-condition violations."""
 
 
+def _checked(ring, values, canon, allowed, what):
+    """Validated central-unit assignment, keyed canonically.
+
+    ``values`` is a mapping or an iterable of (key, value) items.  Each
+    key, mapped through ``canon``, must lie in ``allowed`` and occur once;
+    every value must be a central unit of the ring; all of ``allowed``
+    must be covered.
+    """
+    items = values.items() if isinstance(values, dict) else values
+    norm = {}
+    for key, v in items:
+        c = canon(key)
+        if c not in allowed:
+            raise WeightSystemError(f"{key!r} is not {what}")
+        if c in norm:
+            raise WeightSystemError(f"duplicate value for {what} {c!r}")
+        ring.check(v)
+        if not ring.is_central_unit(v):
+            raise WeightSystemError(
+                f"value {ring.format_element(v)} at {c!r} is not a central unit of {ring}"
+            )
+        norm[c] = v
+    if len(norm) < len(allowed):
+        raise WeightSystemError(f"missing values for {sorted(allowed - norm.keys())}")
+    return norm
+
+
+def _class_pair(poset):
+    return lambda pair: (poset.rep(pair[0]), poset.rep(pair[1]))
+
+
 class WeightSystem:
     """Total assignment of central units to the strict class pairs.
 
-    Construction enforces totality and central-unit values; the chain
-    condition is checked separately via :meth:`violations`, so invalid
-    candidates can exist as objects (the oracle filters them, the CLI
-    reports them).
+    The constructor trusts its arguments; :meth:`from_values` validates.
+    The chain condition is checked separately via :meth:`violations`, so
+    invalid candidates can exist as objects (the oracle filters them, the
+    CLI reports them).
     """
 
-    __slots__ = ("poset", "ring", "values", "_key")
+    __slots__ = ("poset", "ring", "values", "_key", "_violations")
 
     def __init__(self, poset, ring, values):
-        norm = {}
-        for (x, y), v in values.items():
-            pair = (poset.rep(x), poset.rep(y))
-            if not poset.lt(pair[0], pair[1]):
-                raise WeightSystemError(f"pair ({x}, {y}) is not strictly comparable")
-            if pair in norm:
-                raise WeightSystemError(f"duplicate weight for class pair {pair}")
-            ring.check(v)
-            if not ring.is_central_unit(v):
-                raise WeightSystemError(
-                    f"value {ring.format_element(v)} at {pair} is not a central unit of {ring}"
-                )
-            norm[pair] = v
-        missing = [p for p in poset.strict_pairs() if p not in norm]
-        if missing:
-            raise WeightSystemError(f"missing weights for class pairs {missing}")
+        # trusted constructor: callers guarantee rep-keyed, total, central-unit values
         self.poset = poset
         self.ring = ring
-        self.values = norm
+        self.values = values
         self._key = None
+        self._violations = None
+
+    @classmethod
+    def from_values(cls, poset, ring, values) -> "WeightSystem":
+        """Build from {(x, y): value} or (pair, value) items, validating.
+
+        Labels may name any class member; every strictly comparable class
+        pair needs exactly one central-unit value.
+        """
+        allowed = frozenset(poset.strict_pairs())
+        return cls(poset, ring, _checked(
+            ring, values, _class_pair(poset), allowed, "a strictly comparable pair"))
 
     def value(self, x, y):
         pair = (self.poset.rep(x), self.poset.rep(y))
@@ -88,16 +116,20 @@ class WeightSystem:
         return self._key
 
     def violations(self):
-        """Triples (x, z, y) with x < z < y where the chain condition fails."""
-        ring = self.ring
-        poset = self.poset
-        out = []
-        for x, y in poset.strict_pairs():
-            for z in poset.reps:
-                if poset.lt(x, z) and poset.lt(z, y):
-                    if self.values[(x, y)] != ring.mul(self.values[(x, z)], self.values[(z, y)]):
-                        out.append((x, z, y))
-        return out
+        """Triples (x, z, y) with x < z < y where the chain condition fails.
+
+        Computed once per instance; callers must not mutate the list.
+        """
+        if self._violations is None:
+            ring, poset, c = self.ring, self.poset, self.values
+            out = []
+            for x, y in poset.strict_pairs():
+                for z in poset.reps:
+                    if poset.lt(x, z) and poset.lt(z, y):
+                        if c[(x, y)] != ring.mul(c[(x, z)], c[(z, y)]):
+                            out.append((x, z, y))
+            self._violations = out
+        return self._violations
 
     def is_valid(self) -> bool:
         return not self.violations()
@@ -148,9 +180,6 @@ class WeightSystem:
             and other.values == self.values
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((str(self.ring), self.key()))
 
@@ -164,28 +193,28 @@ def _same_carrier(a, b):
 
 
 class Potential:
-    """Central unit attached to every class, keyed by representative."""
+    """Central unit attached to every class, keyed by representative.
+
+    The constructor trusts its arguments; :meth:`from_values` validates.
+    """
 
     __slots__ = ("poset", "ring", "values")
 
     def __init__(self, poset, ring, values):
-        norm = {}
-        for x, v in values.items():
-            rep = poset.rep(x)
-            if rep in norm:
-                raise WeightSystemError(f"duplicate potential value for class {rep!r}")
-            ring.check(v)
-            if not ring.is_central_unit(v):
-                raise WeightSystemError(
-                    f"value {ring.format_element(v)} for class {rep!r} is not a central unit"
-                )
-            norm[rep] = v
-        missing = [r for r in poset.reps if r not in norm]
-        if missing:
-            raise WeightSystemError(f"missing potential values for classes {missing}")
+        # trusted constructor: callers guarantee rep-keyed, total, central-unit values
         self.poset = poset
         self.ring = ring
-        self.values = norm
+        self.values = values
+
+    @classmethod
+    def from_values(cls, poset, ring, values) -> "Potential":
+        """Build from {x: value} or (x, value) items, validating.
+
+        Labels may name any class member; every class needs exactly one
+        central-unit value.
+        """
+        allowed = frozenset(poset.reps)
+        return cls(poset, ring, _checked(ring, values, poset.rep, allowed, "a class"))
 
     def value(self, x):
         return self.values[self.poset.rep(x)]
@@ -200,9 +229,6 @@ class Potential:
             and other.poset == self.poset
             and other.values == self.values
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         return f"Potential({len(self.values)} classes over {self.ring})"
@@ -222,48 +248,22 @@ class NotInnerWitness:
 def from_potential(potential: Potential) -> WeightSystem:
     """Coboundary weights c[x,y] = v[x]^-1 v[y]."""
     ring = potential.ring
-    values = {}
-    for x, y in potential.poset.strict_pairs():
-        values[(x, y)] = ring.mul(ring.inverse(potential.value(x)), potential.value(y))
+    v = potential.values
+    values = {
+        (x, y): ring.mul(ring.inverse(v[x]), v[y]) for x, y in potential.poset.strict_pairs()
+    }
     return WeightSystem(potential.poset, ring, values)
 
 
 def from_tree(tree, ring, tree_values) -> WeightSystem:
-    """Extend central-unit values on the spanning-tree edges to a full
-    system by multiplying along the unique tree semi-path of each pair."""
+    """Extend central-unit values on the spanning-tree edges to a full system.
+
+    Each pair gets the product of the step weights along its tree
+    semi-path, which is the coboundary of the tree propagation.
+    """
     poset = tree.graph.poset
-    norm = {}
-    for (x, y), v in tree_values.items():
-        pair = (poset.rep(x), poset.rep(y))
-        if pair not in tree.tree_edges:
-            raise WeightSystemError(f"({x}, {y}) is not a tree edge")
-        if pair in norm:
-            raise WeightSystemError(f"duplicate value for tree edge {pair}")
-        ring.check(v)
-        if not ring.is_central_unit(v):
-            raise WeightSystemError(
-                f"value {ring.format_element(v)} at {pair} is not a central unit of {ring}"
-            )
-        norm[pair] = v
-    missing = sorted(tree.tree_edges - set(norm))
-    if missing:
-        raise WeightSystemError(f"missing values for tree edges {missing}")
-
-    def step(u, w):
-        if poset.lt(u, w):
-            return norm[(u, w)]
-        return ring.inverse(norm[(w, u)])
-
-    values = dict(norm)
-    for x, y in poset.strict_pairs():
-        if (x, y) in values:
-            continue
-        path = tree.path(x, y)
-        acc = ring.one()
-        for u, w in zip(path, path[1:]):
-            acc = ring.mul(acc, step(u, w))
-        values[(x, y)] = acc
-    return WeightSystem(poset, ring, values)
+    weights = _checked(ring, tree_values, _class_pair(poset), tree.tree_edges, "a tree edge")
+    return from_potential(_propagate(weights, tree, ring))
 
 
 def _require_valid(ws: WeightSystem):
@@ -272,19 +272,19 @@ def _require_valid(ws: WeightSystem):
         raise WeightSystemError(f"chain condition fails at triples {bad[:5]}")
 
 
-def _propagate(ws: WeightSystem, tree) -> Potential:
-    """Potential with value one at the root, pushed along tree edges."""
-    ring = ws.ring
-    poset = ws.poset
+def _propagate(weights, tree, ring) -> Potential:
+    """Potential with value one at the root, pushed along the tree edges.
+
+    ``weights`` maps each tree edge (x, y), x below y, to its weight.
+    """
     values = {tree.root: ring.one()}
     for child in tree.bfs_order[1:]:
         parent = tree.parent[child]
-        if poset.lt(parent, child):
-            step = ws.value(parent, child)
-        else:
-            step = ring.inverse(ws.value(child, parent))
+        step = weights.get((parent, child))
+        if step is None:
+            step = ring.inverse(weights[(child, parent)])
         values[child] = ring.mul(values[parent], step)
-    return Potential(poset, ring, values)
+    return Potential(tree.graph.poset, ring, values)
 
 
 def find_potential(ws: WeightSystem, root=None):
@@ -296,15 +296,14 @@ def find_potential(ws: WeightSystem, root=None):
     fundamental cycle with non-unit weight.
     """
     _require_valid(ws)
-    graph = ComparabilityGraph(ws.poset)
-    tree = spanning_tree(graph, root)
-    potential = _propagate(ws, tree)
+    tree = tree_of(ws.poset, root)
+    potential = _propagate(ws.values, tree, ws.ring)
     ring = ws.ring
+    v = potential.values
     for edge in tree.non_tree_edges:
         x, y = edge
-        expected = ring.mul(ring.inverse(potential.value(x)), potential.value(y))
-        if ws.values[edge] != expected:
-            cycle = next(c for c in fundamental_cycles(graph, tree) if c.edge == edge)
+        if ws.values[edge] != ring.mul(ring.inverse(v[x]), v[y]):
+            cycle = next(c for c in fundamental_cycles(tree.graph, tree) if c.edge == edge)
             return NotInnerWitness(cycle=cycle, weight=cycle_weight(ws, cycle))
     return potential
 
@@ -315,10 +314,9 @@ def is_inner_cycles(ws: WeightSystem, root=None):
     Returns (answer, report) where report lists (cycle, weight) pairs.
     """
     _require_valid(ws)
-    graph = ComparabilityGraph(ws.poset)
-    tree = spanning_tree(graph, root)
+    tree = tree_of(ws.poset, root)
     one = ws.ring.one()
-    report = tuple((c, cycle_weight(ws, c)) for c in fundamental_cycles(graph, tree))
+    report = tuple((c, cycle_weight(ws, c)) for c in fundamental_cycles(tree.graph, tree))
     return all(w == one for _, w in report), report
 
 
@@ -329,9 +327,7 @@ def decompose(ws: WeightSystem, root=None):
     the potential is the tree propagation of ws with value one at the root.
     """
     _require_valid(ws)
-    graph = ComparabilityGraph(ws.poset)
-    tree = spanning_tree(graph, root)
-    potential = _propagate(ws, tree)
+    potential = _propagate(ws.values, tree_of(ws.poset, root), ws.ring)
     w0 = from_potential(potential)
     w1 = ws * w0.inverse()
     return w1, w0, potential
@@ -380,7 +376,7 @@ def from_mult_function(m: IncidenceFunction) -> WeightSystem:
         if cls[x] == cls[y] and m.entries[(x, y)] != one:
             raise WeightSystemError(f"within-class value at ({x}, {y}) must be one")
     values = {p: m.entries[p] for p in quotient.strict_pairs()}
-    return WeightSystem(quotient, ring, values)
+    return WeightSystem.from_values(quotient, ring, values)
 
 
 def from_point_map(potential: Potential) -> IncidenceFunction:
@@ -396,31 +392,28 @@ def weight_system_to_json(ws: WeightSystem) -> str:
     return json.dumps({"ring": str(ws.ring), "weights": records}, indent=2, sort_keys=True) + "\n"
 
 
-def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise WeightSystemError(f"bad weight-system file: {e}") from None
-    if not isinstance(obj, dict) or "ring" not in obj or not isinstance(obj.get("weights"), list):
-        raise WeightSystemError('weight-system file needs "ring" and a "weights" list')
+def _read_ring_records(text, what, list_key, fields, poset, ring):
+    """Ring and rows of a weight or potential file; labels must be class
+    representatives (the first ``len(fields) - 1`` fields of each row)."""
+    obj, rows = read_records(text, what, list_key, fields, WeightSystemError)
+    if "ring" not in obj:
+        raise WeightSystemError(f'{what} file needs a "ring"')
     file_ring = parse_ring_spec(obj["ring"])
     if ring is not None and ring != file_ring:
         raise WeightSystemError(f"file ring {file_ring} does not match expected ring {ring}")
-    use = file_ring if ring is None else ring
-    values = {}
-    for rec in obj["weights"]:
-        if not isinstance(rec, dict) or not {"from", "to", "value"} <= set(rec):
-            raise WeightSystemError(f"malformed weight entry {rec!r}")
-        x, y = rec["from"], rec["to"]
-        for lab in (x, y):
-            if poset.rep(lab) != lab:
-                raise WeightSystemError(
-                    f"label {lab!r} is not a class representative (expected {poset.rep(lab)!r})"
-                )
-        if (x, y) in values:
-            raise WeightSystemError(f"duplicate weight entry for pair ({x}, {y})")
-        values[(x, y)] = use.parse_element(rec["value"])
-    return WeightSystem(poset, use, values)
+    for lab in dict.fromkeys(lab for row in rows for lab in row[:-1]):
+        if poset.rep(lab) != lab:
+            raise WeightSystemError(
+                f"label {lab!r} is not a class representative (expected {poset.rep(lab)!r})"
+            )
+    return (file_ring if ring is None else ring), rows
+
+
+def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
+    use, rows = _read_ring_records(text, "weight-system", "weights", ("from", "to", "value"),
+                                   poset, ring)
+    return WeightSystem.from_values(
+        poset, use, [((x, y), use.parse_element(v)) for x, y, v in rows])
 
 
 def load_weight_system(path, poset, ring=None) -> WeightSystem:
@@ -437,24 +430,5 @@ def potential_to_json(potential: Potential) -> str:
 
 
 def potential_from_json(text: str, poset, ring=None) -> Potential:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise WeightSystemError(f"bad potential file: {e}") from None
-    if not isinstance(obj, dict) or "ring" not in obj or not isinstance(obj.get("values"), list):
-        raise WeightSystemError('potential file needs "ring" and a "values" list')
-    file_ring = parse_ring_spec(obj["ring"])
-    if ring is not None and ring != file_ring:
-        raise WeightSystemError(f"file ring {file_ring} does not match expected ring {ring}")
-    use = file_ring if ring is None else ring
-    values = {}
-    for rec in obj["values"]:
-        if not isinstance(rec, dict) or not {"class", "value"} <= set(rec):
-            raise WeightSystemError(f"malformed potential entry {rec!r}")
-        lab = rec["class"]
-        if poset.rep(lab) != lab:
-            raise WeightSystemError(f"label {lab!r} is not a class representative")
-        if lab in values:
-            raise WeightSystemError(f"duplicate potential entry for class {lab!r}")
-        values[lab] = use.parse_element(rec["value"])
-    return Potential(poset, use, values)
+    use, rows = _read_ring_records(text, "potential", "values", ("class", "value"), poset, ring)
+    return Potential.from_values(poset, use, [(x, use.parse_element(v)) for x, v in rows])

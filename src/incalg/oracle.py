@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .coeff_rings import ZMod
-from .comparability import ComparabilityGraph, spanning_tree
+from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
     convolve,
@@ -149,8 +149,8 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     mult = enumerate_mult(poset, ring, limit, force)
     inner = enumerate_inner(poset, ring, limit, force)
     inner_keys = {w.key() for w in inner}
-    graph = ComparabilityGraph(poset)
-    tree = spanning_tree(graph, root)
+    tree = tree_of(poset, root)
+    graph = tree.graph
     one = ring.one()
     identity_key = WeightSystem.identity(poset, ring).key()
     checks = []
@@ -304,7 +304,7 @@ def verify_inner_conjugations(preorder, ring, limit=GUARD_ALGEBRA, force=False) 
         if not scales:
             continue
         multiplicative += 1
-        ws = WeightSystem(quotient, ring, weights)
+        ws = WeightSystem.from_values(quotient, ring, weights)
         induced.setdefault(ws.key(), ws)
 
     expected = {w.key() for w in enumerate_inner(quotient, ring)}

@@ -119,9 +119,6 @@ class Preorder:
             and other._up == self._up
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return f"Preorder({len(self.elements)} elements)"
 
@@ -158,6 +155,7 @@ class QuotientPoset:
         self._strict_pairs = None
         self._chain_memo = {}
         self._height = None
+        self._graph, self._trees = None, {}  # filled by comparability.tree_of
 
     @property
     def n_classes(self) -> int:
@@ -264,9 +262,6 @@ class QuotientPoset:
             and other._up == self._up
             and other.source == self.source
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         return f"QuotientPoset({self.n_classes} classes)"

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from incalg.cli import run_command
 
@@ -259,6 +262,55 @@ def test_malformed_weight_file(capsys, crown_txt, tmp_path):
     code, _, err = run(capsys, "is-inner", "--poset", crown_txt, "--weights", str(bad))
     assert code == 2
     assert "error" in err
+
+
+def write_raw_weights(tmp_path, records):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"ring": "Z/5", "weights": records}))
+    return str(path)
+
+
+def test_weight_file_int_value_exits_2(capsys, crown_txt, tmp_path):
+    records = [{"from": x, "to": y, "value": v} for (x, y), v in sorted(INNER.items())]
+    records[0]["value"] = 2
+    bad = write_raw_weights(tmp_path, records)
+    code, _, err = run(capsys, "is-inner", "--poset", crown_txt, "--weights", bad)
+    assert code == 2
+    assert "string fields" in err
+
+
+def test_weight_file_list_label_exits_2(capsys, crown_txt, tmp_path):
+    records = [{"from": x, "to": y, "value": v} for (x, y), v in sorted(INNER.items())]
+    records[0]["from"] = ["a"]
+    bad = write_raw_weights(tmp_path, records)
+    code, _, err = run(capsys, "is-inner", "--poset", crown_txt, "--weights", bad)
+    assert code == 2
+    assert "string fields" in err
+
+
+@pytest.mark.parametrize("record", [
+    {"from": "a", "to": "c", "value": 2},
+    {"from": ["a"], "to": "c", "value": "2"},
+])
+def test_function_file_non_string_field_exits_2(capsys, crown_txt, tmp_path, record):
+    bad = tmp_path / "f.json"
+    bad.write_text(json.dumps({"entries": [record]}))
+    code, _, err = run(capsys, "convolve", "--poset", crown_txt, "--ring", "Z/5", str(bad), "zeta")
+    assert code == 2
+    assert "string fields" in err
+
+
+def test_verify_golden_digest(capsys, tmp_path):
+    """The small oracle battery's JSON report, pinned byte for byte."""
+    out = tmp_path / "report.json"
+    code, text, _ = run(capsys, "verify", "--max-classes", "4", "--seed", "0", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "57b2bac1abb489fdf848f8fdd02d3cd13a0469ebea1e90ac2f04216a90ed8428"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "68944bf1a30a2d99b6cf082609f844bfceb60e60dec3540ea368d6c337ef454f"
+    )
 
 
 def test_invalid_system_is_inner_exits_1(capsys, tmp_path):

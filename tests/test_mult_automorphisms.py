@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from incalg.coeff_rings import ZMod, parse_ring_spec
-from incalg.comparability import ComparabilityGraph, spanning_tree
+from incalg.comparability import ComparabilityGraph, path_weight, spanning_tree
 from incalg.incidence_algebra import IncidenceFunction, convolve, hadamard, zeta
 from incalg.mult_automorphisms import (
     NotInnerWitness,
@@ -24,7 +25,7 @@ from incalg.mult_automorphisms import (
     weight_system_from_json,
     weight_system_to_json,
 )
-from incalg.oracle import enumerate_inner, enumerate_mult, random_function
+from incalg.oracle import connected_posets, enumerate_inner, enumerate_mult, random_function
 
 
 def crown_ws(crown, bd):
@@ -38,12 +39,15 @@ def crown_ws(crown, bd):
 def test_weight_system_validation(crown, chain3):
     q = crown.quotient()
     with pytest.raises(WeightSystemError):
-        WeightSystem(q, ZMod(5), {("a", "c"): 2})  # missing pairs
+        WeightSystem.from_values(q, ZMod(5), {("a", "c"): 2})  # missing pairs
     with pytest.raises(WeightSystemError):
-        WeightSystem(q, ZMod(4), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1})
+        WeightSystem.from_values(
+            q, ZMod(4), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1})
     with pytest.raises(WeightSystemError):
-        WeightSystem(q, ZMod(5), {("c", "a"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1})
-    ws = WeightSystem(chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 1})
+        WeightSystem.from_values(
+            q, ZMod(5), {("c", "a"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1})
+    ws = WeightSystem.from_values(
+        chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 1})
     assert ws.value("a", "c") == 1
 
 
@@ -143,6 +147,49 @@ def test_from_tree_extends_uniquely(crown):
         from_tree(t, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1})
 
 
+@pytest.mark.parametrize("spec", ["Z/5", "Z/2 x Z/3"])
+def test_from_tree_matches_tree_path_products(spec, seed=2024):
+    """The propagation-based extension equals the defining product of
+    step weights along each pair's tree semi-path."""
+    rng = random.Random(seed)
+    ring = parse_ring_spec(spec)
+    units = ring.central_units()
+    for poset in connected_posets(4):
+        q = poset.quotient()
+        tree = spanning_tree(ComparabilityGraph(q))
+        given = {e: rng.choice(units) for e in sorted(tree.tree_edges)}
+        ws = from_tree(tree, ring, given)
+        assert ws.is_valid()
+        # on tree edges ws is the input, so path_weight(ws, .) multiplies input values
+        assert all(ws.values[e] == c for e, c in given.items())
+        for x, y in q.strict_pairs():
+            assert ws.value(x, y) == path_weight(ws, tree.path(x, y))
+
+
+def test_decompose_alternating_roots(crown):
+    """Each root keeps its own cached tree: w1 is trivial on that tree."""
+    q = crown.quotient()
+    for ws in enumerate_mult(q, ZMod(5))[::37]:
+        for root in (None, "b", None):
+            w1, w0, _ = decompose(ws, root)
+            assert w1 * w0 == ws
+            tree = spanning_tree(ComparabilityGraph(q), root)
+            assert all(w1.values[e] == 1 for e in tree.tree_edges)
+
+
+def test_potential_from_values_validation(preorder_21):
+    q = preorder_21.quotient()
+    r = ZMod(5)
+    v = Potential.from_values(q, r, {"a2": 2, "b1": 3})
+    assert v.values == {"a1": 2, "b1": 3}
+    with pytest.raises(WeightSystemError, match="missing"):
+        Potential.from_values(q, r, {"a1": 2})
+    with pytest.raises(WeightSystemError, match="duplicate"):
+        Potential.from_values(q, r, {"a1": 2, "a2": 2, "b1": 3})
+    with pytest.raises(WeightSystemError, match="central unit"):
+        Potential.from_values(q, r, {"a1": 0, "b1": 3})
+
+
 def test_apply_scales_cross_blocks(preorder_21):
     q = preorder_21.quotient()
     r = ZMod(3)
@@ -234,6 +281,10 @@ def test_weight_json_round_trip(crown, tmp_path):
         weight_system_from_json(text, ws.poset, ZMod(7))
     with pytest.raises(WeightSystemError):
         weight_system_from_json('{"weights": []}', ws.poset)
+    doubled = json.loads(text)
+    doubled["weights"].append(doubled["weights"][0])
+    with pytest.raises(WeightSystemError, match="duplicate"):
+        weight_system_from_json(json.dumps(doubled), ws.poset)
 
 
 def test_weight_json_label_must_be_representative(preorder_21):
