@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 
 
@@ -36,9 +37,11 @@ class RingMismatchError(ValueError):
 class Ring:
     """Interface shared by all coefficient rings.
 
-    Subclasses provide zero/one/add/neg/mul/int_scale, a deterministic
-    ``elements()`` enumeration, unit testing and inversion, the central
-    units, and text encoding of elements.
+    Subclasses provide zero/one/add/neg/mul/int_scale, ``dot`` (the sum
+    of ``a * b`` over an iterable of ``(a, b)`` pairs, factors kept left
+    to right, reduced once at the end), a deterministic ``elements()``
+    enumeration, unit testing and inversion, the central units, and text
+    encoding of elements.
     """
 
     commutative = False
@@ -90,6 +93,9 @@ class ZMod(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.n
+
+    def dot(self, terms):
+        return sum(itertools.starmap(operator.mul, terms)) % self.n
 
     def int_scale(self, k, a):
         return (k * a) % self.n
@@ -168,6 +174,10 @@ class ProductRing(Ring):
 
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+
+    def dot(self, terms):
+        terms = list(terms)
+        return tuple(f.dot([(a[i], b[i]) for a, b in terms]) for i, f in enumerate(self.factors))
 
     def int_scale(self, k, a):
         return tuple(f.int_scale(k, x) for f, x in zip(self.factors, a))
@@ -271,6 +281,14 @@ class MatrixRing(Ring):
             for i in range(k)
         )
 
+    def dot(self, terms):
+        # entry (i, j) is one integer sum: row i of every a against column j of its b
+        terms = list(terms)
+        k, n = self.size, self.base.n
+        rows = [[x for a, _ in terms for x in a[i]] for i in range(k)]
+        cols = [[row[j] for _, b in terms for row in b] for j in range(k)]
+        return tuple(tuple(sum(map(operator.mul, r, c)) % n for c in cols) for r in rows)
+
     def int_scale(self, k, a):
         n = self.base.n
         return tuple(tuple((k * x) % n for x in row) for row in a)
@@ -334,7 +352,7 @@ class MatrixRing(Ring):
         return tuple(tuple(v % n for v in row) for row in raw)
 
     def format_element(self, a) -> str:
-        return json.dumps([list(row) for row in a], separators=(",", ":"))
+        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in a) + "]"
 
     def __str__(self):
         return f"M({self.size},{self.base})"

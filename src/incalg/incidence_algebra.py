@@ -5,11 +5,12 @@ sparsely (absent pair = zero).  Multiplication is convolution,
 
     (fg)(x, y) = sum of f(x, z) g(z, y) over x <= z <= y,
 
-which under a linear extension is just structural matrix multiplication.
-Functions split into a class-diagonal part (pairs inside one equivalence
-class) and a strict part (pairs across classes); the strict part of any
-function is nilpotent, which gives the finite inversion series used by
-:func:`invert`.
+which under a linear extension is just structural matrix multiplication;
+each output entry is one ``ring.dot`` over its terms.  Functions split
+into a class-diagonal part (pairs inside one equivalence class) and a
+strict part (pairs across classes).  :func:`invert` inverts the diagonal
+blocks and then solves f g = 1 row by row, top class first (Rota's
+Moebius recursion), for the cost of about one convolution.
 
 ``IncidenceFunction(...)`` trusts its arguments and is what the algebra
 uses internally; :meth:`IncidenceFunction.from_entries` and the JSON
@@ -19,8 +20,17 @@ reader validate support and encoding once, at the boundary.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from json.encoder import encode_basestring_ascii
 
-from .coeff_rings import NonUnitError, RingMismatchError, adjugate_inverse, determinant
+from .coeff_rings import (
+    MatrixRing,
+    NonUnitError,
+    ProductRing,
+    RingMismatchError,
+    adjugate_inverse,
+    determinant,
+)
 
 
 class SupportError(ValueError):
@@ -136,22 +146,37 @@ def _same_carrier(f, g):
         raise RingMismatchError("functions live on different carriers")
 
 
+def _rows(items):
+    """First element -> list of (second element, value), from ((x, y), value) items."""
+    rows = defaultdict(list)
+    for (x, y), v in items:
+        rows[x].append((y, v))
+    return rows
+
+
+def _row_product(row, rows):
+    """Terms of sum_z a(z) g(z, y) per y, for row = [(z, a(z))] and rows[z] = g(z, .)."""
+    terms = defaultdict(list)
+    for z, a in row:
+        for y, b in rows.get(z, ()):
+            terms[y].append((a, b))
+    return terms
+
+
 def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
     """Incidence product of two functions on the same carrier."""
     _same_carrier(f, g)
     ring = f.ring
-    by_first = {}
-    for (z, y), b in g.entries.items():
-        by_first.setdefault(z, []).append((y, b))
-    acc = {}
-    for (x, z), a in f.entries.items():
-        for y, b in by_first.get(z, ()):
-            pair = (x, y)
-            term = ring.mul(a, b)
-            cur = acc.get(pair)
-            acc[pair] = term if cur is None else ring.add(cur, term)
+    dot = ring.dot
     zero = ring.zero()
-    return IncidenceFunction(f.preorder, ring, {p: v for p, v in acc.items() if v != zero})
+    g_rows = _rows(g.entries.items())
+    out = {}
+    for x, row in _rows(f.entries.items()).items():
+        for y, terms in _row_product(row, g_rows).items():
+            v = dot(terms)
+            if v != zero:
+                out[(x, y)] = v
+    return IncidenceFunction(f.preorder, ring, out)
 
 
 def delta(preorder, ring) -> IncidenceFunction:
@@ -173,26 +198,48 @@ def matrix_unit(preorder, ring, x, y) -> IncidenceFunction:
     return IncidenceFunction(preorder, ring, {(x, y): ring.one()})
 
 
-def _require_commutative(ring):
-    if not ring.commutative:
-        raise NotImplementedError(
-            "block inversion over a noncommutative coefficient ring needs singleton classes"
-        )
+def _component(rows, i):
+    """Factor i of a matrix over a product ring, as a matrix over that factor."""
+    return [[a[i] for a in row] for row in rows]
+
+
+def _flatten(k, rows):
+    """An s x s matrix of k x k blocks as one sk x sk matrix: M_s(M_k(R)) = M_sk(R)."""
+    return [[a[i][j] for a in row for j in range(k)] for row in rows for i in range(k)]
 
 
 def matrix_is_invertible(ring, rows) -> bool:
     """Invertibility of a square matrix over the coefficient ring."""
     if len(rows) == 1:
         return ring.is_unit(rows[0][0])
-    _require_commutative(ring)
+    if isinstance(ring, ProductRing):
+        return all(matrix_is_invertible(r, _component(rows, i)) for i, r in enumerate(ring.factors))
+    if isinstance(ring, MatrixRing):
+        return ring.base.is_unit(determinant(ring.base, _flatten(ring.size, rows)))
     return ring.is_unit(determinant(ring, rows))
 
 
 def invert_matrix(ring, rows):
-    """Inverse by adjugate over a commutative ring (any ring for 1x1)."""
-    if len(rows) == 1:
+    """Inverse of a square matrix over the coefficient ring, as row lists.
+
+    Over a product ring the factors are inverted one by one; over
+    M(k,Z/n) the matrix of blocks is flattened to one over Z/n, inverted
+    by adjugate there and cut back into blocks.  NonUnitError when there
+    is no inverse.
+    """
+    s = len(rows)
+    if s == 1:
         return [[ring.inverse(rows[0][0])]]
-    _require_commutative(ring)
+    if isinstance(ring, ProductRing):
+        parts = [invert_matrix(r, _component(rows, i)) for i, r in enumerate(ring.factors)]
+        return [[tuple(p[a][b] for p in parts) for b in range(s)] for a in range(s)]
+    if isinstance(ring, MatrixRing):
+        k = ring.size
+        flat = adjugate_inverse(ring.base, _flatten(k, rows))
+        return [
+            [tuple(tuple(flat[a * k + i][b * k:(b + 1) * k]) for i in range(k)) for b in range(s)]
+            for a in range(s)
+        ]
     return adjugate_inverse(ring, rows)
 
 
@@ -231,28 +278,35 @@ def is_unit_function(f: IncidenceFunction) -> bool:
 def invert(f: IncidenceFunction) -> IncidenceFunction:
     """Two-sided inverse of a unit.
 
-    The class-diagonal part is inverted blockwise; writing f = (1 + d) v
-    with v that diagonal part, d = strict(f) v^-1 is nilpotent, so
-    (1 + d)^-1 is the alternating sum of its powers up to the height of
-    the quotient.
+    The class-diagonal blocks are inverted first (v^-1).  For x in a class
+    X, f g = 1 then gives g(x, y) = v^-1(x, y) inside X and, above it,
+
+        g(x, y) = sum over [z] > X of d(x, z) g(z, y),
+        d(x, z) = -sum over x' in X of v^-1(x, x') f(x', z),
+
+    with factors kept left to right, so noncommutative rings work too.
+    Rows are solved top class first, with no recursion.  Each entry is
+    one ``ring.dot``; the whole pass costs about one convolution.
     """
     quotient = f.preorder.quotient()
     ring = f.ring
-    v_inv = _diagonal_inverse(f)
-    strict = f.strict_part()
-    if not strict.entries:
-        return v_inv
-    d = convolve(strict, v_inv)
-    series = delta(f.preorder, ring)
-    power = d
-    sign = -1
-    for _ in range(quotient.height()):
-        if not power.entries:
-            break
-        series = series + power.scale(sign)
-        sign = -sign
-        power = convolve(power, d)
-    return convolve(v_inv, series)
+    v_inv = _diagonal_inverse(f).entries
+    cls = quotient.class_of
+    strict = _rows((p, a) for p, a in f.entries.items() if cls[p[0]] != cls[p[1]])
+    dot, neg, zero = ring.dot, ring.neg, ring.zero()
+    rows = {}  # z -> [(y, g(z, y))], filled top class first
+    for ci in quotient.top_down():
+        members = quotient.classes[ci]
+        for x in members:
+            d_terms = _row_product(
+                [(xp, neg(v_inv[x, xp])) for xp in members if (x, xp) in v_inv], strict)
+            d_row = [(z, v) for z, terms in d_terms.items() if (v := dot(terms)) != zero]
+            row = [(y, v_inv[x, y]) for y in members if (x, y) in v_inv]
+            row += [(y, v) for y, terms in _row_product(d_row, rows).items()
+                    if (v := dot(terms)) != zero]
+            rows[x] = row
+    return IncidenceFunction(
+        f.preorder, ring, {(x, y): v for x, row in rows.items() for y, v in row})
 
 
 def unit_decompose(u: IncidenceFunction):
@@ -290,11 +344,30 @@ def hadamard(m: IncidenceFunction, f: IncidenceFunction) -> IncidenceFunction:
 
 
 def function_to_json(f: IncidenceFunction) -> str:
-    records = [
-        {"from": x, "to": y, "value": f.ring.format_element(v)}
-        for (x, y), v in sorted(f.entries.items())
-    ]
-    return json.dumps({"entries": records}, indent=2, sort_keys=True) + "\n"
+    fmt = f.ring.format_element
+    rows = [(x, y, fmt(v)) for (x, y), v in sorted(f.entries.items())]
+    return write_records({}, "entries", ("from", "to", "value"), rows)
+
+
+def write_records(header, list_key, fields, rows) -> str:
+    """Text of a ``{list_key: [...], **header}`` file, the inverse of
+    :func:`read_records`.
+
+    ``header`` maps names to strings and each row is a tuple of strings
+    in ``fields`` order.  The text is byte for byte what
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` writes.
+    """
+    enc = encode_basestring_ascii
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    record = "    {\n" + ",\n".join(f"      {enc(fields[i])}: %s" for i in order) + "\n    }"
+    if rows:
+        body = "[\n" + ",\n".join(
+            record % tuple(enc(row[i]) for i in order) for row in rows) + "\n  ]"
+    else:
+        body = "[]"
+    top = {name: enc(value) for name, value in header.items()}
+    top[list_key] = body
+    return "{\n" + ",\n".join(f"  {enc(name)}: {top[name]}" for name in sorted(top)) + "\n}\n"
 
 
 def read_records(text: str, what: str, list_key: str, fields, error):

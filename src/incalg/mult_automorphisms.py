@@ -26,12 +26,11 @@ check), so internal builders never re-check what they construct.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .coeff_rings import parse_ring_spec
 from .comparability import FundamentalCycle, cycle_weight, fundamental_cycles, tree_of
-from .incidence_algebra import IncidenceFunction, read_records
+from .incidence_algebra import IncidenceFunction, read_records, write_records
 
 
 class WeightSystemError(ValueError):
@@ -385,11 +384,9 @@ def from_point_map(potential: Potential) -> IncidenceFunction:
 
 
 def weight_system_to_json(ws: WeightSystem) -> str:
-    records = [
-        {"from": x, "to": y, "value": ws.ring.format_element(v)}
-        for (x, y), v in ws.items()
-    ]
-    return json.dumps({"ring": str(ws.ring), "weights": records}, indent=2, sort_keys=True) + "\n"
+    fmt = ws.ring.format_element
+    rows = [(x, y, fmt(v)) for (x, y), v in ws.items()]
+    return write_records({"ring": str(ws.ring)}, "weights", ("from", "to", "value"), rows)
 
 
 def _read_ring_records(text, what, list_key, fields, poset, ring):
@@ -422,11 +419,9 @@ def load_weight_system(path, poset, ring=None) -> WeightSystem:
 
 
 def potential_to_json(potential: Potential) -> str:
-    records = [
-        {"class": x, "value": potential.ring.format_element(v)}
-        for x, v in potential.items()
-    ]
-    return json.dumps({"ring": str(potential.ring), "values": records}, indent=2, sort_keys=True) + "\n"
+    fmt = potential.ring.format_element
+    rows = [(x, fmt(v)) for x, v in potential.items()]
+    return write_records({"ring": str(potential.ring)}, "values", ("class", "value"), rows)
 
 
 def potential_from_json(text: str, poset, ring=None) -> Potential:

@@ -153,7 +153,6 @@ class QuotientPoset:
             for ci in range(k)
         ]
         self._strict_pairs = None
-        self._chain_memo = {}
         self._height = None
         self._graph, self._trees = None, {}  # filled by comparability.tree_of
 
@@ -197,34 +196,33 @@ class QuotientPoset:
         ci, cj = self._c(x), self._c(y)
         if not self._up[ci] >> cj & 1:
             raise PreorderError(f"{x!r} is not below {y!r} in the quotient")
-        return self._longest(ci, cj)
-
-    def _longest(self, ci, cj) -> int:
-        if ci == cj:
-            return 0
-        key = (ci, cj)
-        got = self._chain_memo.get(key)
-        if got is not None:
-            return got
-        best = 0
-        for b in range(self.n_classes):
-            if b != ci and self._up[ci] >> b & 1 and self._up[b] >> cj & 1:
-                cand = 1 + self._longest(b, cj)
-                if cand > best:
-                    best = cand
-        self._chain_memo[key] = best
-        return best
+        below_cj = sum(1 << b for b, up in enumerate(self._up) if up >> cj & 1)
+        return self._chain_lengths(self._up[ci] & below_cj)[ci]
 
     def height(self) -> int:
         """Longest strict chain length anywhere in the quotient."""
         if self._height is None:
-            best = 0
-            for x, y in self.strict_pairs():
-                cand = self.interval_length(x, y)
-                if cand > best:
-                    best = cand
-            self._height = best
+            self._height = max(self._chain_lengths((1 << self.n_classes) - 1).values())
         return self._height
+
+    def top_down(self):
+        """Class indices, each after every class strictly above it.
+
+        A class strictly above another has a strictly smaller up-set, so
+        ascending up-set size is such an order.
+        """
+        return sorted(range(self.n_classes), key=lambda c: self._up[c].bit_count())
+
+    def _chain_lengths(self, within):
+        """Longest strict chain upward from each class of the bitmask
+        ``within``, inside it, in one top-down pass."""
+        up = self._up
+        longest = {}
+        for c in self.top_down():
+            if within >> c & 1:
+                above = _bits(up[c] & within & ~(1 << c))
+                longest[c] = 1 + max((longest[b] for b in above), default=-1)
+        return longest
 
     def connected_components(self):
         """Components of the comparability graph, as sorted tuples of reps."""
@@ -265,6 +263,11 @@ class QuotientPoset:
 
     def __repr__(self):
         return f"QuotientPoset({self.n_classes} classes)"
+
+
+def _bits(mask):
+    """Indices of the set bits of a non-negative int, ascending."""
+    return [i for i, ch in enumerate(reversed(bin(mask))) if ch == "1"]
 
 
 def load_preorder_text(text: str) -> Preorder:

@@ -50,3 +50,10 @@ def chain3_txt(tmp_path, chain3):
     path = tmp_path / "chain3.txt"
     path.write_text(preorder_to_text(chain3))
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def chain1100():
+    """A 1,100-element chain: deep enough to overflow any per-class recursion."""
+    labels = [f"c{i:04d}" for i in range(1100)]
+    return close_relations(labels, list(zip(labels, labels[1:])))

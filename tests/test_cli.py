@@ -337,3 +337,51 @@ def test_out_flag_writes_file(capsys, crown_txt, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["m"] == 4
+
+
+# A doubled bottom class under a diamond (Z/12) and a plain diamond (M(2,Z/3)):
+# (preorder text, ring, left function, right function), values as file text.
+ALGEBRA_FIXTURES = {
+    "Z/12": (
+        "elements a1 a2 b c d\nrel a1 a2\nrel a2 a1\nrel a1 b\nrel a1 c\nrel b d\nrel c d\n",
+        {("a1", "a1"): "1", ("a1", "a2"): "2", ("a2", "a1"): "3", ("a2", "a2"): "5",
+         ("b", "b"): "7", ("c", "c"): "11", ("d", "d"): "5", ("a1", "b"): "4",
+         ("a2", "c"): "9", ("a1", "d"): "6", ("b", "d"): "10", ("c", "d"): "3"},
+        {("a1", "a1"): "8", ("a2", "a1"): "1", ("a2", "b"): "2", ("a1", "c"): "7",
+         ("b", "d"): "5", ("c", "d"): "11", ("d", "d"): "1", ("a2", "d"): "4"},
+    ),
+    "M(2,Z/3)": (
+        "elements a b c d\nrel a b\nrel a c\nrel b d\nrel c d\n",
+        {("a", "a"): "[[1,1],[0,1]]", ("b", "b"): "[[0,1],[2,0]]", ("c", "c"): "[[2,1],[1,1]]",
+         ("d", "d"): "[[1,0],[1,2]]", ("a", "b"): "[[1,2],[0,1]]", ("a", "c"): "[[0,0],[1,2]]",
+         ("a", "d"): "[[2,2],[1,0]]", ("b", "d"): "[[1,0],[2,2]]", ("c", "d"): "[[0,1],[1,1]]"},
+        {("a", "a"): "[[2,0],[1,1]]", ("a", "b"): "[[0,1],[1,0]]", ("b", "d"): "[[1,1],[1,2]]",
+         ("c", "c"): "[[1,2],[2,2]]", ("a", "d"): "[[0,2],[0,1]]", ("d", "d"): "[[1,1],[0,1]]"},
+    ),
+}
+
+ALGEBRA_DIGESTS = {
+    ("Z/12", "convolve"): "5a4de0b0a0220130b7e6c5e6f023600e6fbb6314b691c69b48234479fdf6e35e",
+    ("Z/12", "invert"): "ed1f3bd26ba5d2fcfda98a0b4fb8937aa63d1a255086bfc1429da42ac291c38c",
+    ("M(2,Z/3)", "convolve"): "083c71c437c707c49f6f9d5e699af241b6ec01edd3d7a7f5f13aaa5d0b30cf45",
+    ("M(2,Z/3)", "invert"): "17ec033f4368f616c0f194882e4b9119b78703930692b71d4751c844a9033f5e",
+}
+
+
+def _write_function(path, entries):
+    path.write_text(json.dumps(
+        {"entries": [{"from": x, "to": y, "value": v} for (x, y), v in sorted(entries.items())]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("ring,command", sorted(ALGEBRA_DIGESTS))
+def test_algebra_golden_digest(capsys, tmp_path, ring, command):
+    """convolve and invert stdout, pinned byte for byte."""
+    text, left, right = ALGEBRA_FIXTURES[ring]
+    poset = tmp_path / "poset.txt"
+    poset.write_text(text)
+    f = _write_function(tmp_path / "f.json", left)
+    args = [f, _write_function(tmp_path / "g.json", right)] if command == "convolve" else [f]
+    code, out, _ = run(capsys, command, "--poset", str(poset), "--ring", ring, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALGEBRA_DIGESTS[ring, command]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -136,6 +137,8 @@ def test_matrix_ring_parse_format():
     a = r.parse_element("[[1,2],[0,1]]")
     assert a == ((1, 2), (0, 1))
     assert r.format_element(a) == "[[1,2],[0,1]]"
+    for a in r.elements():
+        assert r.format_element(a) == json.dumps([list(row) for row in a], separators=(",", ":"))
     with pytest.raises(RingParseError):
         r.parse_element("[[1,2]]")
     with pytest.raises(RingParseError):
@@ -155,3 +158,17 @@ def test_ring_equality_and_str_round_trip():
     for spec in ("Z/2", "Z/12", "M(2,Z/3)", "Z/2 x Z/3", "Z/2 x M(2,Z/2) x Z/5"):
         r = parse_ring_spec(spec)
         assert parse_ring_spec(str(r)) == r
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/3", "M(2,Z/3)", "M(3,Z/2)", "Z/2 x M(2,Z/2)"])
+def test_dot_matches_mul_add_fold(spec, seed=17):
+    r = parse_ring_spec(spec)
+    elements = r.elements()
+    rng = random.Random(seed)
+    for size in (0, 1, 1, 2, 3, 7):
+        terms = [(rng.choice(elements), rng.choice(elements)) for _ in range(size)]
+        fold = r.zero()
+        for a, b in terms:
+            fold = r.add(fold, r.mul(a, b))
+        assert r.dot(terms) == fold
+        assert r.dot(iter(terms)) == fold

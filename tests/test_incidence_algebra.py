@@ -7,6 +7,7 @@ from incalg.incidence_algebra import (
     IncidenceFunction,
     NonInvertibleError,
     SupportError,
+    _diagonal_inverse,
     conjugate,
     convolve,
     delta,
@@ -207,14 +208,19 @@ def test_matrix_inverse_without_unit_entries():
         invert_matrix(r, [[2, 3], [4, 3]])
 
 
-def test_noncommutative_ring_needs_singleton_classes(preorder_21, chain2):
+def test_noncommutative_class_blocks_invert(preorder_21, chain2, seed=12):
+    """A 2-element class over M(2,Z/2): the block is inverted as a 4x4
+    matrix over Z/2, and the result is a two-sided inverse."""
     r = MatrixRing(2, ZMod(2))
+    d = delta(preorder_21, r)
     f = IncidenceFunction.from_entries(
         preorder_21, r, [("a1", "a1", r.one()), ("a2", "a2", r.one()), ("b1", "b1", r.one())]
     )
-    with pytest.raises(NotImplementedError):
-        invert(f)
-    # singleton classes are fine
+    assert invert(f) == f
+    rng = random.Random(seed)
+    for _ in range(30):
+        u = random_unit(preorder_21, r, rng)
+        assert u * invert(u) == invert(u) * u == d
     g = IncidenceFunction.from_entries(
         chain2, r, [("a", "a", r.one()), ("b", "b", r.one()), ("a", "b", r.one())]
     )
@@ -223,11 +229,56 @@ def test_noncommutative_ring_needs_singleton_classes(preorder_21, chain2):
 
 def test_matrix_oracle_agreement(crown, seed=6):
     rng = random.Random(seed)
-    r = parse_ring_spec("Z/2 x Z/3")
-    for _ in range(25):
-        f = random_function(crown, r, rng)
-        g = random_function(crown, r, rng)
-        assert matrix_oracle(f, g)
+    for spec in ("Z/2 x Z/3", "M(2,Z/3)", "Z/2 x M(2,Z/2)"):
+        r = parse_ring_spec(spec)
+        for _ in range(25):
+            f = random_function(crown, r, rng)
+            g = random_function(crown, r, rng)
+            assert matrix_oracle(f, g)
+
+
+def _series_inverse(f):
+    """Reference: the inverse as v^-1 (1 + d)^-1 with d = strict(f) v^-1
+    nilpotent, summing the alternating powers of d up to the height."""
+    ring = f.ring
+    v_inv = _diagonal_inverse(f)
+    d = convolve(f.strict_part(), v_inv)
+    series = delta(f.preorder, ring)
+    power, sign = d, -1
+    for _ in range(f.preorder.quotient().height()):
+        series = series + power.scale(sign)
+        sign = -sign
+        power = convolve(power, d)
+    return convolve(v_inv, series)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/3", "M(2,Z/3)"])
+def test_invert_matches_series(spec, crown, diamond, seed=71):
+    rng = random.Random(seed)
+    r = parse_ring_spec(spec)
+    chain6 = close_relations("abcdef", list(zip("abcde", "bcdef")))
+    for p in (crown, diamond, chain6):
+        for _ in range(15):
+            u = random_unit(p, r, rng)
+            assert invert(u) == _series_inverse(u)
+
+
+@pytest.mark.parametrize("spec", ["Z/3", "M(2,Z/2)"])
+def test_invert_class_blocks_match_series(spec, preorder_21, seed=72):
+    rng = random.Random(seed)
+    r = parse_ring_spec(spec)
+    for _ in range(30):
+        u = random_unit(preorder_21, r, rng)
+        assert invert(u) == _series_inverse(u)
+
+
+def test_mobius_of_long_chain(chain1100):
+    """Inverting zeta on a 1,100-chain needs no recursion over the classes."""
+    r = ZMod(7)
+    labels = chain1100.elements
+    mu = {(x, x): 1 for x in labels}
+    mu.update({(x, y): 6 for x, y in zip(labels, labels[1:])})
+    assert invert(zeta(chain1100, r)).entries == mu
 
 
 def test_convolution_associative_random(seed=31):

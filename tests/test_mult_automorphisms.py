@@ -5,7 +5,13 @@ import pytest
 
 from incalg.coeff_rings import ZMod, parse_ring_spec
 from incalg.comparability import ComparabilityGraph, path_weight, spanning_tree
-from incalg.incidence_algebra import IncidenceFunction, convolve, hadamard, zeta
+from incalg.incidence_algebra import (
+    IncidenceFunction,
+    convolve,
+    function_to_json,
+    hadamard,
+    zeta,
+)
 from incalg.mult_automorphisms import (
     NotInnerWitness,
     Potential,
@@ -26,6 +32,7 @@ from incalg.mult_automorphisms import (
     weight_system_to_json,
 )
 from incalg.oracle import connected_posets, enumerate_inner, enumerate_mult, random_function
+from incalg.preorder_core import close_relations
 
 
 def crown_ws(crown, bd):
@@ -315,3 +322,28 @@ def test_inner_iff_coboundary_small_product_ring(crown):
     for ws in enumerate_mult(q, r):
         ok, _ = is_inner_cycles(ws)
         assert ok == (ws.key() in inner_keys)
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "M(2,Z/3)", "Z/2 x Z/3"])
+def test_writers_match_json_dumps(spec, seed=29):
+    """The three file writers give json.dumps's indented bytes, escapes included."""
+    rng = random.Random(seed)
+    r = parse_ring_spec(spec)
+    fmt = r.format_element
+    odd = close_relations(['a"1', "b\\2", "cé", "d"], [('a"1', "b\\2"), ('a"1', "cé")])
+    for p in (odd, close_relations(["solo"], [])):
+        q = p.quotient()
+        for f in (IncidenceFunction(p, r, {}), random_function(p, r, rng)):
+            assert function_to_json(f) == _dumps({"entries": [
+                {"from": x, "to": y, "value": fmt(v)} for (x, y), v in sorted(f.entries.items())]})
+        units = r.central_units()
+        pot = Potential.from_values(q, r, {x: rng.choice(units) for x in q.reps})
+        ws = from_potential(pot)
+        assert weight_system_to_json(ws) == _dumps({"ring": str(r), "weights": [
+            {"from": x, "to": y, "value": fmt(v)} for (x, y), v in ws.items()]})
+        assert potential_to_json(pot) == _dumps({"ring": str(r), "values": [
+            {"class": x, "value": fmt(v)} for x, v in pot.items()]})

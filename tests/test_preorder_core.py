@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from incalg.oracle import all_posets
 from incalg.preorder_core import (
     PreorderError,
     close_relations,
@@ -80,6 +82,33 @@ def test_height_and_interval_length(chain3, crown):
     assert chain3.quotient().interval_length("a", "c") == 2
     with pytest.raises(PreorderError):
         crown.quotient().interval_length("c", "a")
+
+
+def _longest_chain(q, ci, cj):
+    """Reference: longest strict chain from class ci to class cj, by recursion."""
+    if ci == cj:
+        return 0
+    return max(1 + _longest_chain(q, b, cj) for b in range(q.n_classes)
+               if b != ci and q._up[ci] >> b & 1 and q._up[b] >> cj & 1)
+
+
+def test_height_and_interval_length_match_recursion():
+    for n in range(1, 6):
+        for p in all_posets(n):
+            q = p.quotient()
+            lengths = {(x, y): _longest_chain(q, q._c(x), q._c(y))
+                       for x, y in p.comparable_pairs()}
+            assert {pair: q.interval_length(*pair) for pair in lengths} == lengths
+            assert q.height() == max(lengths.values())
+
+
+def test_height_of_long_chain(chain1100):
+    start = time.process_time()
+    q = chain1100.quotient()
+    assert q.height() == 1099
+    assert q.interval_length("c0000", "c1099") == 1099
+    assert q.interval_length("c0100", "c0200") == 100
+    assert time.process_time() - start < 10
 
 
 def test_connected_components():
