@@ -10,7 +10,9 @@ encoding:
 * ``M(k,Z/n)``  tuple of k row tuples of residues, row major
 
 Canonical encodings make element equality plain ``==``, which the file
-formats and the enumeration code rely on.
+formats and the enumeration code rely on.  Every matrix unit test and
+inverse over Z/n, here and for the class blocks of the incidence
+algebra, is one row reduction, :func:`det_inverse`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class Ring:
     """
 
     commutative = False
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     @property
     def order(self) -> int:
@@ -304,20 +303,15 @@ class MatrixRing(Ring):
             self._elements = cache
         return cache
 
-    def determinant(self, a):
-        return determinant(self.base, a)
-
     def is_unit(self, a) -> bool:
-        return self.base.is_unit(self.determinant(a))
+        return det_inverse(self.base.n, a)[1] is not None
 
     def inverse(self, a):
-        try:
-            inv = adjugate_inverse(self.base, a)
-        except NonUnitError:
+        det, inv = det_inverse(self.base.n, a)
+        if inv is None:
             raise NonUnitError(
-                f"{self.format_element(a)} has non-unit determinant {self.determinant(a)} in {self}"
-            ) from None
-        return tuple(tuple(row) for row in inv)
+                f"{self.format_element(a)} has non-unit determinant {det} in {self}")
+        return tuple(map(tuple, inv))
 
     def central_units(self):
         # center of a full matrix ring over a commutative base: scalar matrices
@@ -370,40 +364,43 @@ class MatrixRing(Ring):
         return hash(("Matrix", self.size, self.base.n))
 
 
-def determinant(ring, rows):
-    """Laplace expansion along the first row over a commutative ring;
-    fine for desk-scale sizes.  Rows may be lists or tuples."""
-    k = len(rows)
-    if k == 0:
-        return ring.one()
-    if k == 1:
-        return rows[0][0]
-    zero = ring.zero()
-    total = zero
-    for j, a in enumerate(rows[0]):
-        if a == zero:
-            continue
-        term = ring.mul(a, determinant(ring, [r[:j] + r[j + 1:] for r in rows[1:]]))
-        total = ring.add(total, term) if j % 2 == 0 else ring.sub(total, term)
-    return total
+def det_inverse(n, rows):
+    """Determinant of a square integer matrix over Z/n, and its inverse.
 
-
-def adjugate_inverse(ring, rows):
-    """Inverse det^-1 adj(A) of a square matrix over a commutative ring,
-    as a list of row lists; NonUnitError when the determinant is no unit."""
-    det = determinant(ring, rows)
-    if not ring.is_unit(det):
-        raise NonUnitError(f"matrix determinant {ring.format_element(det)} is not a unit")
-    dinv = ring.inverse(det)
-    k = len(rows)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            cof = determinant(ring, [r[:i] + r[i + 1:] for t, r in enumerate(rows) if t != j])
-            row.append(ring.mul(dinv, cof if (i + j) % 2 == 0 else ring.neg(cof)))
-        out.append(row)
-    return out
+    Returns ``(det, inverse)`` with ``det`` in ``range(n)`` and the
+    inverse as a list of row lists, or ``(det, None)`` when det is no
+    unit mod n.  One pass reduces ``[A | I]`` to upper triangular form by
+    Euclid's algorithm on pairs of rows (the Hermite form step): a swap
+    flips the sign of det and subtracting a multiple of one row from
+    another keeps it, so det is +-prod(diagonal).  No pivot has to be a
+    unit and n is never factored.  When det is a unit, so is every
+    pivot, and back substitution finishes the inverse.  O(s^3) row steps
+    times O(log n) Euclid steps for an s x s matrix.
+    """
+    s = len(rows)
+    aug = [[x % n for x in row] + [0] * s for row in rows]
+    for i, row in enumerate(aug):
+        row[s + i] = 1
+    sign = 1
+    for c in range(s):
+        for r in range(c + 1, s):
+            a, b = aug[c], aug[r]
+            while b[c]:
+                q = a[c] // b[c]
+                a, b = b, [(x - q * y) % n for x, y in zip(a, b)]
+                sign = -sign
+            aug[c], aug[r] = a, b
+    det = sign * math.prod([aug[c][c] for c in range(s)]) % n
+    if math.gcd(det, n) != 1:
+        return det, None
+    for c in reversed(range(s)):
+        p = pow(aug[c][c], -1, n)
+        pivot = aug[c] = [x * p % n for x in aug[c]]
+        for r in range(c):
+            f = aug[r][c]
+            if f:
+                aug[r] = [(x - f * y) % n for x, y in zip(aug[r], pivot)]
+    return det, [row[s:] for row in aug]
 
 
 def _split_top_level(text: str):

@@ -126,18 +126,19 @@ class FundamentalCycle:
         return "-".join(self.sequence)
 
 
-def fundamental_cycles(graph: ComparabilityGraph, tree: SpanningTree):
-    """One cycle per non-tree edge, in sorted edge order.
+def fundamental_cycle(tree: SpanningTree, edge) -> FundamentalCycle:
+    """The cycle of one non-tree edge.
 
     The stored sequence starts at the lexicographically smaller endpoint
     and crosses the non-tree edge first.
     """
-    cycles = []
-    for edge in tree.non_tree_edges:
-        s, t = min(edge), max(edge)
-        sequence = (s,) + tree.path(t, s)
-        cycles.append(FundamentalCycle(edge=edge, sequence=sequence))
-    return tuple(cycles)
+    s, t = min(edge), max(edge)
+    return FundamentalCycle(edge=edge, sequence=(s,) + tree.path(t, s))
+
+
+def fundamental_cycles(graph: ComparabilityGraph, tree: SpanningTree):
+    """One cycle per non-tree edge, in sorted edge order."""
+    return tuple(fundamental_cycle(tree, edge) for edge in tree.non_tree_edges)
 
 
 def path_weight(ws, path):

@@ -9,8 +9,9 @@ which under a linear extension is just structural matrix multiplication;
 each output entry is one ``ring.dot`` over its terms.  Functions split
 into a class-diagonal part (pairs inside one equivalence class) and a
 strict part (pairs across classes).  :func:`invert` inverts the diagonal
-blocks and then solves f g = 1 row by row, top class first (Rota's
-Moebius recursion), for the cost of about one convolution.
+blocks, each by one row reduction over Z/n (``det_inverse``), and then
+solves f g = 1 row by row, top class first (Rota's Moebius recursion),
+for the cost of about one convolution.
 
 ``IncidenceFunction(...)`` trusts its arguments and is what the algebra
 uses internally; :meth:`IncidenceFunction.from_entries` and the JSON
@@ -23,14 +24,7 @@ import json
 from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 
-from .coeff_rings import (
-    MatrixRing,
-    NonUnitError,
-    ProductRing,
-    RingMismatchError,
-    adjugate_inverse,
-    determinant,
-)
+from .coeff_rings import MatrixRing, NonUnitError, ProductRing, RingMismatchError, det_inverse
 
 
 class SupportError(ValueError):
@@ -208,39 +202,44 @@ def _flatten(k, rows):
     return [[a[i][j] for a in row for j in range(k)] for row in rows for i in range(k)]
 
 
-def matrix_is_invertible(ring, rows) -> bool:
-    """Invertibility of a square matrix over the coefficient ring."""
-    if len(rows) == 1:
-        return ring.is_unit(rows[0][0])
-    if isinstance(ring, ProductRing):
-        return all(matrix_is_invertible(r, _component(rows, i)) for i, r in enumerate(ring.factors))
-    if isinstance(ring, MatrixRing):
-        return ring.base.is_unit(determinant(ring.base, _flatten(ring.size, rows)))
-    return ring.is_unit(determinant(ring, rows))
-
-
-def invert_matrix(ring, rows):
-    """Inverse of a square matrix over the coefficient ring, as row lists.
+def _block_inverse(ring, rows):
+    """Inverse of a square matrix over the coefficient ring, as row
+    lists, or None when there is none.
 
     Over a product ring the factors are inverted one by one; over
-    M(k,Z/n) the matrix of blocks is flattened to one over Z/n, inverted
-    by adjugate there and cut back into blocks.  NonUnitError when there
-    is no inverse.
+    M(k,Z/n) the matrix of blocks is flattened to one over Z/n and the
+    inverse cut back into blocks; over Z/n it is :func:`det_inverse`.
     """
     s = len(rows)
-    if s == 1:
-        return [[ring.inverse(rows[0][0])]]
     if isinstance(ring, ProductRing):
-        parts = [invert_matrix(r, _component(rows, i)) for i, r in enumerate(ring.factors)]
+        parts = [_block_inverse(r, _component(rows, i)) for i, r in enumerate(ring.factors)]
+        if None in parts:
+            return None
         return [[tuple(p[a][b] for p in parts) for b in range(s)] for a in range(s)]
     if isinstance(ring, MatrixRing):
         k = ring.size
-        flat = adjugate_inverse(ring.base, _flatten(k, rows))
+        flat = det_inverse(ring.base.n, _flatten(k, rows))[1]
+        if flat is None:
+            return None
         return [
             [tuple(tuple(flat[a * k + i][b * k:(b + 1) * k]) for i in range(k)) for b in range(s)]
             for a in range(s)
         ]
-    return adjugate_inverse(ring, rows)
+    return det_inverse(ring.n, rows)[1]
+
+
+def matrix_is_invertible(ring, rows) -> bool:
+    """Invertibility of a square matrix over the coefficient ring."""
+    return _block_inverse(ring, rows) is not None
+
+
+def invert_matrix(ring, rows):
+    """Inverse of a square matrix over the coefficient ring, as row
+    lists; NonUnitError when there is none."""
+    inv = _block_inverse(ring, rows)
+    if inv is None:
+        raise NonUnitError(f"matrix is not invertible over {ring}")
+    return inv
 
 
 def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
@@ -250,13 +249,11 @@ def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
     zero = ring.zero()
     entries = {}
     for ci, members in enumerate(quotient.classes):
-        mat = [[f.value(s, t) for t in members] for s in members]
-        try:
-            inv = invert_matrix(ring, mat)
-        except NonUnitError:
+        inv = _block_inverse(ring, [[f.value(s, t) for t in members] for s in members])
+        if inv is None:
             raise NonInvertibleError(
                 f"diagonal block of class {quotient.reps[ci]!r} is not invertible"
-            ) from None
+            )
         for a, s in enumerate(members):
             for b, t in enumerate(members):
                 v = inv[a][b]
@@ -267,11 +264,10 @@ def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
 
 def is_unit_function(f: IncidenceFunction) -> bool:
     """A function is invertible iff every diagonal class block is."""
-    quotient = f.preorder.quotient()
-    for members in quotient.classes:
-        mat = [[f.value(s, t) for t in members] for s in members]
-        if not matrix_is_invertible(f.ring, mat):
-            return False
+    try:
+        _diagonal_inverse(f)
+    except NonInvertibleError:
+        return False
     return True
 
 

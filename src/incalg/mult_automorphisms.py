@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff_rings import parse_ring_spec
-from .comparability import FundamentalCycle, cycle_weight, fundamental_cycles, tree_of
+from .comparability import (
+    FundamentalCycle, cycle_weight, fundamental_cycle, fundamental_cycles, tree_of)
 from .incidence_algebra import IncidenceFunction, read_records, write_records
 
 
@@ -302,7 +303,7 @@ def find_potential(ws: WeightSystem, root=None):
     for edge in tree.non_tree_edges:
         x, y = edge
         if ws.values[edge] != ring.mul(ring.inverse(v[x]), v[y]):
-            cycle = next(c for c in fundamental_cycles(tree.graph, tree) if c.edge == edge)
+            cycle = fundamental_cycle(tree, edge)
             return NotInnerWitness(cycle=cycle, weight=cycle_weight(ws, cycle))
     return potential
 

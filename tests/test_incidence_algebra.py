@@ -191,7 +191,7 @@ def test_invert_rejects_non_units(chain2, preorder_21):
 
 def test_matrix_inverse_without_unit_entries():
     """Invertible block containing no unit entry at all; elimination with
-    unit pivots would get stuck here, the adjugate does not."""
+    unit pivots would get stuck here, Euclid row reduction does not."""
     r = ZMod(6)
     mat = [[2, 3], [3, 2]]
     assert matrix_is_invertible(r, mat)
@@ -225,6 +225,24 @@ def test_noncommutative_class_blocks_invert(preorder_21, chain2, seed=12):
         chain2, r, [("a", "a", r.one()), ("b", "b", r.one()), ("a", "b", r.one())]
     )
     assert convolve(g, invert(g)) == delta(chain2, r)
+
+
+@pytest.mark.parametrize("spec, size", [("Z/7", 12), ("M(2,Z/3)", 6), ("Z/2 x Z/3", 10)])
+def test_invert_large_class_blocks(spec, size, seed=5):
+    """Dense units whose class block is a 10x10 to 12x12 matrix over Z/n
+    after flattening or splitting into factors; inverting it must not cost
+    factorial time in the size."""
+    r = parse_ring_spec(spec)
+    members = [f"a{i:02d}" for i in range(size)]
+    p = close_relations(
+        members + ["b", "z"],
+        list(zip(members, members[1:] + members[:1])) + [("z", "a00"), ("a00", "b")],
+    )
+    assert sorted(map(len, p.quotient().classes)) == [1, 1, size]
+    u = random_unit(p, r, random.Random(seed), density=1.0)
+    assert is_unit_function(u)
+    u_inv = invert(u)
+    assert u * u_inv == u_inv * u == delta(p, r)
 
 
 def test_matrix_oracle_agreement(crown, seed=6):
