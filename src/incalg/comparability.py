@@ -146,7 +146,7 @@ def path_weight(ws, path):
 
     An ascending step x < y contributes the pair weight c[x,y]; a
     descending step contributes the inverse.  Empty and single-vertex
-    paths yield one.
+    paths yield one.  Definitional reference for tests; not called at runtime.
     """
     ring = ws.ring
     poset = ws.poset
@@ -169,6 +169,7 @@ def cycle_weight(ws, cycle: FundamentalCycle):
     taken along the reversed sequence, i.e. the tree semi-path followed by
     the closing edge step.  The opposite traversal gives the inverse
     value; triviality (weight one) does not depend on the direction.
+    Definitional reference for tests, like :func:`path_weight`.
     """
     return path_weight(ws, tuple(reversed(cycle.sequence)))
 

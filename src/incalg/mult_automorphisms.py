@@ -12,10 +12,11 @@ pointwise multiplication of weights.
 
 Coboundary systems c[x,y] = v[x]^-1 v[y] for a vertex potential v are the
 ones induced by conjugation with a unit.  Whether a system is a coboundary
-is decided on the comparability graph: propagate a potential along a
-spanning tree and compare on the remaining edges, or equivalently test all
-fundamental cycle weights for one.  The decomposition splits any valid
-system uniquely into a tree-trivial factor times a coboundary factor.
+is decided on the comparability graph by one walk: propagate a potential v
+along a spanning tree and form w1[x,y] = c[x,y] v[x] v[y]^-1, one on the
+tree edges.  Each fundamental cycle weighs w1 on its non-tree edge
+(inverted when the cycle crosses it upwards), so c is inner iff w1 = 1,
+and c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
 
 ``WeightSystem(...)`` and ``Potential(...)`` trust their arguments, like
 ``IncidenceFunction(...)``: values keyed by class representatives, total,
@@ -29,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff_rings import parse_ring_spec
-from .comparability import (
-    FundamentalCycle, cycle_weight, fundamental_cycle, fundamental_cycles, tree_of)
+from .comparability import FundamentalCycle, fundamental_cycle, fundamental_cycles, tree_of
 from .incidence_algebra import IncidenceFunction, read_records, write_records
 
 
@@ -249,9 +249,8 @@ def from_potential(potential: Potential) -> WeightSystem:
     """Coboundary weights c[x,y] = v[x]^-1 v[y]."""
     ring = potential.ring
     v = potential.values
-    values = {
-        (x, y): ring.mul(ring.inverse(v[x]), v[y]) for x, y in potential.poset.strict_pairs()
-    }
+    inv = {x: ring.inverse(u) for x, u in v.items()}
+    values = {(x, y): ring.mul(inv[x], v[y]) for x, y in potential.poset.strict_pairs()}
     return WeightSystem(potential.poset, ring, values)
 
 
@@ -287,24 +286,40 @@ def _propagate(weights, tree, ring) -> Potential:
     return Potential(tree.graph.poset, ring, values)
 
 
+def _tree_split(ws: WeightSystem, root):
+    """The one tree walk of a valid ws: (tree, v, w1), v propagated from one
+    at the root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over the pairs."""
+    _require_valid(ws)
+    tree = tree_of(ws.poset, root)
+    ring = ws.ring
+    potential = _propagate(ws.values, tree, ring)
+    v, mul = potential.values, ring.mul
+    inv = {x: ring.inverse(u) for x, u in v.items()}
+    w1 = {(x, y): mul(mul(c, v[x]), inv[y]) for (x, y), c in ws.values.items()}
+    return tree, potential, w1
+
+
+def _cycle_value(ring, w1, cycle: FundamentalCycle):
+    """``comparability.cycle_weight`` of a cycle: w1 on its edge, inverted
+    when the stored sequence crosses the edge upwards."""
+    w = w1[cycle.edge]
+    return w if cycle.sequence[0] == cycle.edge[1] else ring.inverse(w)
+
+
 def find_potential(ws: WeightSystem, root=None):
     """Reconstruct a vertex potential, or witness that none exists.
 
-    Propagates from the root along a BFS spanning tree and compares the
-    coboundary of the result with ws on the non-tree edges.  Returns a
-    :class:`Potential`, or a :class:`NotInnerWitness` holding a
-    fundamental cycle with non-unit weight.
+    Propagates from the root along a BFS spanning tree; the potential is
+    the answer iff the tree-trivial factor w1 is one on every non-tree
+    edge.  Returns a :class:`Potential`, or a :class:`NotInnerWitness`
+    holding the first fundamental cycle with non-unit weight.
     """
-    _require_valid(ws)
-    tree = tree_of(ws.poset, root)
-    potential = _propagate(ws.values, tree, ws.ring)
-    ring = ws.ring
-    v = potential.values
+    tree, potential, w1 = _tree_split(ws, root)
+    one = ws.ring.one()
     for edge in tree.non_tree_edges:
-        x, y = edge
-        if ws.values[edge] != ring.mul(ring.inverse(v[x]), v[y]):
+        if w1[edge] != one:
             cycle = fundamental_cycle(tree, edge)
-            return NotInnerWitness(cycle=cycle, weight=cycle_weight(ws, cycle))
+            return NotInnerWitness(cycle=cycle, weight=_cycle_value(ws.ring, w1, cycle))
     return potential
 
 
@@ -313,10 +328,10 @@ def is_inner_cycles(ws: WeightSystem, root=None):
 
     Returns (answer, report) where report lists (cycle, weight) pairs.
     """
-    _require_valid(ws)
-    tree = tree_of(ws.poset, root)
+    tree, _, w1 = _tree_split(ws, root)
     one = ws.ring.one()
-    report = tuple((c, cycle_weight(ws, c)) for c in fundamental_cycles(tree.graph, tree))
+    report = tuple((c, _cycle_value(ws.ring, w1, c))
+                   for c in fundamental_cycles(tree.graph, tree))
     return all(w == one for _, w in report), report
 
 
@@ -326,11 +341,8 @@ def decompose(ws: WeightSystem, root=None):
     Returns (w1, w0, potential) where w0 = from_potential(potential) and
     the potential is the tree propagation of ws with value one at the root.
     """
-    _require_valid(ws)
-    potential = _propagate(ws.values, tree_of(ws.poset, root), ws.ring)
-    w0 = from_potential(potential)
-    w1 = ws * w0.inverse()
-    return w1, w0, potential
+    _, potential, w1 = _tree_split(ws, root)
+    return WeightSystem(ws.poset, ws.ring, w1), from_potential(potential), potential
 
 
 def to_mult_function(ws: WeightSystem) -> IncidenceFunction:
@@ -350,33 +362,18 @@ def to_mult_function(ws: WeightSystem) -> IncidenceFunction:
 def from_mult_function(m: IncidenceFunction) -> WeightSystem:
     """Inverse of :func:`to_mult_function`.
 
-    Requires central-unit values on all comparable pairs, the product
-    identity m(x,y) = m(x,z) m(z,y) on chains x <= z <= y (which forces
-    ones on the diagonal), and ones on within-class pairs.
+    Accepts exactly the multiplicative m with central-unit values: the
+    block values at the class representatives must form a valid weight
+    system whose multiplicative function is m, i.e. m is one inside the
+    classes and constant on each class block.
     """
-    preorder = m.preorder
-    ring = m.ring
-    quotient = preorder.quotient()
-    pairs = preorder.comparable_pairs()
-    for x, y in pairs:
-        v = m.entries.get((x, y))
-        if v is None or not ring.is_central_unit(v):
-            raise WeightSystemError(f"value at ({x}, {y}) is not a central unit")
-    for x, y in pairs:
-        target = m.entries[(x, y)]
-        for z in preorder.elements:
-            if preorder.leq(x, z) and preorder.leq(z, y):
-                if target != ring.mul(m.entries[(x, z)], m.entries[(z, y)]):
-                    raise WeightSystemError(
-                        f"multiplicativity fails on the chain ({x}, {z}, {y})"
-                    )
-    one = ring.one()
-    cls = quotient.class_of
-    for x, y in pairs:
-        if cls[x] == cls[y] and m.entries[(x, y)] != one:
-            raise WeightSystemError(f"within-class value at ({x}, {y}) must be one")
-    values = {p: m.entries[p] for p in quotient.strict_pairs()}
-    return WeightSystem.from_values(quotient, ring, values)
+    quotient = m.preorder.quotient()
+    ws = WeightSystem.from_values(
+        quotient, m.ring, [(p, m.value(*p)) for p in quotient.strict_pairs()])
+    _require_valid(ws)
+    if to_mult_function(ws) != m:
+        raise WeightSystemError("function is not one inside classes and constant on class blocks")
+    return ws
 
 
 def from_point_map(potential: Potential) -> IncidenceFunction:

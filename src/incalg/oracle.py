@@ -22,9 +22,9 @@ from .coeff_rings import ZMod
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
+    NonInvertibleError,
     convolve,
     invert,
-    is_unit_function,
     matrix_is_invertible,
 )
 from .mult_automorphisms import (
@@ -265,10 +265,11 @@ def verify_inner_conjugations(preorder, ring, limit=GUARD_ALGEBRA, force=False) 
     for combo in itertools.product(ring.elements(), repeat=len(pairs)):
         entries = {p: v for p, v in zip(pairs, combo) if v != zero}
         u = IncidenceFunction(preorder, ring, entries)
-        if not is_unit_function(u):
+        try:
+            u_inv = invert(u)
+        except NonInvertibleError:
             continue
         units += 1
-        u_inv = invert(u)
 
         def conj(g):
             return convolve(convolve(u_inv, g), u)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from incalg.coeff_rings import ZMod, parse_ring_spec
-from incalg.comparability import ComparabilityGraph, path_weight, spanning_tree
+from incalg.comparability import ComparabilityGraph, cycle_weight, path_weight, spanning_tree
 from incalg.incidence_algebra import (
     IncidenceFunction,
     convolve,
@@ -184,6 +184,30 @@ def test_decompose_alternating_roots(crown):
             assert all(w1.values[e] == 1 for e in tree.tree_edges)
 
 
+@pytest.mark.parametrize("spec", ["Z/5", "Z/2 x Z/3", "M(2,Z/3)"])
+def test_tree_walk_matches_reference_products(spec):
+    """Cycle reports, witnesses and w1 from the one tree walk equal the
+    step-by-step products of the definitional ``cycle_weight`` and the
+    quotient of ws by the coboundary, for every system and every root.
+    The duals put the lexicographically smaller label on top, so cycles
+    cross their non-tree edge both ways."""
+    ring = parse_ring_spec(spec)
+    posets = connected_posets(4)
+    duals = [close_relations(p.elements, [(y, x) for x, y in p.comparable_pairs()])
+             for p in posets]
+    for poset in posets + tuple(duals):
+        q = poset.quotient()
+        for ws in enumerate_mult(q, ring):
+            for root in (None,) + tuple(q.reps):
+                _, report = is_inner_cycles(ws, root)
+                assert all(w == cycle_weight(ws, c) for c, w in report)
+                found = find_potential(ws, root)
+                if isinstance(found, NotInnerWitness):
+                    assert found.weight == cycle_weight(ws, found.cycle)
+                w1, _, v = decompose(ws, root)
+                assert w1 == ws * from_potential(v).inverse()
+
+
 def test_potential_from_values_validation(preorder_21):
     q = preorder_21.quotient()
     r = ZMod(5)
@@ -347,3 +371,17 @@ def test_writers_match_json_dumps(spec, seed=29):
             {"from": x, "to": y, "value": fmt(v)} for (x, y), v in ws.items()]})
         assert potential_to_json(pot) == _dumps({"ring": str(r), "values": [
             {"class": x, "value": fmt(v)} for x, v in pot.items()]})
+
+
+def test_from_mult_function_rejects_non_block_functions(preorder_21):
+    """Multiplicative-looking values that are not one inside a class, or
+    not constant on a class block, have no weight system."""
+    r = ZMod(5)
+    base = {("a1", "a1"): 1, ("a2", "a2"): 1, ("b1", "b1"): 1,
+            ("a1", "a2"): 1, ("a2", "a1"): 1, ("a1", "b1"): 2, ("a2", "b1"): 2}
+    assert from_mult_function(IncidenceFunction(preorder_21, r, base)) == WeightSystem(
+        preorder_21.quotient(), r, {("a1", "b1"): 2})
+    for pair, value in ((("a1", "a2"), 4), (("a2", "b1"), 3)):
+        bad = IncidenceFunction(preorder_21, r, {**base, pair: value})
+        with pytest.raises(WeightSystemError):
+            from_mult_function(bad)
