@@ -6,132 +6,37 @@ automorphisms fixing the class-diagonal part and scaling each strict
 block by a central unit.  Weight systems represent these automorphisms,
 potentials certify the inner ones, and the oracle module re-derives the
 structure theory by brute force on small instances.
+
+The package root re-exports the names of the README's library example;
+everything else is imported from its module (``incalg.coeff_rings``,
+``incalg.preorder_core``, ``incalg.comparability``,
+``incalg.incidence_algebra``, ``incalg.mult_automorphisms``,
+``incalg.oracle``).
 """
 
-from .coeff_rings import (
-    MatrixRing,
-    NonUnitError,
-    ProductRing,
-    Ring,
-    RingMismatchError,
-    RingParseError,
-    ZMod,
-    parse_ring_spec,
-)
-from .comparability import (
-    ComparabilityGraph,
-    FundamentalCycle,
-    GraphError,
-    SpanningTree,
-    cycle_weight,
-    fundamental_cycles,
-    path_weight,
-    simple_semi_paths,
-    spanning_tree,
-)
-from .incidence_algebra import (
-    IncidenceFunction,
-    NonInvertibleError,
-    SupportError,
-    conjugate,
-    convolve,
-    delta,
-    function_from_json,
-    function_to_json,
-    hadamard,
-    invert,
-    is_unit_function,
-    load_function,
-    unit_decompose,
-    zeta,
-)
+from .coeff_rings import ZMod
+from .incidence_algebra import IncidenceFunction, convolve, invert, zeta
 from .mult_automorphisms import (
     NotInnerWitness,
     Potential,
     WeightSystem,
-    WeightSystemError,
     decompose,
     find_potential,
-    from_mult_function,
-    from_point_map,
-    from_potential,
-    from_tree,
-    is_inner_cycles,
-    load_weight_system,
-    potential_from_json,
-    potential_to_json,
-    to_mult_function,
-    weight_system_from_json,
-    weight_system_to_json,
 )
-from .preorder_core import (
-    Preorder,
-    PreorderError,
-    QuotientPoset,
-    close_relations,
-    load_preorder,
-    load_preorder_text,
-    preorder_descriptor,
-    preorder_to_text,
-)
+from .preorder_core import close_relations
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparabilityGraph",
-    "FundamentalCycle",
-    "GraphError",
     "IncidenceFunction",
-    "MatrixRing",
-    "NonInvertibleError",
-    "NonUnitError",
     "NotInnerWitness",
     "Potential",
-    "Preorder",
-    "PreorderError",
-    "ProductRing",
-    "QuotientPoset",
-    "Ring",
-    "RingMismatchError",
-    "RingParseError",
-    "SpanningTree",
-    "SupportError",
     "WeightSystem",
-    "WeightSystemError",
     "ZMod",
     "close_relations",
-    "conjugate",
     "convolve",
-    "cycle_weight",
     "decompose",
-    "delta",
     "find_potential",
-    "from_mult_function",
-    "from_point_map",
-    "from_potential",
-    "from_tree",
-    "function_from_json",
-    "function_to_json",
-    "fundamental_cycles",
-    "hadamard",
     "invert",
-    "is_inner_cycles",
-    "is_unit_function",
-    "load_function",
-    "load_preorder",
-    "load_preorder_text",
-    "load_weight_system",
-    "parse_ring_spec",
-    "path_weight",
-    "potential_from_json",
-    "potential_to_json",
-    "preorder_descriptor",
-    "preorder_to_text",
-    "simple_semi_paths",
-    "spanning_tree",
-    "to_mult_function",
-    "unit_decompose",
-    "weight_system_from_json",
-    "weight_system_to_json",
     "zeta",
 ]

@@ -328,7 +328,7 @@ class MatrixRing(Ring):
     def parse_element(self, text: str):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise RingParseError(f"cannot parse {text!r} as an element of {self}") from None
         k, n = self.size, self.base.n
         ok = (

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .preorder_core import _bits
+
 
 class GraphError(ValueError):
     """Disconnected inputs, unknown vertices, or invalid semi-paths."""
@@ -20,13 +22,12 @@ class GraphError(ValueError):
 class ComparabilityGraph:
     def __init__(self, poset):
         self.poset = poset
-        self.vertices = tuple(sorted(poset.reps))
+        reps = self.vertices = poset.reps  # ascending, like the class indices
         self.edges = tuple(poset.strict_pairs())
-        adjacency = {v: set() for v in self.vertices}
-        for x, y in self.edges:
-            adjacency[x].add(y)
-            adjacency[y].add(x)
-        self.adjacency = {v: tuple(sorted(nbrs)) for v, nbrs in adjacency.items()}
+        self.adjacency = {
+            v: tuple(reps[j] for j in _bits((poset._up[i] | poset._down[i]) & ~(1 << i)))
+            for i, v in enumerate(reps)
+        }
         self.m = len(self.edges)
         self.components = poset.connected_components()
         self.cyclomatic = self.m - len(self.vertices) + len(self.components)

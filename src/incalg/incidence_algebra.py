@@ -370,12 +370,13 @@ def read_records(text: str, what: str, list_key: str, fields, error):
     """Top-level object and string records of a JSON ``{list_key: [...]}`` file.
 
     Each record must be an object holding a string under every name in
-    ``fields``; it comes back as the tuple of those strings.  Bad JSON, a
-    missing list and any other record raise ``error``.
+    ``fields``; it comes back as the tuple of those strings.  Bad JSON
+    (nesting too deep for the parser included), a missing list and any
+    other record raise ``error``.
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise error(f"bad {what} file: {e}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get(list_key), list):
         raise error(f'{what} file needs a "{list_key}" list')

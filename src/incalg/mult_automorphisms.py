@@ -19,10 +19,12 @@ tree edges.  Each fundamental cycle weighs w1 on its non-tree edge
 and c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
 
 ``WeightSystem(...)`` and ``Potential(...)`` trust their arguments, like
-``IncidenceFunction(...)``: values keyed by class representatives, total,
-central units.  Input from outside goes through the validating
-``from_values`` classmethods (or the JSON readers, which use the same
-check), so internal builders never re-check what they construct.
+``IncidenceFunction(...)``: a tuple of central units aligned to the
+quotient's ``strict_pairs()`` (slot s is the pair ``index_pairs[s]``) or
+to its ``reps`` (one value per class index).  Label-keyed input from
+outside goes through the validating ``from_values`` classmethods (or the
+JSON readers, which use the same check), so internal builders never
+re-check what they construct.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from .coeff_rings import parse_ring_spec
 from .comparability import FundamentalCycle, fundamental_cycle, fundamental_cycles, tree_of
 from .incidence_algebra import IncidenceFunction, read_records, write_records
+from .preorder_core import _bits
 
 
 class WeightSystemError(ValueError):
@@ -78,14 +81,13 @@ class WeightSystem:
     CLI reports them).
     """
 
-    __slots__ = ("poset", "ring", "values", "_key", "_violations")
+    __slots__ = ("poset", "ring", "values", "_violations")
 
     def __init__(self, poset, ring, values):
-        # trusted constructor: callers guarantee rep-keyed, total, central-unit values
+        # trusted constructor: callers guarantee a central-unit tuple aligned to strict_pairs()
         self.poset = poset
         self.ring = ring
         self.values = values
-        self._key = None
         self._violations = None
 
     @classmethod
@@ -95,39 +97,38 @@ class WeightSystem:
         Labels may name any class member; every strictly comparable class
         pair needs exactly one central-unit value.
         """
-        allowed = frozenset(poset.strict_pairs())
-        return cls(poset, ring, _checked(
-            ring, values, _class_pair(poset), allowed, "a strictly comparable pair"))
+        pairs = poset.strict_pairs()
+        norm = _checked(ring, values, _class_pair(poset), frozenset(pairs),
+                        "a strictly comparable pair")
+        return cls(poset, ring, tuple(norm[p] for p in pairs))
 
     def value(self, x, y):
-        pair = (self.poset.rep(x), self.poset.rep(y))
-        try:
-            return self.values[pair]
-        except KeyError:
-            raise WeightSystemError(f"no weight for pair ({x}, {y})") from None
+        poset = self.poset
+        slot = poset.position.get((poset._c(x), poset._c(y)))
+        if slot is None:
+            raise WeightSystemError(f"no weight for pair ({x}, {y})")
+        return self.values[slot]
 
     def items(self):
-        return sorted(self.values.items())
-
-    def key(self):
-        """Canonical hashable form, used for dedup and set membership."""
-        if self._key is None:
-            self._key = tuple(self.items())
-        return self._key
+        """((x, y), value) in sorted pair order."""
+        return list(zip(self.poset.strict_pairs(), self.values))
 
     def violations(self):
         """Triples (x, z, y) with x < z < y where the chain condition fails.
 
-        Computed once per instance; callers must not mutate the list.
+        For each slot (i, j) only the classes strictly between, the bits
+        of ``_up[i] & _down[j]`` other than i and j, are visited, in
+        ascending order.  Computed once per instance; callers must not
+        mutate the list.
         """
         if self._violations is None:
-            ring, poset, c = self.ring, self.poset, self.values
+            poset, c, mul = self.poset, self.values, self.ring.mul
+            up, down, pos, reps = poset._up, poset._down, poset.position, poset.reps
             out = []
-            for x, y in poset.strict_pairs():
-                for z in poset.reps:
-                    if poset.lt(x, z) and poset.lt(z, y):
-                        if c[(x, y)] != ring.mul(c[(x, z)], c[(z, y)]):
-                            out.append((x, z, y))
+            for s, (i, j) in enumerate(poset.index_pairs):
+                for z in _bits(up[i] & down[j] & ~(1 << i | 1 << j)):
+                    if c[s] != mul(c[pos[i, z]], c[pos[z, j]]):
+                        out.append((reps[i], reps[z], reps[j]))
             self._violations = out
         return self._violations
 
@@ -136,38 +137,26 @@ class WeightSystem:
 
     @classmethod
     def identity(cls, poset, ring) -> "WeightSystem":
-        one = ring.one()
-        return cls(poset, ring, {p: one for p in poset.strict_pairs()})
+        return cls(poset, ring, (ring.one(),) * len(poset.index_pairs))
 
     def __mul__(self, other):
         _same_carrier(self, other)
-        ring = self.ring
-        return WeightSystem(
-            self.poset,
-            ring,
-            {p: ring.mul(v, other.values[p]) for p, v in self.values.items()},
-        )
+        return WeightSystem(self.poset, self.ring,
+                            tuple(map(self.ring.mul, self.values, other.values)))
 
     def inverse(self) -> "WeightSystem":
-        ring = self.ring
-        return WeightSystem(
-            self.poset, ring, {p: ring.inverse(v) for p, v in self.values.items()}
-        )
+        return WeightSystem(self.poset, self.ring, tuple(map(self.ring.inverse, self.values)))
 
     def apply(self, f: IncidenceFunction) -> IncidenceFunction:
         """Scale each cross-class entry of f by its class-pair weight."""
         if f.ring != self.ring or f.preorder != self.poset.source:
             raise WeightSystemError("function carrier does not match the weight system")
-        cls = self.poset.class_of
-        reps = self.poset.reps
-        ring = self.ring
+        cls, pos = self.poset.class_of, self.poset.position
+        c, mul = self.values, self.ring.mul
         out = {}
         for (s, t), v in f.entries.items():
             ci, cj = cls[s], cls[t]
-            if ci == cj:
-                out[(s, t)] = v
-            else:
-                out[(s, t)] = ring.mul(self.values[(reps[ci], reps[cj])], v)
+            out[(s, t)] = v if ci == cj else mul(c[pos[ci, cj]], v)
         return IncidenceFunction(f.preorder, f.ring, out)
 
     def __eq__(self, other):
@@ -181,7 +170,7 @@ class WeightSystem:
         )
 
     def __hash__(self):
-        return hash((str(self.ring), self.key()))
+        return hash((str(self.ring), self.values))
 
     def __repr__(self):
         return f"WeightSystem({len(self.values)} pairs over {self.ring})"
@@ -193,7 +182,7 @@ def _same_carrier(a, b):
 
 
 class Potential:
-    """Central unit attached to every class, keyed by representative.
+    """Central unit attached to every class, a tuple aligned to ``reps``.
 
     The constructor trusts its arguments; :meth:`from_values` validates.
     """
@@ -201,7 +190,7 @@ class Potential:
     __slots__ = ("poset", "ring", "values")
 
     def __init__(self, poset, ring, values):
-        # trusted constructor: callers guarantee rep-keyed, total, central-unit values
+        # trusted constructor: callers guarantee a central-unit tuple aligned to reps
         self.poset = poset
         self.ring = ring
         self.values = values
@@ -213,14 +202,15 @@ class Potential:
         Labels may name any class member; every class needs exactly one
         central-unit value.
         """
-        allowed = frozenset(poset.reps)
-        return cls(poset, ring, _checked(ring, values, poset.rep, allowed, "a class"))
+        norm = _checked(ring, values, poset.rep, frozenset(poset.reps), "a class")
+        return cls(poset, ring, tuple(norm[x] for x in poset.reps))
 
     def value(self, x):
-        return self.values[self.poset.rep(x)]
+        return self.values[self.poset._c(x)]
 
     def items(self):
-        return sorted(self.values.items())
+        """(representative, value) in sorted order."""
+        return list(zip(self.poset.reps, self.values))
 
     def __eq__(self, other):
         return (
@@ -247,11 +237,9 @@ class NotInnerWitness:
 
 def from_potential(potential: Potential) -> WeightSystem:
     """Coboundary weights c[x,y] = v[x]^-1 v[y]."""
-    ring = potential.ring
-    v = potential.values
-    inv = {x: ring.inverse(u) for x, u in v.items()}
-    values = {(x, y): ring.mul(inv[x], v[y]) for x, y in potential.poset.strict_pairs()}
-    return WeightSystem(potential.poset, ring, values)
+    ring, poset, v = potential.ring, potential.poset, potential.values
+    inv, mul = tuple(map(ring.inverse, v)), ring.mul
+    return WeightSystem(poset, ring, tuple(mul(inv[i], v[j]) for i, j in poset.index_pairs))
 
 
 def from_tree(tree, ring, tree_values) -> WeightSystem:
@@ -262,7 +250,10 @@ def from_tree(tree, ring, tree_values) -> WeightSystem:
     """
     poset = tree.graph.poset
     weights = _checked(ring, tree_values, _class_pair(poset), tree.tree_edges, "a tree edge")
-    return from_potential(_propagate(weights, tree, ring))
+    cls, c = poset.class_of, [None] * len(poset.index_pairs)
+    for (x, y), u in weights.items():
+        c[poset.position[cls[x], cls[y]]] = u
+    return from_potential(_propagate(c, tree, ring))
 
 
 def _require_valid(ws: WeightSystem):
@@ -271,38 +262,40 @@ def _require_valid(ws: WeightSystem):
         raise WeightSystemError(f"chain condition fails at triples {bad[:5]}")
 
 
-def _propagate(weights, tree, ring) -> Potential:
+def _propagate(c, tree, ring) -> Potential:
     """Potential with value one at the root, pushed along the tree edges.
 
-    ``weights`` maps each tree edge (x, y), x below y, to its weight.
+    ``c`` holds the weights by slot; only the tree-edge slots are read.
     """
-    values = {tree.root: ring.one()}
+    poset = tree.graph.poset
+    cls, pos = poset.class_of, poset.position
+    v = [None] * poset.n_classes
+    v[cls[tree.root]] = ring.one()
     for child in tree.bfs_order[1:]:
-        parent = tree.parent[child]
-        step = weights.get((parent, child))
-        if step is None:
-            step = ring.inverse(weights[(child, parent)])
-        values[child] = ring.mul(values[parent], step)
-    return Potential(tree.graph.poset, ring, values)
+        i, j = cls[tree.parent[child]], cls[child]
+        slot = pos.get((i, j))
+        step = c[slot] if slot is not None else ring.inverse(c[pos[j, i]])
+        v[j] = ring.mul(v[i], step)
+    return Potential(poset, ring, tuple(v))
 
 
 def _tree_split(ws: WeightSystem, root):
     """The one tree walk of a valid ws: (tree, v, w1), v propagated from one
-    at the root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over the pairs."""
+    at the root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over the slots."""
     _require_valid(ws)
-    tree = tree_of(ws.poset, root)
-    ring = ws.ring
+    poset, ring = ws.poset, ws.ring
+    tree = tree_of(poset, root)
     potential = _propagate(ws.values, tree, ring)
     v, mul = potential.values, ring.mul
-    inv = {x: ring.inverse(u) for x, u in v.items()}
-    w1 = {(x, y): mul(mul(c, v[x]), inv[y]) for (x, y), c in ws.values.items()}
-    return tree, potential, w1
+    inv = tuple(map(ring.inverse, v))
+    w1 = tuple(mul(mul(c, v[i]), inv[j]) for c, (i, j) in zip(ws.values, poset.index_pairs))
+    return tree, potential, WeightSystem(poset, ring, w1)
 
 
 def _cycle_value(ring, w1, cycle: FundamentalCycle):
     """``comparability.cycle_weight`` of a cycle: w1 on its edge, inverted
     when the stored sequence crosses the edge upwards."""
-    w = w1[cycle.edge]
+    w = w1.value(*cycle.edge)
     return w if cycle.sequence[0] == cycle.edge[1] else ring.inverse(w)
 
 
@@ -317,7 +310,7 @@ def find_potential(ws: WeightSystem, root=None):
     tree, potential, w1 = _tree_split(ws, root)
     one = ws.ring.one()
     for edge in tree.non_tree_edges:
-        if w1[edge] != one:
+        if w1.value(*edge) != one:
             cycle = fundamental_cycle(tree, edge)
             return NotInnerWitness(cycle=cycle, weight=_cycle_value(ws.ring, w1, cycle))
     return potential
@@ -342,20 +335,19 @@ def decompose(ws: WeightSystem, root=None):
     the potential is the tree propagation of ws with value one at the root.
     """
     _, potential, w1 = _tree_split(ws, root)
-    return WeightSystem(ws.poset, ws.ring, w1), from_potential(potential), potential
+    return w1, from_potential(potential), potential
 
 
 def to_mult_function(ws: WeightSystem) -> IncidenceFunction:
     """Incidence function acting by Hadamard product exactly as ws.apply:
     one on within-class pairs, the class-pair weight on cross pairs."""
     source = ws.poset.source
-    cls = ws.poset.class_of
-    reps = ws.poset.reps
-    one = ws.ring.one()
+    cls, pos = ws.poset.class_of, ws.poset.position
+    c, one = ws.values, ws.ring.one()
     entries = {}
     for s, t in source.comparable_pairs():
         ci, cj = cls[s], cls[t]
-        entries[(s, t)] = one if ci == cj else ws.values[(reps[ci], reps[cj])]
+        entries[(s, t)] = one if ci == cj else c[pos[ci, cj]]
     return IncidenceFunction(source, ws.ring, entries)
 
 

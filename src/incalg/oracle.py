@@ -2,9 +2,10 @@
 
 Everything here recomputes results the long way: weight systems by
 filtering all central-unit assignments against the chain condition,
-coboundaries by running through every vertex potential, automorphisms by
-conjugating with every unit of the algebra, bimodule endomorphisms by
-enumerating additive maps on the matrix-unit basis.  The fast structural
+coboundaries by running through every vertex potential that is one at
+the least class, automorphisms by conjugating with every unit of the
+algebra, bimodule endomorphisms by enumerating additive maps on the
+matrix-unit basis.  The fast structural
 code is then compared against these enumerations.
 
 Enumeration sizes are guarded; pass force=True to exceed a guard
@@ -109,7 +110,7 @@ def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
 
     def search(k):
         if k == len(pairs):
-            out.append(WeightSystem(poset, ring, dict(zip(pairs, chosen))))
+            out.append(WeightSystem(poset, ring, tuple(chosen)))
             return
         for u in units:
             chosen[k] = u
@@ -121,19 +122,24 @@ def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
 
 
 def enumerate_inner(poset, ring, limit=GUARD_VECTORS, force=False):
-    """All coboundary systems, by running through every vertex potential.
+    """All coboundary systems, by running through the vertex potentials
+    with value one at the least class.
 
-    Deduplicated and sorted; the count must come out to |G|^(m - lambda)
-    which the structure checks assert.
+    Multiplying a whole potential by one central unit u leaves every
+    v[x]^-1 u^-1 u v[y] = v[x]^-1 v[y] unchanged, so these |G|^(k - 1)
+    potentials already give every coboundary.  Deduplicated and sorted;
+    no component data from the structural code is used, so the count
+    |G|^(m - lambda) that the structure checks assert stays independent.
     """
     units = ring.central_units()
     k = poset.n_classes
-    if not force and len(units) ** k > limit:
-        raise GuardExceeded(f"{len(units)}^{k} potentials exceed the guard {limit}")
+    if not force and len(units) ** (k - 1) > limit:
+        raise GuardExceeded(f"{len(units)}^{k - 1} potentials exceed the guard {limit}")
     seen = {}
-    for combo in itertools.product(units, repeat=k):
-        ws = from_potential(Potential(poset, ring, dict(zip(poset.reps, combo))))
-        seen.setdefault(ws.key(), ws)
+    one = (ring.one(),)
+    for combo in itertools.product(units, repeat=k - 1):
+        ws = from_potential(Potential(poset, ring, one + combo))
+        seen.setdefault(ws.values, ws)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -148,11 +154,11 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     """
     mult = enumerate_mult(poset, ring, limit, force)
     inner = enumerate_inner(poset, ring, limit, force)
-    inner_keys = {w.key() for w in inner}
+    inner_keys = {w.values for w in inner}
     tree = tree_of(poset, root)
     graph = tree.graph
     one = ring.one()
-    identity_key = WeightSystem.identity(poset, ring).key()
+    identity_key = WeightSystem.identity(poset, ring).values
     checks = []
 
     decompose_failures = []
@@ -160,15 +166,15 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     for ws in mult:
         w1, w0, potential = decompose(ws, root)
         ok = (
-            (w1 * w0).key() == ws.key()
-            and all(w1.values[e] == one for e in tree.tree_edges)
+            (w1 * w0).values == ws.values
+            and all(w1.value(*e) == one for e in tree.tree_edges)
             and w1.is_valid()
-            and w0.key() in inner_keys
-            and from_potential(potential).key() == w0.key()
+            and w0.values in inner_keys
+            and from_potential(potential).values == w0.values
         )
         if not ok:
             decompose_failures.append(ws.items())
-        if all(ws.values[e] == one for e in tree.tree_edges):
+        if all(ws.value(*e) == one for e in tree.tree_edges):
             tree_trivial.append(ws)
     checks.append(
         CheckResult(
@@ -178,7 +184,7 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
         )
     )
 
-    crossing = [w.key() for w in tree_trivial if w.key() in inner_keys]
+    crossing = [w.values for w in tree_trivial if w.values in inner_keys]
     checks.append(
         CheckResult(
             "factor-intersection-trivial",
@@ -208,7 +214,7 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     for ws in mult:
         by_cycles, _ = is_inner_cycles(ws, root)
         by_potential = not isinstance(find_potential(ws, root), NotInnerWitness)
-        member = ws.key() in inner_keys
+        member = ws.values in inner_keys
         if not (by_cycles == by_potential == member):
             disagreements.append(ws.items())
     checks.append(
@@ -282,7 +288,7 @@ def verify_inner_conjugations(preorder, ring, limit=GUARD_ALGEBRA, force=False) 
         )
         if not fixes_diagonal:
             continue
-        weights = {}
+        weights = []
         scales = True
         for class_pair, block_pairs in sorted(cross.items()):
             base = block_pairs[0]
@@ -301,14 +307,14 @@ def verify_inner_conjugations(preorder, ring, limit=GUARD_ALGEBRA, force=False) 
                     break
             if not scales:
                 break
-            weights[class_pair] = c
+            weights.append((class_pair, c))
         if not scales:
             continue
         multiplicative += 1
         ws = WeightSystem.from_values(quotient, ring, weights)
-        induced.setdefault(ws.key(), ws)
+        induced.setdefault(ws.values, ws)
 
-    expected = {w.key() for w in enumerate_inner(quotient, ring)}
+    expected = {w.values for w in enumerate_inner(quotient, ring)}
     checks = [
         CheckResult(
             "induced-equals-coboundaries",

@@ -5,6 +5,13 @@ elements are equivalent when each is below the other; the classes of that
 equivalence inherit a partial order.  Relations are stored as one bitmask
 row per element, which keeps closure and interval queries cheap at desk
 scale.
+
+The quotient keeps one integer-indexed view, built once: class i has the
+up and down rows ``_up[i]``/``_down[i]`` (bitmasks of class indices),
+``index_pairs`` lists the strict pairs (i, j) in ``strict_pairs()`` order
+and ``position`` maps each pair to its slot.  Weight systems and
+potentials are tuples over those slots and class indices; labels are
+resolved only at the edges.
 """
 
 from __future__ import annotations
@@ -127,17 +134,16 @@ class QuotientPoset:
     """Partial order on the equivalence classes of a preorder.
 
     Classes are sorted-label tuples ordered by representative; the
-    representative is the lexicographically least member.  Order queries
-    accept any member label and answer for its class.
+    representative is the lexicographically least member, so reps ascend
+    with the class index.  Order queries accept any member label and
+    answer for its class.
     """
 
     def __init__(self, source: Preorder):
-        n = len(source.elements)
         up = source._up
-        groups = {}
-        for i in range(n):
-            mutual = tuple(j for j in range(n) if up[i] >> j & 1 and up[j] >> i & 1)
-            groups.setdefault(mutual, []).append(i)
+        groups = {}  # equivalent elements are exactly those with equal up rows
+        for i, row in enumerate(up):
+            groups.setdefault(row, []).append(i)
         classes = sorted(
             (tuple(sorted(source.elements[i] for i in members)) for members in groups.values()),
             key=lambda c: c[0],
@@ -147,11 +153,19 @@ class QuotientPoset:
         self.reps = tuple(c[0] for c in self.classes)
         self.class_of = {lab: ci for ci, c in enumerate(self.classes) for lab in c}
         k = len(self.classes)
-        rep_idx = [source._index[r] for r in self.reps]
-        self._up = [
-            sum(1 << cj for cj in range(k) if up[rep_idx[ci]] >> rep_idx[cj] & 1)
-            for ci in range(k)
-        ]
+        elem_class = [self.class_of[x] for x in source.elements]
+        self._up, self._down, pairs = [], [0] * k, []
+        for ci, r in enumerate(self.reps):
+            row = 0
+            for e in _bits(up[source._index[r]]):
+                row |= 1 << elem_class[e]
+            self._up.append(row)
+            for cj in _bits(row):
+                self._down[cj] |= 1 << ci
+                if cj != ci:
+                    pairs.append((ci, cj))
+        self.index_pairs = tuple(pairs)
+        self.position = {p: s for s, p in enumerate(pairs)}
         self._strict_pairs = None
         self._height = None
         self._graph, self._trees = None, {}  # filled by comparability.tree_of
@@ -180,15 +194,14 @@ class QuotientPoset:
         return ci != cj and bool(self._up[ci] >> cj & 1)
 
     def strict_pairs(self):
-        """All ordered pairs of representatives (x, y) with [x] < [y], sorted."""
+        """All ordered pairs of representatives (x, y) with [x] < [y], sorted.
+
+        Slot s holds the labels of ``index_pairs[s]``; reps ascend with
+        the class index, so this order is the sorted order.
+        """
         if self._strict_pairs is None:
-            k = self.n_classes
-            self._strict_pairs = sorted(
-                (self.reps[i], self.reps[j])
-                for i in range(k)
-                for j in range(k)
-                if i != j and self._up[i] >> j & 1
-            )
+            reps = self.reps
+            self._strict_pairs = [(reps[i], reps[j]) for i, j in self.index_pairs]
         return self._strict_pairs
 
     def interval_length(self, x, y) -> int:
@@ -196,8 +209,7 @@ class QuotientPoset:
         ci, cj = self._c(x), self._c(y)
         if not self._up[ci] >> cj & 1:
             raise PreorderError(f"{x!r} is not below {y!r} in the quotient")
-        below_cj = sum(1 << b for b, up in enumerate(self._up) if up >> cj & 1)
-        return self._chain_lengths(self._up[ci] & below_cj)[ci]
+        return self._chain_lengths(self._up[ci] & self._down[cj])[ci]
 
     def height(self) -> int:
         """Longest strict chain length anywhere in the quotient."""
@@ -237,8 +249,8 @@ class QuotientPoset:
             while stack:
                 a = stack.pop()
                 comp.append(a)
-                for b in range(k):
-                    if not seen[b] and (self._up[a] >> b & 1 or self._up[b] >> a & 1):
+                for b in _bits(self._up[a] | self._down[a]):
+                    if not seen[b]:
                         seen[b] = True
                         stack.append(b)
             comps.append(tuple(sorted(self.reps[i] for i in comp)))

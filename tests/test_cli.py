@@ -300,6 +300,29 @@ def test_function_file_non_string_field_exits_2(capsys, crown_txt, tmp_path, rec
     assert "string fields" in err
 
 
+DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("case", ["weight-file", "function-file", "matrix-value"])
+def test_deeply_nested_json_exits_2(capsys, crown_txt, tmp_path, case):
+    """JSON nested past the parser's recursion limit is a parse error."""
+    path = tmp_path / "deep.json"
+    if case == "matrix-value":
+        records = [{"from": x, "to": y, "value": DEEP} for x, y in sorted(INNER)]
+        path.write_text(json.dumps({"ring": "M(2,Z/3)", "weights": records}))
+    else:
+        path.write_text(DEEP)
+    if case == "function-file":
+        argv = ("convolve", "--poset", crown_txt, "--ring", "Z/5", str(path), "zeta")
+    else:
+        argv = ("is-inner", "--poset", crown_txt, "--weights", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_golden_digest(capsys, tmp_path):
     """The small oracle battery's JSON report, pinned byte for byte."""
     out = tmp_path / "report.json"

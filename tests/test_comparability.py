@@ -73,7 +73,7 @@ def test_fundamental_cycles_crown(crown):
 
 def test_path_weight_directions(crown):
     q = crown.quotient()
-    ws = WeightSystem(
+    ws = WeightSystem.from_values(
         q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1}
     )
     # ascending steps multiply the weight, descending ones its inverse
@@ -90,11 +90,11 @@ def test_cycle_weight_crown_witness(crown):
     g = ComparabilityGraph(q)
     t = spanning_tree(g)
     cyc = fundamental_cycles(g, t)[0]
-    ws = WeightSystem(
+    ws = WeightSystem.from_values(
         q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 1}
     )
     assert cycle_weight(ws, cyc) == 3
-    inner = WeightSystem(
+    inner = WeightSystem.from_values(
         q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 3}
     )
     assert cycle_weight(inner, cyc) == 1

@@ -31,12 +31,18 @@ from incalg.mult_automorphisms import (
     weight_system_from_json,
     weight_system_to_json,
 )
-from incalg.oracle import connected_posets, enumerate_inner, enumerate_mult, random_function
+from incalg.oracle import (
+    connected_posets,
+    enumerate_inner,
+    enumerate_mult,
+    inflate,
+    random_function,
+)
 from incalg.preorder_core import close_relations
 
 
 def crown_ws(crown, bd):
-    return WeightSystem(
+    return WeightSystem.from_values(
         crown.quotient(),
         ZMod(5),
         {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): bd},
@@ -60,9 +66,9 @@ def test_weight_system_validation(crown, chain3):
 
 def test_chain_condition(chain3):
     q = chain3.quotient()
-    good = WeightSystem(q, ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 1})
+    good = WeightSystem.from_values(q, ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 1})
     assert good.is_valid() and good.violations() == []
-    bad = WeightSystem(q, ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
+    bad = WeightSystem.from_values(q, ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
     assert not bad.is_valid()
     assert bad.violations() == [("a", "b", "c")]
 
@@ -84,7 +90,7 @@ def test_identity_is_valid_everywhere(diamond):
 
 def test_potential_round_trip(crown):
     q = crown.quotient()
-    v = Potential(q, ZMod(5), {"a": 1, "b": 2, "c": 2, "d": 1})
+    v = Potential.from_values(q, ZMod(5), {"a": 1, "b": 2, "c": 2, "d": 1})
     ws = from_potential(v)
     assert ws.value("b", "c") == 1  # inv(2) * 2
     assert ws.value("b", "d") == 3  # inv(2) * 1
@@ -114,7 +120,8 @@ def test_find_potential_witness(crown):
 
 
 def test_find_potential_rejects_invalid(chain3):
-    bad = WeightSystem(chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
+    bad = WeightSystem.from_values(
+        chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
     with pytest.raises(WeightSystemError):
         find_potential(bad)
     with pytest.raises(WeightSystemError):
@@ -138,7 +145,7 @@ def test_decompose_root_choice(crown):
     assert w1 * w0 == ws
     tree = spanning_tree(ComparabilityGraph(ws.poset), "b")
     for e in tree.tree_edges:
-        assert w1.values[e] == 1
+        assert w1.value(*e) == 1
 
 
 def test_from_tree_extends_uniquely(crown):
@@ -168,7 +175,7 @@ def test_from_tree_matches_tree_path_products(spec, seed=2024):
         ws = from_tree(tree, ring, given)
         assert ws.is_valid()
         # on tree edges ws is the input, so path_weight(ws, .) multiplies input values
-        assert all(ws.values[e] == c for e, c in given.items())
+        assert all(ws.value(*e) == c for e, c in given.items())
         for x, y in q.strict_pairs():
             assert ws.value(x, y) == path_weight(ws, tree.path(x, y))
 
@@ -181,7 +188,7 @@ def test_decompose_alternating_roots(crown):
             w1, w0, _ = decompose(ws, root)
             assert w1 * w0 == ws
             tree = spanning_tree(ComparabilityGraph(q), root)
-            assert all(w1.values[e] == 1 for e in tree.tree_edges)
+            assert all(w1.value(*e) == 1 for e in tree.tree_edges)
 
 
 @pytest.mark.parametrize("spec", ["Z/5", "Z/2 x Z/3", "M(2,Z/3)"])
@@ -208,11 +215,72 @@ def test_tree_walk_matches_reference_products(spec):
                 assert w1 == ws * from_potential(v).inverse()
 
 
+def _chain_violations_by_definition(ws):
+    """Every x < z < y with c[x,y] != c[x,z] c[z,y], scanning all reps."""
+    q, mul = ws.poset, ws.ring.mul
+    return [(x, z, y) for x, y in q.strict_pairs() for z in q.reps
+            if q.lt(x, z) and q.lt(z, y)
+            and ws.value(x, y) != mul(ws.value(x, z), ws.value(z, y))]
+
+
+def test_slot_chain_check_matches_definition(seed=8):
+    """violations() over the up/down rows gives the definitional triples
+    in the same order, on valid systems and on copies with one slot
+    changed, for every connected poset <= 5 points and its dual."""
+    rng = random.Random(seed)
+    r = ZMod(3)
+    posets = connected_posets(5)
+    duals = [close_relations(p.elements, [(y, x) for x, y in p.comparable_pairs()])
+             for p in posets]
+    checked = broken = 0
+    for poset in posets + tuple(duals):
+        q = poset.quotient()
+        for ws in enumerate_mult(q, r):
+            assert ws.violations() == _chain_violations_by_definition(ws) == []
+            if not ws.values:
+                continue
+            slot = rng.randrange(len(ws.values))
+            values = list(ws.values)
+            values[slot] = 3 - values[slot]  # the other unit of Z/3
+            bad = WeightSystem(q, r, tuple(values))
+            assert bad.violations() == _chain_violations_by_definition(bad)
+            checked += 1
+            broken += bool(bad.violations())
+    assert checked > 1000 and broken > checked // 2
+
+
+def test_tuples_follow_pair_and_class_order(seed=9):
+    """from_values lays label-keyed input out along strict_pairs() and
+    reps, whatever member labels and item order it gets; items() gives
+    the sorted label pairs back."""
+    rng = random.Random(seed)
+    r = ZMod(5)
+    units = r.central_units()
+    for poset in connected_posets(4):
+        sizes = [rng.choice((1, 2)) for _ in poset.elements]
+        for p in (poset, inflate(poset, sizes)):
+            q = p.quotient()
+            given = {pair: rng.choice(units) for pair in q.strict_pairs()}
+            items = [((rng.choice(q.class_members(x)), rng.choice(q.class_members(y))), v)
+                     for (x, y), v in given.items()]
+            rng.shuffle(items)
+            ws = WeightSystem.from_values(q, r, items)
+            assert ws.values == tuple(given[pair] for pair in q.strict_pairs())
+            assert ws.items() == sorted(given.items())
+            assert all(ws.value(x, y) == v for (x, y), v in items)
+            point = {x: rng.choice(units) for x in q.reps}
+            pot_items = [(rng.choice(q.class_members(x)), v) for x, v in point.items()]
+            rng.shuffle(pot_items)
+            v = Potential.from_values(q, r, pot_items)
+            assert v.values == tuple(point[x] for x in q.reps)
+            assert v.items() == sorted(point.items())
+
+
 def test_potential_from_values_validation(preorder_21):
     q = preorder_21.quotient()
     r = ZMod(5)
     v = Potential.from_values(q, r, {"a2": 2, "b1": 3})
-    assert v.values == {"a1": 2, "b1": 3}
+    assert dict(v.items()) == {"a1": 2, "b1": 3}
     with pytest.raises(WeightSystemError, match="missing"):
         Potential.from_values(q, r, {"a1": 2})
     with pytest.raises(WeightSystemError, match="duplicate"):
@@ -224,7 +292,7 @@ def test_potential_from_values_validation(preorder_21):
 def test_apply_scales_cross_blocks(preorder_21):
     q = preorder_21.quotient()
     r = ZMod(3)
-    ws = WeightSystem(q, r, {("a1", "b1"): 2})
+    ws = WeightSystem.from_values(q, r, {("a1", "b1"): 2})
     f = IncidenceFunction.from_entries(
         preorder_21, r, [("a1", "a2", 1), ("a1", "b1", 1), ("a2", "b1", 2), ("b1", "b1", 1)]
     )
@@ -256,7 +324,7 @@ def test_apply_carrier_mismatch(crown, chain3):
 def test_mult_function_round_trip(preorder_21):
     q = preorder_21.quotient()
     r = ZMod(3)
-    ws = WeightSystem(q, r, {("a1", "b1"): 2})
+    ws = WeightSystem.from_values(q, r, {("a1", "b1"): 2})
     m = to_mult_function(ws)
     # within-class entries are one, cross entries carry the weight
     assert m.value("a1", "a2") == 1
@@ -294,7 +362,7 @@ def test_hadamard_equivalence_of_apply(crown, seed=75):
 
 def test_from_point_map(crown):
     q = crown.quotient()
-    v = Potential(q, ZMod(5), {"a": 1, "b": 2, "c": 2, "d": 1})
+    v = Potential.from_values(q, ZMod(5), {"a": 1, "b": 2, "c": 2, "d": 1})
     ws = from_potential(v)
     m = from_point_map(v)
     assert m == to_mult_function(ws)
@@ -331,7 +399,7 @@ def test_weight_json_label_must_be_representative(preorder_21):
 
 def test_potential_json_round_trip(crown):
     q = crown.quotient()
-    v = Potential(q, ZMod(5), {"a": 1, "b": 2, "c": 2, "d": 1})
+    v = Potential.from_values(q, ZMod(5), {"a": 1, "b": 2, "c": 2, "d": 1})
     text = potential_to_json(v)
     again = potential_from_json(text, q)
     assert again == v
@@ -342,10 +410,10 @@ def test_potential_json_round_trip(crown):
 def test_inner_iff_coboundary_small_product_ring(crown):
     q = crown.quotient()
     r = parse_ring_spec("Z/2 x Z/3")
-    inner_keys = {w.key() for w in enumerate_inner(q, r)}
+    inner_keys = {w.values for w in enumerate_inner(q, r)}
     for ws in enumerate_mult(q, r):
         ok, _ = is_inner_cycles(ws)
-        assert ok == (ws.key() in inner_keys)
+        assert ok == (ws.values in inner_keys)
 
 
 def _dumps(obj):
@@ -379,7 +447,7 @@ def test_from_mult_function_rejects_non_block_functions(preorder_21):
     r = ZMod(5)
     base = {("a1", "a1"): 1, ("a2", "a2"): 1, ("b1", "b1"): 1,
             ("a1", "a2"): 1, ("a2", "a1"): 1, ("a1", "b1"): 2, ("a2", "b1"): 2}
-    assert from_mult_function(IncidenceFunction(preorder_21, r, base)) == WeightSystem(
+    assert from_mult_function(IncidenceFunction(preorder_21, r, base)) == WeightSystem.from_values(
         preorder_21.quotient(), r, {("a1", "b1"): 2})
     for pair, value in ((("a1", "a2"), 4), (("a2", "b1"), 3)):
         bad = IncidenceFunction(preorder_21, r, {**base, pair: value})

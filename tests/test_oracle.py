@@ -31,10 +31,10 @@ def test_enumerate_mult_equals_product_filter(crown):
     units = r.central_units()
     slow = []
     for combo in itertools.product(units, repeat=len(pairs)):
-        ws = WeightSystem(q, r, dict(zip(pairs, combo)))
+        ws = WeightSystem.from_values(q, r, dict(zip(pairs, combo)))
         if ws.is_valid():
-            slow.append(ws.key())
-    fast = [w.key() for w in enumerate_mult(q, r)]
+            slow.append(ws.values)
+    fast = [w.values for w in enumerate_mult(q, r)]
     assert fast == slow
 
 
@@ -141,11 +141,13 @@ def test_linear_extension_respects_order(crown, preorder_21):
 
 def test_automorphism_check_detects_corruption(crown):
     q = crown.quotient()
-    good = WeightSystem(q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 3})
+    good = WeightSystem.from_values(
+        q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 3})
     assert automorphism_check(good, trials=30, seed=11).passed
     # a chain-condition violation shows up as a failed multiplicativity trial
     chain3 = close_relations("abc", [("a", "b"), ("b", "c")])
-    bad = WeightSystem(chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
+    bad = WeightSystem.from_values(
+        chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
     report = automorphism_check(bad, trials=30, seed=11)
     assert not report.passed
     assert report.seed == 11
