@@ -34,6 +34,7 @@ from .incidence_algebra import (
 from .mult_automorphisms import (
     NotInnerWitness,
     WeightSystemError,
+    _first_violations,
     decompose,
     find_potential,
     load_weight_system,
@@ -42,6 +43,7 @@ from .mult_automorphisms import (
 )
 from .oracle import (
     DEFAULT_SUITE_RINGS,
+    GUARD_VECTORS,
     GuardExceeded,
     enumerate_inner,
     enumerate_mult,
@@ -97,7 +99,7 @@ def _valid_weights(args):
     """The --weights system, or None once its first chain-condition
     failure has been reported on stderr."""
     ws = _load_weights(args)
-    bad = ws.violations()
+    bad = _first_violations(ws, 1)
     if bad:
         print(f"not a weight system: chain condition fails at {bad[0]}", file=sys.stderr)
         return None
@@ -120,6 +122,13 @@ def _cmd_info(args) -> int:
     }
     if args.ring:
         ring = parse_ring_spec(args.ring)
+        order = ring.order
+        if order > GUARD_VECTORS:
+            # past ~4300 digits an int no longer converts to decimal text
+            shown = order if order.bit_length() <= 256 else f"over 2^{order.bit_length() - 1}"
+            raise GuardExceeded(
+                f"{ring} has {shown} elements, over the guard {GUARD_VECTORS} "
+                "for listing its central units")
         units = ring.central_units()
         doc["ring"] = str(ring)
         doc["central_units"] = [ring.format_element(u) for u in units]
@@ -130,12 +139,12 @@ def _cmd_info(args) -> int:
 
 def _cmd_check(args) -> int:
     ws = _load_weights(args)
-    bad = ws.violations()
+    bad = _first_violations(ws, 10)
     doc = {
         "ring": str(ws.ring),
         "pairs": len(ws.values),
         "valid": not bad,
-        "violations": [list(t) for t in bad[:10]],
+        "violations": [list(t) for t in bad],
     }
     ok = not bad
     if args.expect_inner and ok:

@@ -42,26 +42,17 @@ class Ring:
     Subclasses provide zero/one/add/neg/mul/int_scale, ``dot`` (the sum
     of ``a * b`` over an iterable of ``(a, b)`` pairs, factors kept left
     to right, reduced once at the end), a deterministic ``elements()``
-    enumeration, unit testing and inversion, the central units, and text
-    encoding of elements.
+    enumeration and its size ``order``, unit testing and inversion, the
+    central units and a test for one canonical element
+    (``is_central_unit``, which never lists them), and text encoding of
+    elements.
     """
 
     commutative = False
 
-    @property
-    def order(self) -> int:
-        return len(self.elements())
-
     def units(self):
         """All invertible elements, in enumeration order."""
         return [a for a in self.elements() if self.is_unit(a)]
-
-    def is_central_unit(self, a) -> bool:
-        cache = getattr(self, "_central_set", None)
-        if cache is None:
-            cache = frozenset(self.central_units())
-            self._central_set = cache
-        return a in cache
 
 
 class ZMod(Ring):
@@ -102,8 +93,14 @@ class ZMod(Ring):
     def elements(self):
         return range(self.n)
 
+    @property
+    def order(self) -> int:
+        return self.n
+
     def is_unit(self, a) -> bool:
         return math.gcd(a, self.n) == 1
+
+    is_central_unit = is_unit
 
     def inverse(self, a):
         if not self.is_unit(a):
@@ -119,9 +116,12 @@ class ZMod(Ring):
 
     def parse_element(self, text: str):
         t = text.strip()
-        if not re.fullmatch(r"[+-]?\d+", t):
-            raise RingParseError(f"cannot parse {text!r} as an element of {self}")
-        return int(t) % self.n
+        if _INT_RE.fullmatch(t):
+            try:
+                return int(t) % self.n
+            except ValueError:  # more digits than int() converts
+                pass
+        raise RingParseError(f"cannot parse {_excerpt(text)} as an element of {self}")
 
     def format_element(self, a) -> str:
         return str(a)
@@ -188,8 +188,15 @@ class ProductRing(Ring):
             self._elements = cache
         return cache
 
+    @property
+    def order(self) -> int:
+        return math.prod(f.order for f in self.factors)
+
     def is_unit(self, a) -> bool:
         return all(f.is_unit(x) for f, x in zip(self.factors, a))
+
+    def is_central_unit(self, a) -> bool:
+        return all(f.is_central_unit(x) for f, x in zip(self.factors, a))
 
     def inverse(self, a):
         if not self.is_unit(a):
@@ -206,11 +213,11 @@ class ProductRing(Ring):
     def parse_element(self, text: str):
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
-            raise RingParseError(f"cannot parse {text!r} as an element of {self}")
+            raise RingParseError(f"cannot parse {_excerpt(text)} as an element of {self}")
         parts = _split_top_level(t[1:-1])
         if len(parts) != len(self.factors):
             raise RingParseError(
-                f"{text!r} has {len(parts)} components, {self} expects {len(self.factors)}"
+                f"{_excerpt(text)} has {len(parts)} components, {self} expects {len(self.factors)}"
             )
         return tuple(f.parse_element(p) for f, p in zip(self.factors, parts))
 
@@ -303,8 +310,18 @@ class MatrixRing(Ring):
             self._elements = cache
         return cache
 
+    @property
+    def order(self) -> int:
+        return self.base.n ** (self.size * self.size)
+
     def is_unit(self, a) -> bool:
         return det_inverse(self.base.n, a)[1] is not None
+
+    def is_central_unit(self, a) -> bool:
+        """A scalar matrix with a unit on the diagonal (see central_units)."""
+        u = a[0][0]
+        return self.base.is_unit(u) and all(
+            x == (u if i == j else 0) for i, row in enumerate(a) for j, x in enumerate(row))
 
     def inverse(self, a):
         det, inv = det_inverse(self.base.n, a)
@@ -328,8 +345,8 @@ class MatrixRing(Ring):
     def parse_element(self, text: str):
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):
-            raise RingParseError(f"cannot parse {text!r} as an element of {self}") from None
+        except (ValueError, RecursionError):  # bad JSON, or an int with too many digits
+            raise RingParseError(f"cannot parse {_excerpt(text)} as an element of {self}") from None
         k, n = self.size, self.base.n
         ok = (
             isinstance(raw, list)
@@ -342,7 +359,7 @@ class MatrixRing(Ring):
             )
         )
         if not ok:
-            raise RingParseError(f"{text!r} is not a {k}x{k} integer matrix for {self}")
+            raise RingParseError(f"{_excerpt(text)} is not a {k}x{k} integer matrix for {self}")
         return tuple(tuple(v % n for v in row) for row in raw)
 
     def format_element(self, a) -> str:
@@ -403,6 +420,13 @@ def det_inverse(n, rows):
     return det, [row[s:] for row in aug]
 
 
+def _excerpt(text):
+    """``repr(text)`` for an error message, cut after 60 characters with
+    "..." so that a huge input is not echoed whole."""
+    shown = repr(text)
+    return shown if len(shown) <= 60 else shown[:60] + "..."
+
+
 def _split_top_level(text: str):
     """Split on commas that are not nested inside parentheses or brackets."""
     parts, depth, start = [], 0, 0
@@ -412,16 +436,17 @@ def _split_top_level(text: str):
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise RingParseError(f"unbalanced brackets in {text!r}")
+                raise RingParseError(f"unbalanced brackets in {_excerpt(text)}")
         elif ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:
-        raise RingParseError(f"unbalanced brackets in {text!r}")
+        raise RingParseError(f"unbalanced brackets in {_excerpt(text)}")
     parts.append(text[start:])
     return parts
 
 
+_INT_RE = re.compile(r"[+-]?\d+")
 _ZMOD_RE = re.compile(r"Z/(\d+)\Z")
 _MATRIX_RE = re.compile(r"M\((\d+),Z/(\d+)\)\Z")
 
@@ -442,7 +467,7 @@ def _parse_atom(token: str) -> Ring:
         if n < 2:
             raise RingParseError(f"modulus below 2 in spec token {t!r}")
         return MatrixRing(k, ZMod(n))
-    raise RingParseError(f"cannot parse ring spec token {t!r}")
+    raise RingParseError(f"cannot parse ring spec token {_excerpt(t)}")
 
 
 def parse_ring_spec(text: str) -> Ring:

@@ -30,6 +30,7 @@ re-check what they construct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .coeff_rings import parse_ring_spec
 from .comparability import FundamentalCycle, fundamental_cycle, fundamental_cycles, tree_of
@@ -76,19 +77,19 @@ class WeightSystem:
     """Total assignment of central units to the strict class pairs.
 
     The constructor trusts its arguments; :meth:`from_values` validates.
-    The chain condition is checked separately via :meth:`violations`, so
-    invalid candidates can exist as objects (the oracle filters them, the
-    CLI reports them).
+    The chain condition is checked separately via :meth:`is_valid` and
+    :meth:`violations`, so invalid candidates can exist as objects (the
+    oracle filters them, the CLI reports them).
     """
 
-    __slots__ = ("poset", "ring", "values", "_violations")
+    __slots__ = ("poset", "ring", "values", "_violations", "_valid")
 
     def __init__(self, poset, ring, values):
         # trusted constructor: callers guarantee a central-unit tuple aligned to strict_pairs()
         self.poset = poset
         self.ring = ring
         self.values = values
-        self._violations = None
+        self._violations = self._valid = None
 
     @classmethod
     def from_values(cls, poset, ring, values) -> "WeightSystem":
@@ -116,24 +117,54 @@ class WeightSystem:
     def violations(self):
         """Triples (x, z, y) with x < z < y where the chain condition fails.
 
-        For each slot (i, j) only the classes strictly between, the bits
-        of ``_up[i] & _down[j]`` other than i and j, are visited, in
-        ascending order.  Computed once per instance; callers must not
-        mutate the list.
+        The check is gated on covers: :meth:`is_valid` tests
+        c[x,y] = c[x,z] c[z,y] only where z covers x and z < y.  That is
+        enough, by induction on the interval [x,y]: for x < z < y pick a
+        cover z' of x with z' <= z.  If z' = z the gate checked the
+        triple.  Otherwise the gate gives c[x,y] = c[x,z'] c[z',y] and
+        c[x,z] = c[x,z'] c[z',z], and induction on the shorter interval
+        [z',y] gives c[z',y] = c[z',z] c[z,y]; so
+        c[x,y] = c[x,z'] c[z',z] c[z,y] = c[x,z] c[z,y].  The cover checks
+        are chain triples themselves, so the gate fails exactly when this
+        list is non-empty.  Only then does the ordered full scan of
+        :meth:`_failures` run, so the list and its order do not depend on
+        the gate; a caller that reports only the first few triples reads
+        that scan lazily instead (``_first_violations``).  Computed once
+        per instance; callers must not mutate the list.
         """
         if self._violations is None:
-            poset, c, mul = self.poset, self.values, self.ring.mul
-            up, down, pos, reps = poset._up, poset._down, poset.position, poset.reps
-            out = []
-            for s, (i, j) in enumerate(poset.index_pairs):
-                for z in _bits(up[i] & down[j] & ~(1 << i | 1 << j)):
-                    if c[s] != mul(c[pos[i, z]], c[pos[z, j]]):
-                        out.append((reps[i], reps[z], reps[j]))
-            self._violations = out
+            self._violations = [] if self.is_valid() else list(self._failures())
         return self._violations
 
+    def _failures(self):
+        """The failing triples of :meth:`violations`, yielded in its order.
+
+        For each slot (i, j) in slot order, the classes strictly between,
+        the bits of ``_up[i] & _down[j]`` other than i and j, are tried
+        in ascending order.  The scan runs only as far as it is read.
+        """
+        poset, c, mul = self.poset, self.values, self.ring.mul
+        up, down, pos, reps = poset._up, poset._down, poset.position, poset.reps
+        for s, (i, j) in enumerate(poset.index_pairs):
+            for z in _bits(up[i] & down[j] & ~(1 << i | 1 << j)):
+                if c[s] != mul(c[pos[i, z]], c[pos[z, j]]):
+                    yield reps[i], reps[z], reps[j]
+
     def is_valid(self) -> bool:
-        return not self.violations()
+        """Whether the chain condition holds, by the cover checks alone.
+
+        For each slot (i, j) it tests the classes z of ``_cover_slots[i]``
+        with (z, j) a strict pair, and stops at the first failure; why
+        that suffices is in :meth:`violations`.  Cached per instance.
+        """
+        if self._valid is None:
+            poset, c, mul = self.poset, self.values, self.ring.mul
+            covers, slot = poset._cover_slots, poset.position.get
+            self._valid = all(c[s] == mul(c[t], c[u])
+                              for s, (i, j) in enumerate(poset.index_pairs)
+                              for z, t in covers[i]
+                              if (u := slot((z, j))) is not None)
+        return self._valid
 
     @classmethod
     def identity(cls, poset, ring) -> "WeightSystem":
@@ -256,10 +287,15 @@ def from_tree(tree, ring, tree_values) -> WeightSystem:
     return from_potential(_propagate(c, tree, ring))
 
 
+def _first_violations(ws: WeightSystem, limit):
+    """The first ``limit`` triples of ``ws.violations()``, scanning no further."""
+    return [] if ws.is_valid() else list(islice(ws._failures(), limit))
+
+
 def _require_valid(ws: WeightSystem):
-    bad = ws.violations()
+    bad = _first_violations(ws, 5)
     if bad:
-        raise WeightSystemError(f"chain condition fails at triples {bad[:5]}")
+        raise WeightSystemError(f"chain condition fails at triples {bad}")
 
 
 def _propagate(c, tree, ring) -> Potential:

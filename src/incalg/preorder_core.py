@@ -9,12 +9,16 @@ scale.
 The quotient keeps one integer-indexed view, built once: class i has the
 up and down rows ``_up[i]``/``_down[i]`` (bitmasks of class indices),
 ``index_pairs`` lists the strict pairs (i, j) in ``strict_pairs()`` order
-and ``position`` maps each pair to its slot.  Weight systems and
-potentials are tuples over those slots and class indices; labels are
-resolved only at the edges.
+and ``position`` maps each pair to its slot.  The cover rows
+``_covers[i]`` (the classes covering i, the Hasse diagram) are derived
+from the up rows on first use.  Weight systems and potentials are tuples
+over those slots and class indices; labels are resolved only at the
+edges.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 
 class PreorderError(ValueError):
@@ -137,6 +141,16 @@ class QuotientPoset:
     representative is the lexicographically least member, so reps ascend
     with the class index.  Order queries accept any member label and
     answer for its class.
+
+    The index view: ``_up[i]`` and ``_down[i]`` are the bitmasks of the
+    classes above and below class i (i included), ``index_pairs`` the
+    strict pairs in ``strict_pairs()`` order with ``position`` mapping
+    each to its slot, and, built on first use, ``_covers[i]``, the
+    bitmask of the classes covering i, and ``_cover_slots[i]``, those
+    classes with the slots of their pairs with i.  The chain check of a
+    weight system tests only the triples through a cover (which implies
+    all of them, see ``WeightSystem.violations``) and lists the failing
+    triples by a full scan over ``_up[i] & _down[j]`` only when one fails.
     """
 
     def __init__(self, source: Preorder):
@@ -169,6 +183,25 @@ class QuotientPoset:
         self._strict_pairs = None
         self._height = None
         self._graph, self._trees = None, {}  # filled by comparability.tree_of
+
+    @cached_property
+    def _covers(self):
+        """Per class, the bitmask of the classes covering it: its strict up
+        row minus the union of the strict up rows of that row's members."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self._up)]
+        covers = []
+        for row in strict:
+            above = 0
+            for z in _bits(row):
+                above |= strict[z]
+            covers.append(row & ~above)
+        return covers
+
+    @cached_property
+    def _cover_slots(self):
+        """Per class i, a (z, slot of (i, z)) pair for each class z covering i."""
+        pos = self.position
+        return [tuple((z, pos[i, z]) for z in _bits(row)) for i, row in enumerate(self._covers)]
 
     @property
     def n_classes(self) -> int:
@@ -277,9 +310,28 @@ class QuotientPoset:
         return f"QuotientPoset({self.n_classes} classes)"
 
 
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+_BIT_TABLES = []  # _BIT_TABLES[k][v]: the set bits of byte value v at byte k, as indices
+
+
 def _bits(mask):
-    """Indices of the set bits of a non-negative int, ascending."""
-    return [i for i, ch in enumerate(reversed(bin(mask))) if ch == "1"]
+    """Indices of the set bits of a non-negative int, ascending.
+
+    The mask is read a byte at a time, lowest first.  Table k maps each
+    of the 256 byte values to the indices 8k..8k+7 of its set bits, so a
+    non-zero byte costs one lookup and one list extension, and a zero
+    byte one test.  The tables are built on first use, one per byte
+    position, sharing the index objects of that position.
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    while len(_BIT_TABLES) < len(data):
+        at = tuple(range(8 * len(_BIT_TABLES), 8 * len(_BIT_TABLES) + 8))
+        _BIT_TABLES.append(tuple(tuple(at[b] for b in bits) for bits in _BYTE_BITS))
+    out = []
+    for table, byte in zip(_BIT_TABLES, data):
+        if byte:
+            out += table[byte]
+    return out
 
 
 def load_preorder_text(text: str) -> Preorder:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
 from incalg.cli import run_command
+from incalg.coeff_rings import MatrixRing, ProductRing, ZMod
+from incalg.mult_automorphisms import WeightSystemError, decompose, load_weight_system
+from incalg.preorder_core import close_relations, preorder_to_text
 
 
 def run(capsys, *argv):
@@ -321,6 +326,61 @@ def test_deeply_nested_json_exits_2(capsys, crown_txt, tmp_path, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert len(err.encode()) < 300  # the offending text is quoted in part only
+
+
+def test_reported_violations_are_the_first_of_the_scan(capsys, tmp_path, seed=12):
+    """check lists violations()[:10], is-inner names violations()[0] and
+    the library error quotes violations()[:5], each scanning no further."""
+    labels = [f"c{i}" for i in range(8)]
+    chain = close_relations(labels, list(zip(labels, labels[1:])))
+    poset = tmp_path / "chain8.txt"
+    poset.write_text(preorder_to_text(chain))
+    rng = random.Random(seed)
+    path = write_weights(tmp_path, "w.json", "Z/5",
+                         {p: str(rng.randrange(1, 5)) for p in chain.quotient().strict_pairs()})
+    bad = load_weight_system(path, chain.quotient()).violations()
+    assert len(bad) > 10
+    code, out, _ = run(capsys, "check", "--poset", str(poset), "--weights", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == [list(t) for t in bad[:10]]
+    code, out, err = run(capsys, "is-inner", "--poset", str(poset), "--weights", path)
+    assert (code, out) == (1, "")
+    assert err == f"not a weight system: chain condition fails at {bad[0]}\n"
+    with pytest.raises(WeightSystemError) as e:
+        decompose(load_weight_system(path, chain.quotient()))
+    assert str(e.value) == f"chain condition fails at triples {bad[:5]}"
+
+
+def _refuse_listing(self):
+    raise AssertionError("central units listed")
+
+
+def test_check_over_a_huge_modulus_lists_no_units(capsys, chain3_txt, tmp_path, monkeypatch):
+    """Validating values over Z/99999999999 tests each one, never the unit list."""
+    monkeypatch.setattr(ZMod, "central_units", _refuse_listing)
+    path = write_weights(tmp_path, "w.json", "Z/99999999999",
+                         {("a", "b"): "5", ("b", "c"): "7", ("a", "c"): "35"})
+    start = time.process_time()
+    code, out, _ = run(capsys, "check", "--poset", chain3_txt, "--weights", path)
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert time.process_time() - start < 5
+
+
+@pytest.mark.parametrize("spec, shown", [
+    ("Z/99999999999", "99999999999"),
+    ("M(3,Z/7)", "40353607"),
+    ("Z/2 x Z/5000001", "10000002"),
+    ("M(40,Z/1000)", "over 2^15945"),
+])
+def test_info_refuses_rings_over_the_guard(capsys, crown_txt, spec, shown, monkeypatch):
+    """The refusal comes before any listing (which would exhaust memory)."""
+    for cls in (ZMod, ProductRing, MatrixRing):
+        monkeypatch.setattr(cls, "central_units", _refuse_listing)
+    code, out, err = run(capsys, "info", "--poset", crown_txt, "--ring", spec)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {spec} has {shown} elements, over the guard 10000000 "
+                   "for listing its central units\n")
 
 
 def test_verify_golden_digest(capsys, tmp_path):

@@ -133,6 +133,34 @@ def test_matrix_ring_central_units_by_commutation():
     assert sorted(slow) == sorted(r.central_units())
 
 
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/3", "M(1,Z/4)", "M(2,Z/3)", "M(3,Z/2)",
+                                  "Z/2 x M(2,Z/2)"])
+def test_is_central_unit_is_membership_in_central_units(spec):
+    r = parse_ring_spec(spec)
+    central = set(r.central_units())
+    assert central
+    for a in r.elements():
+        assert r.is_central_unit(a) == (a in central)
+
+
+def test_order_needs_no_element_list():
+    assert ZMod(10 ** 30).order == 10 ** 30
+    assert parse_ring_spec("M(3,Z/7)").order == 7 ** 9
+    assert parse_ring_spec("Z/2 x M(2,Z/3) x Z/5").order == 2 * 3 ** 4 * 5
+
+
+def test_parse_errors_quote_a_bounded_excerpt():
+    long_text = "[" * 10_000
+    for r in (ZMod(5), parse_ring_spec("Z/2 x Z/3"), MatrixRing(2, ZMod(3))):
+        for text in (long_text, "(" + long_text + ")", "9" * 10_000, "[[" + "9" * 10_000):
+            with pytest.raises(RingParseError) as e:
+                r.parse_element(text)
+            assert len(str(e.value)) < 120
+    with pytest.raises(RingParseError) as e:
+        ZMod(5).parse_element("x1")
+    assert str(e.value) == "cannot parse 'x1' as an element of Z/5"
+
+
 def test_matrix_ring_parse_format():
     r = MatrixRing(2, ZMod(3))
     a = r.parse_element("[[1,2],[0,1]]")

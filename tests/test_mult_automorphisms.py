@@ -249,6 +249,36 @@ def test_slot_chain_check_matches_definition(seed=8):
     assert checked > 1000 and broken > checked // 2
 
 
+@pytest.mark.parametrize("spec", ["Z/3", "M(2,Z/3)"])
+def test_gated_violations_match_definition(gate_posets, spec, seed=10):
+    """The cover-gated violations() and is_valid() agree with the
+    definitional scan over all reps, on valid systems and on copies with
+    one slot changed, a random one and a cover slot (j covers i)."""
+    rng = random.Random(seed)
+    ring = parse_ring_spec(spec)
+    units = ring.central_units()
+    checked = broken = 0
+    for poset in gate_posets:
+        q = poset.quotient()
+        if not q.index_pairs:
+            continue
+        cover_slots = [s for s, (i, j) in enumerate(q.index_pairs) if q._covers[i] >> j & 1]
+        for _ in range(3):
+            ws = from_potential(Potential(q, ring, tuple(rng.choice(units) for _ in q.reps)))
+            assert ws.is_valid()
+            assert ws.violations() == _chain_violations_by_definition(ws) == []
+            for slot in (rng.randrange(len(ws.values)), rng.choice(cover_slots)):
+                values = list(ws.values)
+                values[slot] = rng.choice([u for u in units if u != values[slot]])
+                bad = WeightSystem(q, ring, tuple(values))
+                expected = _chain_violations_by_definition(bad)
+                assert bad.is_valid() == (not expected)
+                assert bad.violations() == expected
+                checked += 1
+                broken += bool(expected)
+    assert checked > 700 and broken > checked // 2
+
+
 def test_tuples_follow_pair_and_class_order(seed=9):
     """from_values lays label-keyed input out along strict_pairs() and
     reps, whatever member labels and item order it gets; items() gives

@@ -8,6 +8,7 @@ from incalg.preorder_core import (
     PreorderError,
     close_relations,
     load_preorder_text,
+    _bits,
     preorder_descriptor,
     preorder_to_text,
 )
@@ -175,3 +176,30 @@ def test_quotient_equivalence_classes_partition(seed=98):
         q = close_relations(labels, gens).quotient()
         seen = [lab for cls in q.classes for lab in cls]
         assert sorted(seen) == sorted(labels)
+
+
+def _hasse_by_definition(q):
+    """Per class, the bitmask of the classes y > x with nothing strictly between."""
+    reps = q.reps
+    return [sum(1 << j for j, y in enumerate(reps)
+                if q.lt(x, y) and not any(q.lt(x, z) and q.lt(z, y) for z in reps))
+            for x in reps]
+
+
+def test_covers_are_the_hasse_diagram(gate_posets):
+    for poset in gate_posets:
+        q = poset.quotient()
+        assert q._covers == _hasse_by_definition(q)
+
+
+def test_bits_match_binary_digits(seed=11):
+    """The byte-table walk gives the set bits of bin(mask) for every width
+    0..1,100: empty, full, top bit only, and seeded dense and sparse masks."""
+    rng = random.Random(seed)
+    for width in range(1101):
+        masks = {0, (1 << width) - 1, rng.getrandbits(width),
+                 rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)}
+        if width:
+            masks.add(1 << width - 1)
+        for m in masks:
+            assert _bits(m) == [i for i, ch in enumerate(reversed(bin(m))) if ch == "1"]
