@@ -2,15 +2,16 @@
 
 Vertices are the class representatives; there is one undirected edge for
 every strictly comparable pair of classes, stored oriented with the
-order-smaller class first.  Spanning trees use breadth-first search with
-lexicographic neighbour order, so every derived object here is
-deterministic for a given input.
+order-smaller class first, so edge s is the quotient's slot s.  Spanning
+trees live on class indices: breadth-first search over the bit rows
+``_up[i] | _down[i]`` in ascending index, i.e. lexicographic, order.
+Every derived object here is deterministic for a given input.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .preorder_core import _bits
 
@@ -22,12 +23,8 @@ class GraphError(ValueError):
 class ComparabilityGraph:
     def __init__(self, poset):
         self.poset = poset
-        reps = self.vertices = poset.reps  # ascending, like the class indices
+        self.vertices = poset.reps  # ascending, like the class indices
         self.edges = tuple(poset.strict_pairs())
-        self.adjacency = {
-            v: tuple(reps[j] for j in _bits((poset._up[i] | poset._down[i]) & ~(1 << i)))
-            for i, v in enumerate(reps)
-        }
         self.m = len(self.edges)
         self.components = poset.connected_components()
         self.cyclomatic = self.m - len(self.vertices) + len(self.components)
@@ -36,59 +33,76 @@ class ComparabilityGraph:
         return f"ComparabilityGraph({len(self.vertices)} vertices, {self.m} edges)"
 
 
+@dataclass(frozen=True)
+class FundamentalCycle:
+    """Closed walk for one non-tree edge: the edge first, tree path back."""
+
+    edge: tuple
+    sequence: tuple
+
+    def __str__(self):
+        return "-".join(self.sequence)
+
+
 class SpanningTree:
-    """BFS spanning tree; holds parents, depths, and the edge partition."""
+    """BFS spanning tree on class indices.
+
+    ``parent`` and ``depth`` are lists over the classes (the root's parent
+    is None).  ``steps`` holds one ``(parent, child, slot, up)`` per tree
+    edge in BFS order, where ``up`` says that parent < child, so the slot
+    is (parent, child), not (child, parent).  ``non_tree_slots`` ascend.
+    The fundamental cycles are built once, on first use of ``cycles``, or
+    one by one by :meth:`cycle`.  ``root``, ``tree_edges`` and
+    ``non_tree_edges`` are label views.
+    """
 
     def __init__(self, graph: ComparabilityGraph, root: str):
-        self.graph = graph
-        self.root = root
-        parent = {root: None}
-        depth = {root: 0}
-        order = [root]
-        queue = deque([root])
-        tree_edges = set()
-        while queue:
-            v = queue.popleft()
-            for w in graph.adjacency[v]:
-                if w not in parent:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    order.append(w)
-                    tree_edges.add((v, w) if graph.poset.lt(v, w) else (w, v))
-                    queue.append(w)
-        if len(order) != len(graph.vertices):
-            missing = sorted(set(graph.vertices) - set(order))
+        poset, self.graph, self.root = graph.poset, graph, root
+        up, down, pos, k = poset._up, poset._down, poset.position, poset.n_classes
+        parent, depth, steps = [None] * k, [0] * k, []
+        order = [poset.class_of[root]]
+        seen = 1 << order[0]
+        for a in order:  # grows while it is read: the BFS queue
+            for b in _bits((up[a] | down[a]) & ~seen):
+                seen |= 1 << b
+                parent[b], depth[b] = a, depth[a] + 1
+                order.append(b)
+                ascends = bool(up[a] >> b & 1)
+                steps.append((a, b, pos[a, b] if ascends else pos[b, a], ascends))
+        if len(order) != k:
+            missing = [poset.reps[i] for i in range(k) if not seen >> i & 1]
             raise GraphError(f"comparability graph is not connected; unreached: {missing}")
-        self.parent = parent
-        self.depth = depth
-        self.bfs_order = tuple(order)
-        self.tree_edges = frozenset(tree_edges)
-        self.non_tree_edges = tuple(e for e in graph.edges if e not in tree_edges)
+        self.parent, self.depth, self.steps = parent, depth, tuple(steps)
+        in_tree = {s for _, _, s, _ in steps}
+        self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
+        self.tree_edges = frozenset(graph.edges[s] for s in in_tree)
+        self.non_tree_edges = tuple(graph.edges[s] for s in self.non_tree_slots)
 
-    def path(self, x, y):
-        """Vertex sequence of the unique tree semi-path from x to y."""
-        x = self.graph.poset.rep(x)
-        y = self.graph.poset.rep(y)
-        for v in (x, y):
-            if v not in self.parent:
-                raise GraphError(f"{v!r} is not a vertex of the spanning tree")
-        left, right = [x], [y]
-        a, b = x, y
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-            left.append(a)
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-            right.append(b)
-        while a != b:
-            a = self.parent[a]
-            left.append(a)
-            b = self.parent[b]
-            right.append(b)
-        return tuple(left + right[-2::-1])
+    @cached_property
+    def cycles(self):
+        """One :class:`FundamentalCycle` per non-tree slot, in slot order."""
+        return tuple(map(self.cycle, self.non_tree_slots))
+
+    def cycle(self, slot) -> FundamentalCycle:
+        """The cycle of a non-tree slot: from the lexicographically smaller
+        endpoint a across the edge to b, then up the tree from b to the
+        meeting class and down to a."""
+        a, b = sorted(self.graph.poset.index_pairs[slot])
+        parent, depth = self.parent, self.depth
+        left, right = [b], [a]
+        while a != b:  # climb the deeper end until the ends meet
+            if depth[a] > depth[b]:
+                a = parent[a]
+                right.append(a)
+            else:
+                b = parent[b]
+                left.append(b)
+        reps = self.graph.vertices
+        return FundamentalCycle(edge=self.graph.edges[slot],
+                                sequence=tuple(reps[i] for i in right[:1] + left + right[-2::-1]))
 
     def __repr__(self):
-        return f"SpanningTree(root={self.root!r}, {len(self.tree_edges)} edges)"
+        return f"SpanningTree(root={self.root!r}, {len(self.steps)} edges)"
 
 
 def spanning_tree(graph: ComparabilityGraph, root=None) -> SpanningTree:
@@ -116,30 +130,9 @@ def tree_of(poset, root=None) -> SpanningTree:
     return tree
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
-    """Closed walk for one non-tree edge: the edge first, tree path back."""
-
-    edge: tuple
-    sequence: tuple
-
-    def __str__(self):
-        return "-".join(self.sequence)
-
-
-def fundamental_cycle(tree: SpanningTree, edge) -> FundamentalCycle:
-    """The cycle of one non-tree edge.
-
-    The stored sequence starts at the lexicographically smaller endpoint
-    and crosses the non-tree edge first.
-    """
-    s, t = min(edge), max(edge)
-    return FundamentalCycle(edge=edge, sequence=(s,) + tree.path(t, s))
-
-
 def fundamental_cycles(graph: ComparabilityGraph, tree: SpanningTree):
-    """One cycle per non-tree edge, in sorted edge order."""
-    return tuple(fundamental_cycle(tree, edge) for edge in tree.non_tree_edges)
+    """One cycle per non-tree edge, in sorted edge order; built once per tree."""
+    return tree.cycles
 
 
 def path_weight(ws, path):
@@ -177,22 +170,20 @@ def cycle_weight(ws, cycle: FundamentalCycle):
 
 def simple_semi_paths(graph: ComparabilityGraph, x, y):
     """All simple semi-paths from x to y, in lexicographic vertex order."""
-    x = graph.poset.rep(x)
-    y = graph.poset.rep(y)
+    poset = graph.poset
+    x, y = poset._c(x), poset._c(y)
+    up, down, reps = poset._up, poset._down, poset.reps
     out = []
 
     def extend(path, seen):
         v = path[-1]
         if v == y:
-            out.append(tuple(path))
+            out.append(tuple(reps[i] for i in path))
             return
-        for w in graph.adjacency[v]:
-            if w not in seen:
-                path.append(w)
-                seen.add(w)
-                extend(path, seen)
-                seen.remove(w)
-                path.pop()
+        for w in _bits((up[v] | down[v]) & ~seen):
+            path.append(w)
+            extend(path, seen | 1 << w)
+            path.pop()
 
-    extend([x], {x})
+    extend([x], 1 << x)
     return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .coeff_rings import parse_ring_spec
-from .comparability import FundamentalCycle, fundamental_cycle, fundamental_cycles, tree_of
+from .comparability import FundamentalCycle, fundamental_cycles, tree_of
 from .incidence_algebra import IncidenceFunction, read_records, write_records
 from .preorder_core import _bits
 
@@ -299,19 +299,15 @@ def _require_valid(ws: WeightSystem):
 
 
 def _propagate(c, tree, ring) -> Potential:
-    """Potential with value one at the root, pushed along the tree edges.
+    """Potential with value one at the root, pushed along the tree steps.
 
     ``c`` holds the weights by slot; only the tree-edge slots are read.
     """
-    poset = tree.graph.poset
-    cls, pos = poset.class_of, poset.position
+    poset, mul, inverse = tree.graph.poset, ring.mul, ring.inverse
     v = [None] * poset.n_classes
-    v[cls[tree.root]] = ring.one()
-    for child in tree.bfs_order[1:]:
-        i, j = cls[tree.parent[child]], cls[child]
-        slot = pos.get((i, j))
-        step = c[slot] if slot is not None else ring.inverse(c[pos[j, i]])
-        v[j] = ring.mul(v[i], step)
+    v[poset.class_of[tree.root]] = ring.one()
+    for i, j, slot, up in tree.steps:
+        v[j] = mul(v[i], c[slot] if up else inverse(c[slot]))
     return Potential(poset, ring, tuple(v))
 
 
@@ -328,11 +324,13 @@ def _tree_split(ws: WeightSystem, root):
     return tree, potential, WeightSystem(poset, ring, w1)
 
 
-def _cycle_value(ring, w1, cycle: FundamentalCycle):
-    """``comparability.cycle_weight`` of a cycle: w1 on its edge, inverted
-    when the stored sequence crosses the edge upwards."""
-    w = w1.value(*cycle.edge)
-    return w if cycle.sequence[0] == cycle.edge[1] else ring.inverse(w)
+def _cycle_value(ring, w1, slot):
+    """``comparability.cycle_weight`` of the cycle of a non-tree slot (i, j):
+    w1 there, inverted when i < j, where the cycle starts at i, the
+    lexicographically smaller endpoint, and crosses the edge upwards."""
+    i, j = w1.poset.index_pairs[slot]
+    w = w1.values[slot]
+    return w if j < i else ring.inverse(w)
 
 
 def find_potential(ws: WeightSystem, root=None):
@@ -345,10 +343,9 @@ def find_potential(ws: WeightSystem, root=None):
     """
     tree, potential, w1 = _tree_split(ws, root)
     one = ws.ring.one()
-    for edge in tree.non_tree_edges:
-        if w1.value(*edge) != one:
-            cycle = fundamental_cycle(tree, edge)
-            return NotInnerWitness(cycle=cycle, weight=_cycle_value(ws.ring, w1, cycle))
+    for slot in tree.non_tree_slots:
+        if w1.values[slot] != one:
+            return NotInnerWitness(cycle=tree.cycle(slot), weight=_cycle_value(ws.ring, w1, slot))
     return potential
 
 
@@ -359,8 +356,8 @@ def is_inner_cycles(ws: WeightSystem, root=None):
     """
     tree, _, w1 = _tree_split(ws, root)
     one = ws.ring.one()
-    report = tuple((c, _cycle_value(ws.ring, w1, c))
-                   for c in fundamental_cycles(tree.graph, tree))
+    report = tuple((c, _cycle_value(ws.ring, w1, s))
+                   for s, c in zip(tree.non_tree_slots, fundamental_cycles(tree.graph, tree)))
     return all(w == one for _, w in report), report
 
 
@@ -402,11 +399,6 @@ def from_mult_function(m: IncidenceFunction) -> WeightSystem:
     if to_mult_function(ws) != m:
         raise WeightSystemError("function is not one inside classes and constant on class blocks")
     return ws
-
-
-def from_point_map(potential: Potential) -> IncidenceFunction:
-    """Multiplicative function of a point potential: m(x,y) = v[x]^-1 v[y]."""
-    return to_mult_function(from_potential(potential))
 
 
 def weight_system_to_json(ws: WeightSystem) -> str:

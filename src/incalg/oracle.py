@@ -157,6 +157,7 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     inner_keys = {w.values for w in inner}
     tree = tree_of(poset, root)
     graph = tree.graph
+    tree_slots = [slot for _, _, slot, _ in tree.steps]
     one = ring.one()
     identity_key = WeightSystem.identity(poset, ring).values
     checks = []
@@ -167,14 +168,14 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
         w1, w0, potential = decompose(ws, root)
         ok = (
             (w1 * w0).values == ws.values
-            and all(w1.value(*e) == one for e in tree.tree_edges)
+            and all(w1.values[s] == one for s in tree_slots)
             and w1.is_valid()
             and w0.values in inner_keys
             and from_potential(potential).values == w0.values
         )
         if not ok:
             decompose_failures.append(ws.items())
-        if all(ws.value(*e) == one for e in tree.tree_edges):
+        if all(ws.values[s] == one for s in tree_slots):
             tree_trivial.append(ws)
     checks.append(
         CheckResult(

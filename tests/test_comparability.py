@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from incalg.coeff_rings import ZMod
@@ -41,8 +43,13 @@ def test_spanning_tree_crown(crown):
     assert t.root == "a"
     assert sorted(t.tree_edges) == [("a", "c"), ("a", "d"), ("b", "c")]
     assert t.non_tree_edges == (("b", "d"),)
-    assert t.path("b", "d") == ("b", "c", "a", "d")
-    assert t.path("c", "c") == ("c",)
+    # classes a, b, c, d are indices 0-3; slots (0,2), (0,3), (1,2), (1,3)
+    assert t.parent == [None, 2, 0, 0]
+    assert t.steps == ((0, 2, 0, True), (0, 3, 1, True), (2, 1, 2, False))
+    assert t.non_tree_slots == (3,)
+    # the tree path from d back to b closes the crown's one cycle
+    assert str(t.cycle(3)) == "b-d-a-c-b"
+    assert t.cycle(3).sequence == ("b", "d", "a", "c", "b")
 
 
 def test_spanning_tree_other_root(crown):
@@ -112,7 +119,68 @@ def test_bfs_depths_on_fence():
     # zigzag w < x > y < z: a path graph, so depths are forced
     p = close_relations("wxyz", [("w", "x"), ("y", "x"), ("y", "z")])
     t = spanning_tree(ComparabilityGraph(p.quotient()))
-    assert t.bfs_order == ("w", "x", "y", "z")
-    assert t.parent["y"] == "x"
-    assert t.depth["z"] == 3
-    assert t.non_tree_edges == ()
+    # w, x, y, z are indices 0-3; slots (0,1), (2,1), (2,3)
+    assert [child for _, child, _, _ in t.steps] == [1, 2, 3]
+    assert t.parent == [None, 0, 1, 2]
+    assert t.depth == [0, 1, 2, 3]
+    assert t.steps == ((0, 1, 0, True), (1, 2, 1, False), (2, 3, 2, True))
+    assert t.non_tree_edges == t.non_tree_slots == ()
+
+
+def _reference_tree(poset, root):
+    """The label BFS that defines the tree: from the root, neighbours in
+    label order, oriented tree edges, and the tree semi-path of two
+    vertices by climbing parents from the deeper one."""
+    adjacency = {v: sorted(w for w in poset.reps if poset.lt(v, w) or poset.lt(w, v))
+                 for v in poset.reps}
+    parent, depth, order = {root: None}, {root: 0}, [root]
+    queue, tree_edges = deque([root]), set()
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+                tree_edges.add((v, w) if poset.lt(v, w) else (w, v))
+                queue.append(w)
+
+    def path(x, y):
+        left, right = [x], [y]
+        a, b = x, y
+        while depth[a] > depth[b]:
+            a = parent[a]
+            left.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            right.append(b)
+        while a != b:
+            a = parent[a]
+            left.append(a)
+            b = parent[b]
+            right.append(b)
+        return tuple(left + right[-2::-1])
+
+    non_tree = tuple(e for e in poset.strict_pairs() if e not in tree_edges)
+    cycles = [(e, (min(e),) + path(max(e), min(e))) for e in non_tree]
+    return order, parent, depth, tree_edges, non_tree, cycles
+
+
+def test_index_tree_matches_label_reference(gate_posets):
+    """Tree edges, BFS child order, parents, depths and every fundamental
+    cycle of the index tree equal the label BFS, at every root."""
+    for poset in gate_posets:
+        q = poset.quotient()
+        g, reps = ComparabilityGraph(q), q.reps
+        for root in reps:
+            t = spanning_tree(g, root)
+            order, parent, depth, tree_edges, non_tree, cycles = _reference_tree(q, root)
+            assert t.tree_edges == tree_edges
+            assert t.non_tree_edges == non_tree
+            assert [reps[child] for _, child, _, _ in t.steps] == order[1:]
+            assert {reps[i]: p if p is None else reps[p] for i, p in enumerate(t.parent)} == parent
+            assert {reps[i]: d for i, d in enumerate(t.depth)} == depth
+            for p, c, slot, up in t.steps:
+                assert p == t.parent[c]
+                assert g.edges[slot] == ((reps[p], reps[c]) if up else (reps[c], reps[p]))
+            assert [(c.edge, c.sequence) for c in fundamental_cycles(g, t)] == cycles
