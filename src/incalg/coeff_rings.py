@@ -281,11 +281,8 @@ class MatrixRing(Ring):
         return tuple(tuple((-x) % n for x in row) for row in a)
 
     def mul(self, a, b):
-        k, n = self.size, self.base.n
-        return tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(k)) % n for j in range(k))
-            for i in range(k)
-        )
+        n, cols = self.base.n, tuple(zip(*b))
+        return tuple(tuple(sum(map(operator.mul, row, col)) % n for col in cols) for row in a)
 
     def dot(self, terms):
         # entry (i, j) is one integer sum: row i of every a against column j of its b

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .coeff_rings import MatrixRing, NonUnitError, ProductRing, RingMismatchError, det_inverse
 
@@ -340,39 +342,62 @@ def hadamard(m: IncidenceFunction, f: IncidenceFunction) -> IncidenceFunction:
 
 
 def function_to_json(f: IncidenceFunction) -> str:
-    fmt = f.ring.format_element
-    rows = [(x, y, fmt(v)) for (x, y), v in sorted(f.entries.items())]
-    return write_records({}, "entries", ("from", "to", "value"), rows)
+    pairs = sorted(f.entries)
+    values = format_values(f.ring, list(map(f.entries.__getitem__, pairs)))
+    return write_records({}, "entries", ("from", "to", "value"),
+                         (map(itemgetter(0), pairs), map(itemgetter(1), pairs), values))
 
 
-def write_records(header, list_key, fields, rows) -> str:
+def format_values(ring, values):
+    """The texts of a sequence of ring elements, ``format_element``
+    called once per distinct value."""
+    text = {v: ring.format_element(v) for v in set(values)}
+    return map(text.__getitem__, values)
+
+
+def parse_values(ring, texts):
+    """The elements of a column of value texts, and the set of them.
+
+    Each distinct text is parsed and checked once, in first-occurrence
+    order, so the first row whose text does not parse raises, as a
+    row-by-row parse would.
+    """
+    parsed = {t: ring.parse_element(t) for t in dict.fromkeys(texts)}
+    distinct = set(parsed.values())
+    for v in distinct:
+        ring.check(v)
+    return list(map(parsed.__getitem__, texts)), distinct
+
+
+def write_records(header, list_key, fields, columns) -> str:
     """Text of a ``{list_key: [...], **header}`` file, the inverse of
     :func:`read_records`.
 
-    ``header`` maps names to strings and each row is a tuple of strings
-    in ``fields`` order.  The text is byte for byte what
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` writes.
+    ``header`` maps names to strings, and ``columns`` holds one iterable
+    of strings per name in ``fields``, in that order; record r takes
+    item r of each.  Each column is encoded by one ``map`` and each
+    record is one ``%`` of a fixed template.  The text is byte for byte
+    what ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` writes.
     """
     enc = encode_basestring_ascii
     order = sorted(range(len(fields)), key=fields.__getitem__)
     record = "    {\n" + ",\n".join(f"      {enc(fields[i])}: %s" for i in order) + "\n    }"
-    if rows:
-        body = "[\n" + ",\n".join(
-            record % tuple(enc(row[i]) for i in order) for row in rows) + "\n  ]"
-    else:
-        body = "[]"
+    body = ",\n".join(map(record.__mod__, zip(*[map(enc, columns[i]) for i in order])))
     top = {name: enc(value) for name, value in header.items()}
-    top[list_key] = body
+    top[list_key] = "[\n" + body + "\n  ]" if body else "[]"
     return "{\n" + ",\n".join(f"  {enc(name)}: {top[name]}" for name in sorted(top)) + "\n}\n"
 
 
 def read_records(text: str, what: str, list_key: str, fields, error):
-    """Top-level object and string records of a JSON ``{list_key: [...]}`` file.
+    """Top-level object and string columns of a JSON ``{list_key: [...]}`` file.
 
     Each record must be an object holding a string under every name in
-    ``fields``; it comes back as the tuple of those strings.  Bad JSON
-    (nesting too deep for the parser included), a missing list and any
-    other record raise ``error``.
+    ``fields``; the records come back as one list per field, in record
+    order.  The columns are taken with ``itemgetter`` and their types
+    checked by one set test; only when either fails does a loop over the
+    records run, to name the first bad one.  Bad JSON (nesting too deep
+    for the parser included), a missing list and any bad record raise
+    ``error``.
     """
     try:
         obj = json.loads(text)
@@ -380,21 +405,41 @@ def read_records(text: str, what: str, list_key: str, fields, error):
         raise error(f"bad {what} file: {e}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get(list_key), list):
         raise error(f'{what} file needs a "{list_key}" list')
-    strings = (str,) * len(fields)
-    rows = []
-    for rec in obj[list_key]:
-        row = tuple(map(rec.get, fields)) if isinstance(rec, dict) else None
-        if row is None or tuple(map(type, row)) != strings:
-            raise error(f"malformed {what} entry {rec!r}: needs string fields {', '.join(fields)}")
-        rows.append(row)
-    return obj, rows
+    records = obj[list_key]
+    try:  # a record that is no object raises TypeError, a missing field KeyError
+        columns = [list(map(itemgetter(name), records)) for name in fields]
+    except (KeyError, TypeError):
+        columns = None
+    if columns is None or not set(map(type, chain.from_iterable(columns))) <= {str}:
+        strings = (str,) * len(fields)
+        for rec in records:
+            row = tuple(map(rec.get, fields)) if isinstance(rec, dict) else None
+            if row is None or tuple(map(type, row)) != strings:
+                raise error(
+                    f"malformed {what} entry {rec!r}: needs string fields {', '.join(fields)}")
+    return obj, columns
 
 
 def function_from_json(text: str, preorder, ring) -> IncidenceFunction:
-    _, rows = read_records(text, "function", "entries", ("from", "to", "value"), SupportError)
-    return IncidenceFunction.from_entries(
-        preorder, ring, [(x, y, ring.parse_element(v)) for x, y, v in rows]
-    )
+    """Read a function file.
+
+    Values are parsed once per distinct text (:func:`parse_values`).
+    When every label is known, no pair repeats and every pair is
+    comparable (one bit test of the up row each), the entries are taken
+    as they are; otherwise :meth:`IncidenceFunction.from_entries` runs
+    on the parsed rows and raises the error of the first faulty one.
+    """
+    _, (xs, ys, texts) = read_records(
+        text, "function", "entries", ("from", "to", "value"), SupportError)
+    values, _ = parse_values(ring, texts)
+    index, up = preorder._index, preorder._up
+    if index.keys() >= set(xs).union(ys):
+        pairs = list(zip(xs, ys))
+        if len(set(pairs)) == len(pairs) and all(up[index[x]] >> index[y] & 1 for x, y in pairs):
+            zero = ring.zero()
+            return IncidenceFunction(
+                preorder, ring, {p: v for p, v in zip(pairs, values) if v != zero})
+    return IncidenceFunction.from_entries(preorder, ring, zip(xs, ys, values))
 
 
 def load_function(path, preorder, ring) -> IncidenceFunction:

@@ -30,11 +30,18 @@ re-check what they construct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import eq, itemgetter
 
 from .coeff_rings import parse_ring_spec
 from .comparability import FundamentalCycle, fundamental_cycles, tree_of
-from .incidence_algebra import IncidenceFunction, read_records, write_records
+from .incidence_algebra import (
+    IncidenceFunction,
+    format_values,
+    parse_values,
+    read_records,
+    write_records,
+)
 from .preorder_core import _bits
 
 
@@ -153,17 +160,14 @@ class WeightSystem:
     def is_valid(self) -> bool:
         """Whether the chain condition holds, by the cover checks alone.
 
-        For each slot (i, j) it tests the classes z of ``_cover_slots[i]``
-        with (z, j) a strict pair, and stops at the first failure; why
+        It tests c[S] = c[T] c[U] over the slot lists of
+        ``poset._cover_triples`` and stops at the first failure; why
         that suffices is in :meth:`violations`.  Cached per instance.
         """
         if self._valid is None:
-            poset, c, mul = self.poset, self.values, self.ring.mul
-            covers, slot = poset._cover_slots, poset.position.get
-            self._valid = all(c[s] == mul(c[t], c[u])
-                              for s, (i, j) in enumerate(poset.index_pairs)
-                              for z, t in covers[i]
-                              if (u := slot((z, j))) is not None)
+            S, T, U = self.poset._cover_triples
+            get = self.values.__getitem__
+            self._valid = all(map(eq, map(get, S), map(self.ring.mul, map(get, T), map(get, U))))
         return self._valid
 
     @classmethod
@@ -402,33 +406,68 @@ def from_mult_function(m: IncidenceFunction) -> WeightSystem:
 
 
 def weight_system_to_json(ws: WeightSystem) -> str:
-    fmt = ws.ring.format_element
-    rows = [(x, y, fmt(v)) for (x, y), v in ws.items()]
-    return write_records({"ring": str(ws.ring)}, "weights", ("from", "to", "value"), rows)
+    pairs = ws.poset.strict_pairs()
+    values = format_values(ws.ring, ws.values)
+    return write_records({"ring": str(ws.ring)}, "weights", ("from", "to", "value"),
+                         (map(itemgetter(0), pairs), map(itemgetter(1), pairs), values))
 
 
 def _read_ring_records(text, what, list_key, fields, poset, ring):
-    """Ring and rows of a weight or potential file; labels must be class
-    representatives (the first ``len(fields) - 1`` fields of each row)."""
-    obj, rows = read_records(text, what, list_key, fields, WeightSystemError)
+    """Ring, label columns and parsed values of a weight or potential
+    file, and whether every value is a central unit.
+
+    The labels (all fields but the last) must be class representatives:
+    one subset test checks them all, and only when it fails does the
+    loop over the distinct labels run, to name the first bad one.  The
+    values are parsed by ``parse_values``, once per distinct text, and
+    each distinct value is tested for a central unit once.
+    """
+    obj, columns = read_records(text, what, list_key, fields, WeightSystemError)
     if "ring" not in obj:
         raise WeightSystemError(f'{what} file needs a "ring"')
     file_ring = parse_ring_spec(obj["ring"])
     if ring is not None and ring != file_ring:
         raise WeightSystemError(f"file ring {file_ring} does not match expected ring {ring}")
-    for lab in dict.fromkeys(lab for row in rows for lab in row[:-1]):
-        if poset.rep(lab) != lab:
-            raise WeightSystemError(
-                f"label {lab!r} is not a class representative (expected {poset.rep(lab)!r})"
-            )
-    return (file_ring if ring is None else ring), rows
+    *labels, texts = columns
+    if not set().union(*labels).issubset(poset.reps):
+        for lab in dict.fromkeys(chain.from_iterable(zip(*labels))):
+            if poset.rep(lab) != lab:
+                raise WeightSystemError(
+                    f"label {lab!r} is not a class representative (expected {poset.rep(lab)!r})"
+                )
+    use = file_ring if ring is None else ring
+    values, distinct = parse_values(use, texts)
+    return use, labels, values, all(map(use.is_central_unit, distinct))
+
+
+def _laid_out(keys, values, size):
+    """The values as a tuple over the indices ``range(size)`` when the
+    keys (indices, or None for none) name each index exactly once, else
+    None."""
+    if len(keys) == size:
+        table = dict(zip(keys, values))
+        if len(table) == size and None not in table:
+            return tuple(map(table.__getitem__, range(size)))
+    return None
 
 
 def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
-    use, rows = _read_ring_records(text, "weight-system", "weights", ("from", "to", "value"),
-                                   poset, ring)
-    return WeightSystem.from_values(
-        poset, use, [((x, y), use.parse_element(v)) for x, y, v in rows])
+    """Read a weight file.
+
+    The rows map to slots in bulk through ``class_of`` and ``position``.
+    When every value is a central unit and the rows name every slot
+    once, the values are laid out by slot directly; otherwise
+    :meth:`WeightSystem.from_values` runs on the parsed rows and raises
+    the error of the first faulty one.
+    """
+    use, (xs, ys), values, central = _read_ring_records(
+        text, "weight-system", "weights", ("from", "to", "value"), poset, ring)
+    cls = poset.class_of.__getitem__
+    slots = list(map(poset.position.get, zip(map(cls, xs), map(cls, ys))))
+    laid = _laid_out(slots, values, len(poset.index_pairs)) if central else None
+    if laid is not None:
+        return WeightSystem(poset, use, laid)
+    return WeightSystem.from_values(poset, use, list(zip(zip(xs, ys), values)))
 
 
 def load_weight_system(path, poset, ring=None) -> WeightSystem:
@@ -437,11 +476,18 @@ def load_weight_system(path, poset, ring=None) -> WeightSystem:
 
 
 def potential_to_json(potential: Potential) -> str:
-    fmt = potential.ring.format_element
-    rows = [(x, fmt(v)) for x, v in potential.items()]
-    return write_records({"ring": str(potential.ring)}, "values", ("class", "value"), rows)
+    values = format_values(potential.ring, potential.values)
+    return write_records({"ring": str(potential.ring)}, "values", ("class", "value"),
+                         (potential.poset.reps, values))
 
 
 def potential_from_json(text: str, poset, ring=None) -> Potential:
-    use, rows = _read_ring_records(text, "potential", "values", ("class", "value"), poset, ring)
-    return Potential.from_values(poset, use, [(x, use.parse_element(v)) for x, v in rows])
+    """Read a potential file, the way :func:`weight_system_from_json`
+    reads a weight file, with classes for slots."""
+    use, (xs,), values, central = _read_ring_records(
+        text, "potential", "values", ("class", "value"), poset, ring)
+    keys = list(map(poset.class_of.__getitem__, xs))
+    laid = _laid_out(keys, values, poset.n_classes) if central else None
+    if laid is not None:
+        return Potential(poset, use, laid)
+    return Potential.from_values(poset, use, list(zip(xs, values)))

@@ -4,21 +4,26 @@ A preorder is a reflexive transitive relation on labelled elements.  Two
 elements are equivalent when each is below the other; the classes of that
 equivalence inherit a partial order.  Relations are stored as one bitmask
 row per element, which keeps closure and interval queries cheap at desk
-scale.
+scale.  The closure is built per strongly connected component of the
+generators, in reverse topological order, with one row OR per generator
+edge (:func:`close_relations`).
 
 The quotient keeps one integer-indexed view, built once: class i has the
 up and down rows ``_up[i]``/``_down[i]`` (bitmasks of class indices),
-``index_pairs`` lists the strict pairs (i, j) in ``strict_pairs()`` order
-and ``position`` maps each pair to its slot.  The cover rows
+``index_pairs`` lists the strict pairs (i, j) in ``strict_pairs()`` order,
+``position`` maps each pair to its slot, and the slots of row i run from
+``_starts[i]`` up to ``_starts[i + 1]``.  On first use, the cover rows
 ``_covers[i]`` (the classes covering i, the Hasse diagram) are derived
-from the up rows on first use.  Weight systems and potentials are tuples
-over those slots and class indices; labels are resolved only at the
-edges.
+from the up rows, and the chain triples through a cover, which the chain
+check tests, are laid out as three slot lists (``_cover_triples``).
+Weight systems and potentials are tuples over those slots and class
+indices; labels are resolved only at the edges.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 
 
 class PreorderError(ValueError):
@@ -40,26 +45,75 @@ def _validate_labels(labels):
 
 
 def close_relations(elements, generators) -> "Preorder":
-    """Reflexive-transitive closure of generator pairs over the given labels."""
+    """Reflexive-transitive closure of generator pairs over the given labels.
+
+    The up row of an element is the set of elements reachable from it
+    along the generators.  The rows are built per strongly connected
+    component by :func:`_reach_rows` in O(n + E) row ORs, not the n^2
+    row steps of Warshall's algorithm.
+    """
     labels = list(elements)
     _validate_labels(labels)
     index = {x: i for i, x in enumerate(labels)}
-    up = [1 << i for i in range(len(labels))]
+    succ = [[] for _ in labels]
     for x, y in generators:
         if x not in index:
             raise PreorderError(f"undeclared label {x!r} in relation ({x}, {y})")
         if y not in index:
             raise PreorderError(f"undeclared label {y!r} in relation ({x}, {y})")
-        up[index[x]] |= 1 << index[y]
-    # Warshall closure on bitmask rows
-    n = len(labels)
-    for k in range(n):
-        row_k = up[k]
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= row_k
-    return Preorder(tuple(labels), up)
+        succ[index[x]].append(index[y])
+    return Preorder(tuple(labels), _reach_rows(succ))
+
+
+def _reach_rows(succ):
+    """Per vertex of the digraph ``succ`` (successor lists), the bitmask
+    of the vertices reachable from it, itself included.
+
+    An iterative Tarjan pass (an explicit path of edge iterators, so a
+    long chain does not recurse) finishes the strongly connected
+    components in reverse topological order, sinks first.  When a
+    component is finished, every component it reaches is final, so its
+    row is the bits of its members ORed with the rows of their
+    successors outside it: one OR per edge.
+    """
+    n = len(succ)
+    num, low, rows = [0] * n, [0] * n, [0] * n  # num: discovery number, 0 while unvisited
+    done = [False] * n  # set once a vertex's component, and so its row, is final
+    stack, count = [], 0
+    for root in range(n):
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not num[w]:
+                    count += 1
+                    num[w] = low[w] = count
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if not done[w] and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    members, row = [], 0
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        row |= 1 << members[-1]
+                    for m in members:
+                        for w in succ[m]:
+                            if done[w]:
+                                row |= rows[w]
+                    for m in members:
+                        rows[m], done[m] = row, True
+    return rows
 
 
 class Preorder:
@@ -145,12 +199,13 @@ class QuotientPoset:
     The index view: ``_up[i]`` and ``_down[i]`` are the bitmasks of the
     classes above and below class i (i included), ``index_pairs`` the
     strict pairs in ``strict_pairs()`` order with ``position`` mapping
-    each to its slot, and, built on first use, ``_covers[i]``, the
-    bitmask of the classes covering i, and ``_cover_slots[i]``, those
-    classes with the slots of their pairs with i.  The chain check of a
-    weight system tests only the triples through a cover (which implies
-    all of them, see ``WeightSystem.violations``) and lists the failing
-    triples by a full scan over ``_up[i] & _down[j]`` only when one fails.
+    each to its slot, ``_starts[i]`` the first slot of row i (and
+    ``_starts[k]`` their count), and, built on first use, ``_covers[i]``,
+    the bitmask of the classes covering i, and ``_cover_triples``, the
+    slots of the triples through a cover.  The chain check of a weight
+    system tests only those triples (which implies all of them, see
+    ``WeightSystem.violations``) and lists the failing triples by a full
+    scan over ``_up[i] & _down[j]`` only when one fails.
     """
 
     def __init__(self, source: Preorder):
@@ -168,8 +223,9 @@ class QuotientPoset:
         self.class_of = {lab: ci for ci, c in enumerate(self.classes) for lab in c}
         k = len(self.classes)
         elem_class = [self.class_of[x] for x in source.elements]
-        self._up, self._down, pairs = [], [0] * k, []
+        self._up, self._down, pairs, starts = [], [0] * k, [], []
         for ci, r in enumerate(self.reps):
+            starts.append(len(pairs))
             row = 0
             for e in _bits(up[source._index[r]]):
                 row |= 1 << elem_class[e]
@@ -178,6 +234,8 @@ class QuotientPoset:
                 self._down[cj] |= 1 << ci
                 if cj != ci:
                     pairs.append((ci, cj))
+        starts.append(len(pairs))
+        self._starts = starts
         self.index_pairs = tuple(pairs)
         self.position = {p: s for s, p in enumerate(pairs)}
         self._strict_pairs = None
@@ -198,10 +256,40 @@ class QuotientPoset:
         return covers
 
     @cached_property
-    def _cover_slots(self):
-        """Per class i, a (z, slot of (i, z)) pair for each class z covering i."""
-        pos = self.position
-        return [tuple((z, pos[i, z]) for z in _bits(row)) for i, row in enumerate(self._covers)]
+    def _cover_triples(self):
+        """The chain triples (i, z, j) with z covering i and j above z,
+        the ones the chain check tests, as three slot lists: S of (i, j),
+        T of (i, z) and U of (z, j), in (slot of (i, j), z) order: the
+        order of a scan over the slots, so that the check stops after the
+        same tests as that scan.
+
+        They are gathered per Hasse edge i -> z: the slots of row z are
+        ``_starts[z]`` up to ``_starts[z + 1]``, so U takes a slice of
+        them and S maps their classes through a dict of row i.  Within
+        row i, S is then one ascending run per cover, and where there are
+        several a stable sort by S merges them.
+        """
+        starts = self._starts
+        to = [j for _, j in self.index_pairs]
+        ids = list(range(len(to)))  # slices of one list share its int objects
+        S, T, U = [], [], []
+        for i, row in enumerate(self._covers):
+            a, b = starts[i], starts[i + 1]
+            slot = dict(zip(to[a:b], ids[a:b])).__getitem__  # j -> slot of (i, j)
+            zs = _bits(row)
+            s, t, u = [], [], []
+            for z in zs:
+                za, zb = starts[z], starts[z + 1]
+                s += map(slot, to[za:zb])
+                t += repeat(slot(z), zb - za)
+                u += ids[za:zb]
+            if len(zs) > 1:
+                order = sorted(range(len(s)), key=s.__getitem__)
+                s, t, u = (map(col.__getitem__, order) for col in (s, t, u))
+            S += s
+            T += t
+            U += u
+        return S, T, U
 
     @property
     def n_classes(self) -> int:
@@ -311,6 +399,7 @@ class QuotientPoset:
 
 
 _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+_TABLED_BYTES = 512  # per-position tables cover masks up to 4,096 bits
 _BIT_TABLES = []  # _BIT_TABLES[k][v]: the set bits of byte value v at byte k, as indices
 
 
@@ -321,16 +410,21 @@ def _bits(mask):
     of the 256 byte values to the indices 8k..8k+7 of its set bits, so a
     non-zero byte costs one lookup and one list extension, and a zero
     byte one test.  The tables are built on first use, one per byte
-    position, sharing the index objects of that position.
+    position, sharing the index objects of that position, for the first
+    ``_TABLED_BYTES`` positions only (about 10 MiB); a byte past them
+    reads ``_BYTE_BITS`` and adds its bit offset.
     """
     data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    while len(_BIT_TABLES) < len(data):
+    while len(_BIT_TABLES) < min(len(data), _TABLED_BYTES):
         at = tuple(range(8 * len(_BIT_TABLES), 8 * len(_BIT_TABLES) + 8))
         _BIT_TABLES.append(tuple(tuple(at[b] for b in bits) for bits in _BYTE_BITS))
     out = []
     for table, byte in zip(_BIT_TABLES, data):
         if byte:
             out += table[byte]
+    for k in range(_TABLED_BYTES, len(data)):
+        if data[k]:
+            out += map((8 * k).__add__, _BYTE_BITS[data[k]])
     return out
 
 

@@ -98,6 +98,29 @@ def test_matrix_ring_arithmetic():
     assert not r.commutative
 
 
+def _mul_by_entries(ring, a, b):
+    """Reference product: entry (i, j) sums a[i][t] b[t][j] over t."""
+    k, n = ring.size, ring.base.n
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) % n for j in range(k))
+        for i in range(k)
+    )
+
+
+def test_matrix_mul_matches_entry_definition(seed=78):
+    """Every pair of M(2,Z/2) and of M(2,Z/4) (65,536 pairs), and seeded
+    pairs of M(3,Z/4)."""
+    for spec in ("M(2,Z/2)", "M(2,Z/4)"):
+        r = parse_ring_spec(spec)
+        for a, b in itertools.product(r.elements(), repeat=2):
+            assert r.mul(a, b) == _mul_by_entries(r, a, b)
+    rng = random.Random(seed)
+    r = parse_ring_spec("M(3,Z/4)")
+    for _ in range(200):
+        a, b = (tuple(tuple(rng.randrange(4) for _ in range(3)) for _ in range(3)) for _ in "ab")
+        assert r.mul(a, b) == _mul_by_entries(r, a, b)
+
+
 def test_matrix_ring_inverse_random(seed=77):
     rng = random.Random(seed)
     r = MatrixRing(2, ZMod(5))

@@ -37,7 +37,7 @@ from incalg.oracle import (
     inflate,
     random_function,
 )
-from incalg.preorder_core import close_relations
+from incalg.preorder_core import _bits, close_relations
 
 
 def crown_ws(crown, bd):
@@ -296,6 +296,56 @@ def test_gated_violations_match_definition(gate_posets, spec, seed=10):
                 checked += 1
                 broken += bool(expected)
     assert checked > 700 and broken > checked // 2
+
+
+class _CountingZMod(ZMod):
+    """Z/n that counts the products it makes."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return super().mul(a, b)
+
+
+def _gate_in_slot_order(q, ring, c):
+    """The cover check as a scan: slots in order, the covers z of i below
+    j ascending within slot (i, j), up to the first failure.  Returns
+    (products made, valid)."""
+    products = 0
+    for s, (i, j) in enumerate(q.index_pairs):
+        for z in _bits(q._covers[i]):
+            u = q.position.get((z, j))
+            if u is not None:
+                products += 1
+                if c[s] != ring.mul(c[q.position[i, z]], c[u]):
+                    return products, False
+    return products, True
+
+
+def test_gate_tests_triples_in_slot_order(gate_posets, seed=11):
+    """is_valid makes exactly the products of that scan, on valid systems
+    and on copies with one slot changed."""
+    rng = random.Random(seed)
+    plain = ZMod(3)
+    broken = 0
+    for poset in gate_posets:
+        q = poset.quotient()
+        if not q.index_pairs:
+            continue
+        values = list(from_potential(Potential(q, plain, tuple(rng.choice((1, 2))
+                                                               for _ in q.reps))).values)
+        for _ in range(2):
+            ring = _CountingZMod(3)
+            ws = WeightSystem(q, ring, tuple(values))
+            valid = ws.is_valid()
+            assert (ring.products, valid) == _gate_in_slot_order(q, plain, values)
+            broken += not valid
+            slot = rng.randrange(len(values))
+            values[slot] = 3 - values[slot]
+    assert broken > 50
 
 
 def test_tuples_follow_pair_and_class_order(seed=9):

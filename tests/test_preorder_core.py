@@ -1,8 +1,10 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from incalg import preorder_core
 from incalg.oracle import all_posets
 from incalg.preorder_core import (
     PreorderError,
@@ -194,12 +196,69 @@ def test_covers_are_the_hasse_diagram(gate_posets):
 
 def test_bits_match_binary_digits(seed=11):
     """The byte-table walk gives the set bits of bin(mask) for every width
-    0..1,100: empty, full, top bit only, and seeded dense and sparse masks."""
+    0..1,100, 4,090..4,100 (across the last tabled byte) and 16,384:
+    empty, full, top bit only, and seeded dense and sparse masks."""
     rng = random.Random(seed)
-    for width in range(1101):
+    for width in [*range(1101), *range(4090, 4101), 16384]:
         masks = {0, (1 << width) - 1, rng.getrandbits(width),
                  rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)}
         if width:
             masks.add(1 << width - 1)
         for m in masks:
             assert _bits(m) == [i for i, ch in enumerate(reversed(bin(m))) if ch == "1"]
+
+
+def test_bit_tables_are_bounded():
+    """A 16,384-bit mask builds tables for the first 4,096 bits only."""
+    saved = list(preorder_core._BIT_TABLES)
+    preorder_core._BIT_TABLES.clear()
+    try:
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(_bits((1 << 16384) - 1)) == 16384
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert len(preorder_core._BIT_TABLES) <= 512
+        assert grown < 11 * 2**20
+    finally:
+        preorder_core._BIT_TABLES[:] = saved
+
+
+def _warshall_rows(labels, gens):
+    """Reference closure: Warshall's algorithm on bitmask rows."""
+    index = {x: i for i, x in enumerate(labels)}
+    up = [1 << i for i in range(len(labels))]
+    for x, y in gens:
+        up[index[x]] |= 1 << index[y]
+    for k in range(len(labels)):
+        bit = 1 << k
+        for i in range(len(labels)):
+            if up[i] & bit:
+                up[i] |= up[k]
+    return up
+
+
+def _generators(p):
+    """Shortest generators of a preorder: a cycle through each class and
+    the covers of its quotient, between representatives."""
+    q = p.quotient()
+    gens = [(c[k], c[(k + 1) % len(c)]) for c in q.classes if len(c) > 1 for k in range(len(c))]
+    return gens + [(q.reps[i], q.reps[z]) for i, row in enumerate(q._covers) for z in _bits(row)]
+
+
+def test_closure_matches_warshall(gate_posets, chain1100, seed=16):
+    """The component-wise closure equals Warshall's on every poset with at
+    most 5 points, the gate posets and the 1,100-chain, each rebuilt from
+    shuffled shortest generators, and on seeded random digraphs with
+    cycles, self-loops and repeated edges."""
+    rng = random.Random(seed)
+    posets = [p for n in range(1, 6) for p in all_posets(n)] + list(gate_posets) + [chain1100]
+    for p in posets:
+        gens = _generators(p)
+        rng.shuffle(gens)
+        assert close_relations(p.elements, gens)._up == _warshall_rows(p.elements, gens) == p._up
+    for _ in range(2000):
+        labels = [f"v{i}" for i in range(rng.randint(1, 9))]
+        gens = [(rng.choice(labels), rng.choice(labels))
+                for _ in range(rng.randint(0, 3 * len(labels)))]
+        assert close_relations(labels, gens)._up == _warshall_rows(labels, gens)
