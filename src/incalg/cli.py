@@ -11,10 +11,12 @@ seed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
 from .coeff_rings import (
+    MatrixRing,
     NonUnitError,
     RingMismatchError,
     RingParseError,
@@ -122,17 +124,23 @@ def _cmd_info(args) -> int:
     }
     if args.ring:
         ring = parse_ring_spec(args.ring)
-        order = ring.order
-        if order > GUARD_VECTORS:
+        parts = [(f.base.n, f.size ** 2) if isinstance(f, MatrixRing) else (f.n, 1)
+                 for f in getattr(ring, "factors", [ring])]  # order: the product of n ** e
+        with decimal.localcontext(decimal.Context(prec=99)):  # n ** (k*k) would take seconds
+            log = sum(e * decimal.Decimal(n).ln() for n, e in parts) / decimal.Decimal(2).ln()
+            bits = int(log + log.scaleb(-90))  # floor; the nudge keeps an integral log whole
+        if bits > 255 or ring.order > GUARD_VECTORS:
             # past ~4300 digits an int no longer converts to decimal text
-            shown = order if order.bit_length() <= 256 else f"over 2^{order.bit_length() - 1}"
+            shown = f"over 2^{bits}" if bits > 255 else ring.order
             raise GuardExceeded(
                 f"{ring} has {shown} elements, over the guard {GUARD_VECTORS} "
                 "for listing its central units")
         units = ring.central_units()
         doc["ring"] = str(ring)
         doc["central_units"] = [ring.format_element(u) for u in units]
-        doc["inner_count"] = len(units) ** (graph.m - graph.cyclomatic)
+        base, exp = len(units), graph.m - graph.cyclomatic
+        count = base ** exp  # an int past 4300 digits has no decimal text: base^exponent
+        doc["inner_count"] = count if count < 10 ** 4300 else f"{base}^{exp}"
     _emit(args, _dump(doc))
     return 0
 

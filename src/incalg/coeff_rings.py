@@ -39,7 +39,7 @@ class RingMismatchError(ValueError):
 class Ring:
     """Interface shared by all coefficient rings.
 
-    Subclasses provide zero/one/add/neg/mul/int_scale, ``dot`` (the sum
+    Subclasses provide zero/one/add/neg/mul, ``dot`` (the sum
     of ``a * b`` over an iterable of ``(a, b)`` pairs, factors kept left
     to right, reduced once at the end), a deterministic ``elements()``
     enumeration and its size ``order``, unit testing and inversion, the
@@ -48,17 +48,9 @@ class Ring:
     elements.
     """
 
-    commutative = False
-
-    def units(self):
-        """All invertible elements, in enumeration order."""
-        return [a for a in self.elements() if self.is_unit(a)]
-
 
 class ZMod(Ring):
     """Integers modulo n, elements encoded as residues in range(n)."""
-
-    commutative = True
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
@@ -86,9 +78,6 @@ class ZMod(Ring):
 
     def dot(self, terms):
         return sum(itertools.starmap(operator.mul, terms)) % self.n
-
-    def int_scale(self, k, a):
-        return (k * a) % self.n
 
     def elements(self):
         return range(self.n)
@@ -151,7 +140,6 @@ class ProductRing(Ring):
         if len(flat) < 2:
             raise RingParseError("product needs at least two factors")
         self.factors = tuple(flat)
-        self.commutative = all(f.commutative for f in self.factors)
 
     def check(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.factors):
@@ -177,9 +165,6 @@ class ProductRing(Ring):
     def dot(self, terms):
         terms = list(terms)
         return tuple(f.dot([(a[i], b[i]) for a, b in terms]) for i, f in enumerate(self.factors))
-
-    def int_scale(self, k, a):
-        return tuple(f.int_scale(k, x) for f, x in zip(self.factors, a))
 
     def elements(self):
         cache = getattr(self, "_elements", None)
@@ -239,8 +224,6 @@ class ProductRing(Ring):
 class MatrixRing(Ring):
     """k x k matrices over Z/n; elements are row-major tuples of row tuples."""
 
-    commutative = False
-
     def __init__(self, size: int, base: ZMod):
         if not isinstance(size, int) or size < 1:
             raise RingParseError(f"matrix size must be an integer >= 1, got {size!r}")
@@ -291,10 +274,6 @@ class MatrixRing(Ring):
         rows = [[x for a, _ in terms for x in a[i]] for i in range(k)]
         cols = [[row[j] for _, b in terms for row in b] for j in range(k)]
         return tuple(tuple(sum(map(operator.mul, r, c)) % n for c in cols) for r in rows)
-
-    def int_scale(self, k, a):
-        n = self.base.n
-        return tuple(tuple((k * x) % n for x in row) for row in a)
 
     def elements(self):
         cache = getattr(self, "_elements", None)

@@ -52,8 +52,8 @@ class SpanningTree:
     edge in BFS order, where ``up`` says that parent < child, so the slot
     is (parent, child), not (child, parent).  ``non_tree_slots`` ascend.
     The fundamental cycles are built once, on first use of ``cycles``, or
-    one by one by :meth:`cycle`.  ``root``, ``tree_edges`` and
-    ``non_tree_edges`` are label views.
+    one by one by :meth:`cycle`.  ``root`` and ``tree_edges`` are label
+    views.
     """
 
     def __init__(self, graph: ComparabilityGraph, root: str):
@@ -76,7 +76,6 @@ class SpanningTree:
         in_tree = {s for _, _, s, _ in steps}
         self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
         self.tree_edges = frozenset(graph.edges[s] for s in in_tree)
-        self.non_tree_edges = tuple(graph.edges[s] for s in self.non_tree_slots)
 
     @cached_property
     def cycles(self):

@@ -26,7 +26,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .coeff_rings import MatrixRing, NonUnitError, ProductRing, RingMismatchError, det_inverse
+from .coeff_rings import MatrixRing, ProductRing, RingMismatchError, det_inverse
 
 
 class SupportError(ValueError):
@@ -71,9 +71,6 @@ class IncidenceFunction:
         self.preorder._i(y)
         return self.ring.zero()
 
-    def support(self):
-        return sorted(self.entries)
-
     def diagonal_part(self) -> "IncidenceFunction":
         """Restriction to pairs inside one equivalence class."""
         cls = self.preorder.quotient().class_of
@@ -85,17 +82,6 @@ class IncidenceFunction:
         cls = self.preorder.quotient().class_of
         kept = {p: v for p, v in self.entries.items() if cls[p[0]] != cls[p[1]]}
         return IncidenceFunction(self.preorder, self.ring, kept)
-
-    def scale(self, k: int) -> "IncidenceFunction":
-        """Integer multiple, entrywise."""
-        ring = self.ring
-        zero = ring.zero()
-        out = {}
-        for p, v in self.entries.items():
-            w = ring.int_scale(k, v)
-            if w != zero:
-                out[p] = w
-        return IncidenceFunction(self.preorder, ring, out)
 
     def __add__(self, other):
         _same_carrier(self, other)
@@ -187,13 +173,6 @@ def zeta(preorder, ring) -> IncidenceFunction:
     return IncidenceFunction(preorder, ring, {p: one for p in preorder.comparable_pairs()})
 
 
-def matrix_unit(preorder, ring, x, y) -> IncidenceFunction:
-    """Single entry one at (x, y); requires x strictly below y."""
-    if not preorder.lt(x, y):
-        raise SupportError(f"matrix unit needs {x!r} strictly below {y!r}")
-    return IncidenceFunction(preorder, ring, {(x, y): ring.one()})
-
-
 def _component(rows, i):
     """Factor i of a matrix over a product ring, as a matrix over that factor."""
     return [[a[i] for a in row] for row in rows]
@@ -233,15 +212,6 @@ def _block_inverse(ring, rows):
 def matrix_is_invertible(ring, rows) -> bool:
     """Invertibility of a square matrix over the coefficient ring."""
     return _block_inverse(ring, rows) is not None
-
-
-def invert_matrix(ring, rows):
-    """Inverse of a square matrix over the coefficient ring, as row
-    lists; NonUnitError when there is none."""
-    inv = _block_inverse(ring, rows)
-    if inv is None:
-        raise NonUnitError(f"matrix is not invertible over {ring}")
-    return inv
 
 
 def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
@@ -317,12 +287,6 @@ def unit_decompose(u: IncidenceFunction):
     v_inv = _diagonal_inverse(u)
     d = convolve(u.strict_part(), v_inv)
     return d, v
-
-
-def conjugate(f: IncidenceFunction, u: IncidenceFunction) -> IncidenceFunction:
-    """u^-1 f u for a unit u."""
-    u_inv = invert(u)
-    return convolve(convolve(u_inv, f), u)
 
 
 def hadamard(m: IncidenceFunction, f: IncidenceFunction) -> IncidenceFunction:

@@ -89,14 +89,14 @@ class WeightSystem:
     oracle filters them, the CLI reports them).
     """
 
-    __slots__ = ("poset", "ring", "values", "_violations", "_valid")
+    __slots__ = ("poset", "ring", "values", "_valid")
 
     def __init__(self, poset, ring, values):
         # trusted constructor: callers guarantee a central-unit tuple aligned to strict_pairs()
         self.poset = poset
         self.ring = ring
         self.values = values
-        self._violations = self._valid = None
+        self._valid = None
 
     @classmethod
     def from_values(cls, poset, ring, values) -> "WeightSystem":
@@ -136,12 +136,9 @@ class WeightSystem:
         list is non-empty.  Only then does the ordered full scan of
         :meth:`_failures` run, so the list and its order do not depend on
         the gate; a caller that reports only the first few triples reads
-        that scan lazily instead (``_first_violations``).  Computed once
-        per instance; callers must not mutate the list.
+        that scan lazily instead (``_first_violations``).
         """
-        if self._violations is None:
-            self._violations = [] if self.is_valid() else list(self._failures())
-        return self._violations
+        return [] if self.is_valid() else list(self._failures())
 
     def _failures(self):
         """The failing triples of :meth:`violations`, yielded in its order.

@@ -143,11 +143,6 @@ class Preorder:
         i, j = self._i(x), self._i(y)
         return bool(self._up[i] >> j & 1) and not self._up[j] >> i & 1
 
-    def sim(self, x, y) -> bool:
-        """Equivalence: each below the other."""
-        i, j = self._i(x), self._i(y)
-        return bool(self._up[i] >> j & 1) and bool(self._up[j] >> i & 1)
-
     def interval(self, x, y):
         """Sorted tuple of all z with x <= z <= y."""
         i, j = self._i(x), self._i(y)
@@ -325,17 +320,16 @@ class QuotientPoset:
             self._strict_pairs = [(reps[i], reps[j]) for i, j in self.index_pairs]
         return self._strict_pairs
 
-    def interval_length(self, x, y) -> int:
-        """Longest chain length (number of strict steps) from [x] to [y]."""
-        ci, cj = self._c(x), self._c(y)
-        if not self._up[ci] >> cj & 1:
-            raise PreorderError(f"{x!r} is not below {y!r} in the quotient")
-        return self._chain_lengths(self._up[ci] & self._down[cj])[ci]
-
     def height(self) -> int:
-        """Longest strict chain length anywhere in the quotient."""
+        """Longest strict chain length anywhere in the quotient: the
+        longest chain upward from each class, in one top-down pass."""
         if self._height is None:
-            self._height = max(self._chain_lengths((1 << self.n_classes) - 1).values())
+            up = self._up
+            longest = [0] * self.n_classes
+            for c in self.top_down():
+                above = _bits(up[c] & ~(1 << c))
+                longest[c] = 1 + max((longest[b] for b in above), default=-1)
+            self._height = max(longest)
         return self._height
 
     def top_down(self):
@@ -345,17 +339,6 @@ class QuotientPoset:
         ascending up-set size is such an order.
         """
         return sorted(range(self.n_classes), key=lambda c: self._up[c].bit_count())
-
-    def _chain_lengths(self, within):
-        """Longest strict chain upward from each class of the bitmask
-        ``within``, inside it, in one top-down pass."""
-        up = self._up
-        longest = {}
-        for c in self.top_down():
-            if within >> c & 1:
-                above = _bits(up[c] & within & ~(1 << c))
-                longest[c] = 1 + max((longest[b] for b in above), default=-1)
-        return longest
 
     def connected_components(self):
         """Components of the comparability graph, as sorted tuples of reps."""

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from incalg.cli import run_command
-from incalg.coeff_rings import MatrixRing, ProductRing, ZMod
+from incalg.coeff_rings import MatrixRing, ProductRing, ZMod, parse_ring_spec
 from incalg.mult_automorphisms import WeightSystemError, decompose, load_weight_system
 from incalg.preorder_core import close_relations, preorder_to_text
 
@@ -372,15 +372,58 @@ def test_check_over_a_huge_modulus_lists_no_units(capsys, chain3_txt, tmp_path, 
     ("M(3,Z/7)", "40353607"),
     ("Z/2 x Z/5000001", "10000002"),
     ("M(40,Z/1000)", "over 2^15945"),
+    ("M(4000,Z/3)", "over 2^25359400"),
+    ("M(4000,Z/2)", "over 2^16000000"),
 ])
 def test_info_refuses_rings_over_the_guard(capsys, crown_txt, spec, shown, monkeypatch):
-    """The refusal comes before any listing (which would exhaust memory)."""
+    """The refusal comes before any listing (which would exhaust memory),
+    and without forming the order n ** (k*k) of M(k,Z/n), which takes
+    seconds for M(4000,Z/3); the exponents are its bit length minus one."""
     for cls in (ZMod, ProductRing, MatrixRing):
         monkeypatch.setattr(cls, "central_units", _refuse_listing)
+    start = time.process_time()
     code, out, err = run(capsys, "info", "--poset", crown_txt, "--ring", spec)
+    assert time.process_time() - start < 1
     assert (code, out) == (2, "")
     assert err == (f"error: {spec} has {shown} elements, over the guard 10000000 "
                    "for listing its central units\n")
+
+
+def test_info_guard_shows_the_order_bits(capsys, crown_txt, monkeypatch):
+    """The order, or its bit length minus one past 256 bits, as the
+    order itself gives them, for matrix rings up to 40 x 40 and products."""
+    for cls in (ZMod, ProductRing, MatrixRing):
+        monkeypatch.setattr(cls, "central_units", _refuse_listing)
+    specs = [f"M({k},Z/{n})" for k in range(2, 41, 2) for n in (2, 3, 6, 8, 10, 1000, 1024)]
+    specs += ["M(9,Z/6) x Z/5", "M(16,Z/2) x Z/3", "M(16,Z/2) x M(3,Z/4)", "Z/2 x M(20,Z/9)"]
+    for spec in specs:
+        order = parse_ring_spec(spec).order
+        if order <= 10 ** 7:
+            continue
+        shown = order if order.bit_length() <= 256 else f"over 2^{order.bit_length() - 1}"
+        code, _, err = run(capsys, "info", "--poset", crown_txt, "--ring", spec)
+        assert (code, err) == (2, f"error: {spec} has {shown} elements, over the guard "
+                                  "10000000 for listing its central units\n")
+
+
+def _fence(tmp_path, n):
+    """x0 < x1 > x2 < x3 ...: n - 1 tree edges and no cycle."""
+    rels = [f"rel x{i} x{i + 1}" if i % 2 == 0 else f"rel x{i + 1} x{i}" for i in range(n - 1)]
+    path = tmp_path / f"fence{n}.txt"
+    path.write_text("\n".join(["elements " + " ".join(f"x{i}" for i in range(n))] + rels) + "\n")
+    return str(path)
+
+
+def test_info_writes_inner_counts_past_4300_digits_as_powers(capsys, tmp_path):
+    """An int of more than 4300 digits has no decimal text, so such a count
+    is written base^exponent; one of 4300 digits stays a JSON integer."""
+    code, out, _ = run(capsys, "info", "--poset", _fence(tmp_path, 6000), "--ring", "Z/7")
+    assert code == 0 and json.loads(out)["inner_count"] == "6^5999"
+    # 1000 and 10^4 central units: 10^4299 has 4300 digits, 10^4300 one more
+    for points, ring, count in ((1434, "Z/11 x Z/11 x Z/11", 10 ** 4299),
+                                (1076, "Z/11 x Z/11 x Z/11 x Z/11", "10000^1075")):
+        code, out, _ = run(capsys, "info", "--poset", _fence(tmp_path, points), "--ring", ring)
+        assert code == 0 and json.loads(out)["inner_count"] == count
 
 
 def test_verify_golden_digest(capsys, tmp_path):

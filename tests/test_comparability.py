@@ -42,7 +42,7 @@ def test_spanning_tree_crown(crown):
     t = spanning_tree(g)
     assert t.root == "a"
     assert sorted(t.tree_edges) == [("a", "c"), ("a", "d"), ("b", "c")]
-    assert t.non_tree_edges == (("b", "d"),)
+    assert tuple(g.edges[s] for s in t.non_tree_slots) == (("b", "d"),)
     # classes a, b, c, d are indices 0-3; slots (0,2), (0,3), (1,2), (1,3)
     assert t.parent == [None, 2, 0, 0]
     assert t.steps == ((0, 2, 0, True), (0, 3, 1, True), (2, 1, 2, False))
@@ -58,7 +58,7 @@ def test_spanning_tree_other_root(crown):
     assert t.root == "b"
     # every tree has n-1 edges and one leftover edge on the crown
     assert len(t.tree_edges) == 3
-    assert len(t.non_tree_edges) == 1
+    assert len(t.non_tree_slots) == 1
 
 
 def test_spanning_tree_disconnected():
@@ -124,7 +124,7 @@ def test_bfs_depths_on_fence():
     assert t.parent == [None, 0, 1, 2]
     assert t.depth == [0, 1, 2, 3]
     assert t.steps == ((0, 1, 0, True), (1, 2, 1, False), (2, 3, 2, True))
-    assert t.non_tree_edges == t.non_tree_slots == ()
+    assert t.non_tree_slots == ()
 
 
 def _reference_tree(poset, root):
@@ -176,7 +176,7 @@ def test_index_tree_matches_label_reference(gate_posets):
             t = spanning_tree(g, root)
             order, parent, depth, tree_edges, non_tree, cycles = _reference_tree(q, root)
             assert t.tree_edges == tree_edges
-            assert t.non_tree_edges == non_tree
+            assert tuple(g.edges[s] for s in t.non_tree_slots) == non_tree
             assert [reps[child] for _, child, _, _ in t.steps] == order[1:]
             assert {reps[i]: p if p is None else reps[p] for i, p in enumerate(t.parent)} == parent
             assert {reps[i]: d for i, d in enumerate(t.depth)} == depth
