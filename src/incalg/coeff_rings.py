@@ -39,11 +39,9 @@ class RingMismatchError(ValueError):
 class Ring:
     """Interface shared by all coefficient rings.
 
-    Subclasses provide zero/one/add/neg/mul, ``dot`` (the sum
-    of ``a * b`` over an iterable of ``(a, b)`` pairs, factors kept left
-    to right, reduced once at the end), a deterministic ``elements()``
-    enumeration and its size ``order``, unit testing and inversion, the
-    central units and a test for one canonical element
+    Subclasses provide zero/one/add/neg/mul, a deterministic
+    ``elements()`` enumeration and its size ``order``, unit testing and
+    inversion, the central units and a test for one canonical element
     (``is_central_unit``, which never lists them), and text encoding of
     elements.
     """
@@ -75,9 +73,6 @@ class ZMod(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.n
-
-    def dot(self, terms):
-        return sum(itertools.starmap(operator.mul, terms)) % self.n
 
     def elements(self):
         return range(self.n)
@@ -161,10 +156,6 @@ class ProductRing(Ring):
 
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def dot(self, terms):
-        terms = list(terms)
-        return tuple(f.dot([(a[i], b[i]) for a, b in terms]) for i, f in enumerate(self.factors))
 
     def elements(self):
         cache = getattr(self, "_elements", None)
@@ -267,14 +258,6 @@ class MatrixRing(Ring):
         n, cols = self.base.n, tuple(zip(*b))
         return tuple(tuple(sum(map(operator.mul, row, col)) % n for col in cols) for row in a)
 
-    def dot(self, terms):
-        # entry (i, j) is one integer sum: row i of every a against column j of its b
-        terms = list(terms)
-        k, n = self.size, self.base.n
-        rows = [[x for a, _ in terms for x in a[i]] for i in range(k)]
-        cols = [[row[j] for _, b in terms for row in b] for j in range(k)]
-        return tuple(tuple(sum(map(operator.mul, r, c)) % n for c in cols) for r in rows)
-
     def elements(self):
         cache = getattr(self, "_elements", None)
         if cache is None:
@@ -371,6 +354,9 @@ def det_inverse(n, rows):
     times O(log n) Euclid steps for an s x s matrix.
     """
     s = len(rows)
+    if s == 1:  # the block of a one-element class: its entry is its determinant
+        det = rows[0][0] % n
+        return det, ([[pow(det, -1, n)]] if math.gcd(det, n) == 1 else None)
     aug = [[x % n for x in row] + [0] * s for row in rows]
     for i, row in enumerate(aug):
         row[s + i] = 1

@@ -5,13 +5,19 @@ sparsely (absent pair = zero).  Multiplication is convolution,
 
     (fg)(x, y) = sum of f(x, z) g(z, y) over x <= z <= y,
 
-which under a linear extension is just structural matrix multiplication;
-each output entry is one ``ring.dot`` over its terms.  Functions split
-into a class-diagonal part (pairs inside one equivalence class) and a
-strict part (pairs across classes).  :func:`invert` inverts the diagonal
-blocks, each by one row reduction over Z/n (``det_inverse``), and then
-solves f g = 1 row by row, top class first (Rota's Moebius recursion),
-for the cost of about one convolution.
+which under a linear extension is just structural matrix multiplication.
+Both products and inverses run on the scalar view of the ring: Z/n
+itself, M(k,Z/n) as Z/n with k scalar rows and columns per element, and
+a product ring one factor at a time.  Over each, a row of a function is
+one packed int with a fixed-width field per column (Kronecker
+substitution), so a row of fg is the sum of f(x, z) times the packed
+rows z of g, one big-int multiply-add per term, and every field is
+reduced mod n once.  Functions split into a class-diagonal part (pairs
+inside one equivalence class) and a strict part (pairs across classes).
+:func:`invert` inverts the diagonal blocks, each by one row reduction
+over Z/n (``det_inverse``), and then solves f g = 1 row by row, top
+class first (Rota's Moebius recursion), for the cost of about one
+convolution.
 
 ``IncidenceFunction(...)`` trusts its arguments and is what the algebra
 uses internally; :meth:`IncidenceFunction.from_entries` and the JSON
@@ -21,12 +27,15 @@ reader validate support and encoding once, at the boundary.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from itertools import chain
+import sys
+from array import array
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, count, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .coeff_rings import MatrixRing, ProductRing, RingMismatchError, det_inverse
+from .preorder_core import _bits
 
 
 class SupportError(ValueError):
@@ -128,37 +137,218 @@ def _same_carrier(f, g):
         raise RingMismatchError("functions live on different carriers")
 
 
-def _rows(items):
-    """First element -> list of (second element, value), from ((x, y), value) items."""
-    rows = defaultdict(list)
-    for (x, y), v in items:
-        rows[x].append((y, v))
-    return rows
+class _Layout:
+    """The integer view of a preorder that the kernel reads, built once
+    per preorder (``Preorder._layout``).
+
+    Row x (an element index) spans the columns from ``lo[x]``, the least
+    index in its up-set, to the greatest, ``width[x]`` of them, and
+    ``offsets[x]`` lists its up-set as offsets from ``lo[x]``.  Laid end
+    to end, row x's columns start at ``start[x]``; ``cells`` lists the
+    up-set columns of all rows in that order as flat positions, and
+    ``keys`` holds the label pair of each such position (None elsewhere),
+    the key of that entry of a function.  ``most``, the size of the
+    largest up-set, bounds the number of terms of one entry of a
+    product.  The :class:`_Kernel` of each scalar ring and the class data
+    that :func:`invert` needs are built on first use.
+    """
+
+    def __init__(self, preorder):
+        labels = preorder.elements
+        ups = list(map(_bits, preorder._up))
+        self.preorder = preorder
+        self.lo = [up[0] for up in ups]
+        self.width = [up[-1] - up[0] + 1 for up in ups]
+        self.start = list(accumulate(self.width, initial=0))
+        self.offsets = [[y - up[0] for y in up] for up in ups]
+        self.cells = [s + o for s, offs in zip(self.start, self.offsets) for o in offs]
+        self.keys = [None] * self.start[-1]  # the label pair of each column that is a cell
+        for cell, pair in zip(self.cells, [(x, labels[y]) for x, up in zip(labels, ups) for y in up]):
+            self.keys[cell] = pair
+        self.most = max(map(len, ups))
+        self.kernels = {}
+
+    def kernel(self, n, k):
+        kernel = self.kernels.get((n, k))
+        if kernel is None:
+            kernel = self.kernels[n, k] = _Kernel(n, k, self)
+        return kernel
+
+    @cached_property
+    def classes(self):
+        """The class of each element, the element indices of each class
+        (in class order, members as in the class tuple) and the class
+        indices top down."""
+        quotient, index = self.preorder.quotient(), self.preorder._index
+        cls = [quotient.class_of[x] for x in self.preorder.elements]
+        blocks = [[index[x] for x in members] for members in quotient.classes]
+        return cls, blocks, quotient.top_down()
 
 
-def _row_product(row, rows):
-    """Terms of sum_z a(z) g(z, y) per y, for row = [(z, a(z))] and rows[z] = g(z, .)."""
-    terms = defaultdict(list)
-    for z, a in row:
-        for y, b in rows.get(z, ()):
-            terms[y].append((a, b))
-    return terms
+def _layout(preorder):
+    if preorder._layout is None:
+        preorder._layout = _Layout(preorder)
+    return preorder._layout
+
+
+_FORMATS = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
+
+
+class _Kernel:
+    """Rows over Z/n (one factor of the scalar view), each packed into
+    one int with one fixed-width field per column.
+
+    Scalar row r spans ``width[r]`` columns from ``lo[r]``; column c
+    sits at bit ``bits * (c - lo[r])`` of its int, so a row z whose
+    columns start later moves into row r's frame by a left shift of
+    ``shift[z] - shift[r]``, with ``shift[r] = bits * lo[r]``.  Every
+    field has room for the largest unreduced sum it can take, the
+    terms of one entry of a product (at most ``most * k``) times
+    (n - 1)^2, so a sum of multiples of packed rows adds every field at
+    once with no carry between them.  Fields of 1, 2, 4 or 8 bytes are
+    packed and read through ``array`` and ``memoryview`` casts; wider
+    ones (large moduli) one at a time.
+    """
+
+    def __init__(self, n, k, lay):
+        need = -(-(lay.most * max(k, 1) * (n - 1) ** 2).bit_length() // 8)
+        size = min((s for s in _FORMATS if s >= need), default=need)
+        fmt = _FORMATS.get(size)
+        if fmt:
+            self.fields = lambda data: memoryview(data).cast(fmt)
+            self.data = bytes if size == 1 else partial(array, fmt)
+        else:
+            self.fields = lambda data: [int.from_bytes(data[i:i + size], "little")
+                                        for i in range(0, len(data), size)]
+            self.data = lambda fields: b"".join(
+                map(int.to_bytes, fields, repeat(size), repeat("little")))
+        self.n, self.bits = n, 8 * size
+        if k:
+            self.lo = [lo * k for lo in lay.lo for _ in range(k)]
+            self.width = [w * k for w in lay.width for _ in range(k)]
+        else:
+            self.lo, self.width = lay.lo, lay.width
+        self.shift = [self.bits * lo for lo in self.lo]
+        self.length = [w * size for w in self.width]  # bytes of a row
+        self.bounds = list(pairwise(accumulate(self.length, initial=0)))
+        # field of row r's column 0 when the rows are laid end to end; then their field count
+        self.at = [s - lo for s, lo in zip(accumulate(self.width, initial=0), self.lo)]
+        self.at.append(sum(self.width))
+
+    def pack_rows(self, entries):
+        """One packed int per row, from (row, column, residue) triples."""
+        fields = [0] * self.at[-1]
+        at = self.at
+        for r, c, v in entries:
+            fields[at[r] + c] = v
+        data = bytes(self.data(fields))
+        return [int.from_bytes(data[a:b], "little") for a, b in self.bounds]
+
+    def pack(self, fields):
+        """One row's fields as a packed int."""
+        return int.from_bytes(self.data(fields), "little")
+
+    def reduce(self, accs, lengths):
+        """The fields of the packed rows ``accs``, of ``lengths`` bytes,
+        laid end to end, each reduced mod n once."""
+        n = self.n
+        data = b"".join(map(int.to_bytes, accs, lengths, repeat("little")))
+        return [v % n for v in self.fields(data)]
+
+
+def _scalar_view(ring):
+    """The ring as scalar rings, one ``(n, k, part)`` per factor.
+
+    An element of a factor is a residue mod n (k = 0) or a k x k block of
+    them, for M(k,Z/n); ``part`` is its place in the tuple of a product
+    ring (None outside one).  A function over M(k,Z/n) is a function over
+    Z/n with k scalar rows and columns per element, since
+    M_s(M_k(R)) = M_sk(R) (:func:`_flatten`): element x owns the scalar
+    rows and columns x*k to x*k + k - 1.
+    """
+    if isinstance(ring, ProductRing):
+        return [_scalar_view(f)[0][:2] + (i,) for i, f in enumerate(ring.factors)]
+    if isinstance(ring, MatrixRing):
+        return [(ring.base.n, ring.size, None)]
+    return [(ring.n, 0, None)]
+
+
+def _index_entries(lay, f):
+    """f's entries as (row index, column index, value) triples."""
+    index = lay.preorder._index
+    return [(index[x], index[y], v) for (x, y), v in f.entries.items()]
+
+
+def _scalar_entries(items, k, part):
+    """Entry triples over the ring as the nonzero (scalar row, scalar
+    column, residue) triples of one factor of the scalar view."""
+    if part is not None:
+        items = [(x, y, v[part]) for x, y, v in items]
+    if not k:
+        return items if part is None else [t for t in items if t[2]]
+    return [(x * k + i, y * k + j, v)
+            for x, y, a in items for i, row in enumerate(a) for j, v in enumerate(row) if v]
+
+
+def _values(view, parts, start, width, offsets, cells):
+    """Ring values from the scalar rows of each factor, laid end to end.
+
+    ``parts[f]`` holds factor f's rows; element row x spans ``width[x]``
+    columns from ``start[x]`` in the residue layout (k = 0), or k scalar
+    rows of k times as many from k*k*start[x].  The values are taken at
+    ``offsets[x]`` of each row, in row order (``cells``: the same columns
+    as flat positions).
+    """
+    cols = []
+    for (_, k, _), flat in zip(view, parts):
+        if not k:
+            cols.append(list(map(flat.__getitem__, cells)))
+            continue
+        vals = []
+        for s, w, offs in zip(start, width, offsets):
+            s, w = k * k * s, k * w
+            # scalar row i of element row x, cut into its k-tuples, one per column
+            rows = [list(zip(*[iter(flat[s + i * w:s + i * w + w])] * k)) for i in range(k)]
+            vals += zip(*[map(r.__getitem__, offs) for r in rows])
+        cols.append(vals)
+    return cols[0] if len(cols) == 1 else list(zip(*cols))
+
+
+def _function(lay, f, view, parts):
+    """The function over f's carrier whose scalar rows per factor are
+    ``parts``: its nonzero values on the up-set of each row.  Over Z/n
+    the fields off the up-sets are zero, so the nonzero fields are the
+    entries."""
+    if len(view) == 1 and not view[0][1]:
+        flat = parts[0]
+        return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(lay.keys, flat), flat)))
+    vals = _values(view, parts, lay.start, lay.width, lay.offsets, lay.cells)
+    ne = f.ring.zero().__ne__
+    out = dict(compress(zip(map(lay.keys.__getitem__, lay.cells), vals), map(ne, vals)))
+    return IncidenceFunction(f.preorder, f.ring, out)
 
 
 def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
-    """Incidence product of two functions on the same carrier."""
+    """Incidence product of two functions on the same carrier.
+
+    Per factor of the scalar view, every row of g is packed into one int
+    (:class:`_Kernel`), and row x of fg is the sum of f(x, z) times row z
+    of g, shifted into row x's frame: one big-int multiply-add per entry
+    of f, then one reduction mod n per field.
+    """
     _same_carrier(f, g)
-    ring = f.ring
-    dot = ring.dot
-    zero = ring.zero()
-    g_rows = _rows(g.entries.items())
-    out = {}
-    for x, row in _rows(f.entries.items()).items():
-        for y, terms in _row_product(row, g_rows).items():
-            v = dot(terms)
-            if v != zero:
-                out[(x, y)] = v
-    return IncidenceFunction(f.preorder, ring, out)
+    lay = _layout(f.preorder)
+    view = _scalar_view(f.ring)
+    f_items, g_items = _index_entries(lay, f), _index_entries(lay, g)
+    parts = []
+    for n, k, part in view:
+        kernel = lay.kernel(n, k)
+        packed, shift = kernel.pack_rows(_scalar_entries(g_items, k, part)), kernel.shift
+        accs = [0] * len(shift)
+        for r, c, a in _scalar_entries(f_items, k, part):
+            accs[r] += a * packed[c] << shift[c] - shift[r]
+        parts.append(kernel.reduce(accs, kernel.length))
+    return _function(lay, f, view, parts)
 
 
 def delta(preorder, ring) -> IncidenceFunction:
@@ -173,71 +363,65 @@ def zeta(preorder, ring) -> IncidenceFunction:
     return IncidenceFunction(preorder, ring, {p: one for p in preorder.comparable_pairs()})
 
 
-def _component(rows, i):
-    """Factor i of a matrix over a product ring, as a matrix over that factor."""
-    return [[a[i] for a in row] for row in rows]
-
-
 def _flatten(k, rows):
     """An s x s matrix of k x k blocks as one sk x sk matrix: M_s(M_k(R)) = M_sk(R)."""
     return [[a[i][j] for a in row for j in range(k)] for row in rows for i in range(k)]
 
 
-def _block_inverse(ring, rows):
-    """Inverse of a square matrix over the coefficient ring, as row
-    lists, or None when there is none.
-
-    Over a product ring the factors are inverted one by one; over
-    M(k,Z/n) the matrix of blocks is flattened to one over Z/n and the
-    inverse cut back into blocks; over Z/n it is :func:`det_inverse`.
-    """
-    s = len(rows)
-    if isinstance(ring, ProductRing):
-        parts = [_block_inverse(r, _component(rows, i)) for i, r in enumerate(ring.factors)]
-        if None in parts:
+def _scalar_inverses(view, rows):
+    """Per factor of the scalar view, the inverse over Z/n of a square
+    matrix over the ring (flattened, over M(k,Z/n)) by
+    :func:`det_inverse`, as row lists; None when one factor has none."""
+    out = []
+    for n, k, part in view:
+        block = rows if part is None else [[a[part] for a in row] for row in rows]
+        inv = det_inverse(n, _flatten(k, block) if k else block)[1]
+        if inv is None:
             return None
-        return [[tuple(p[a][b] for p in parts) for b in range(s)] for a in range(s)]
-    if isinstance(ring, MatrixRing):
-        k = ring.size
-        flat = det_inverse(ring.base.n, _flatten(k, rows))[1]
-        if flat is None:
-            return None
-        return [
-            [tuple(tuple(flat[a * k + i][b * k:(b + 1) * k]) for i in range(k)) for b in range(s)]
-            for a in range(s)
-        ]
-    return det_inverse(ring.n, rows)[1]
+        out.append(inv)
+    return out
 
 
 def matrix_is_invertible(ring, rows) -> bool:
     """Invertibility of a square matrix over the coefficient ring."""
-    return _block_inverse(ring, rows) is not None
+    return _scalar_inverses(_scalar_view(ring), rows) is not None
+
+
+def _class_inverses(f: IncidenceFunction, view):
+    """Per class, in class order, the scalar inverses of f's diagonal
+    block (:func:`_scalar_inverses`); raises NonInvertibleError for the
+    first class whose block has none."""
+    quotient = f.preorder.quotient()
+    get, zero = f.entries.get, f.ring.zero()
+    out = []
+    for ci, members in enumerate(quotient.classes):
+        parts = _scalar_inverses(view, [[get((s, t), zero) for t in members] for s in members])
+        if parts is None:
+            raise NonInvertibleError(
+                f"diagonal block of class {quotient.reps[ci]!r} is not invertible"
+            )
+        out.append(parts)
+    return out
 
 
 def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
     """Blockwise inverse of the class-diagonal part of f."""
-    quotient = f.preorder.quotient()
-    ring = f.ring
-    zero = ring.zero()
+    view = _scalar_view(f.ring)
+    zero = f.ring.zero()
     entries = {}
-    for ci, members in enumerate(quotient.classes):
-        inv = _block_inverse(ring, [[f.value(s, t) for t in members] for s in members])
-        if inv is None:
-            raise NonInvertibleError(
-                f"diagonal block of class {quotient.reps[ci]!r} is not invertible"
-            )
-        for a, s in enumerate(members):
-            for b, t in enumerate(members):
-                v = inv[a][b]
-                if v != zero:
-                    entries[(s, t)] = v
-    return IncidenceFunction(f.preorder, ring, entries)
+    for members, parts in zip(f.preorder.quotient().classes, _class_inverses(f, view)):
+        s = len(members)  # the block: s rows of s columns, laid end to end
+        flat = [list(chain.from_iterable(rows)) for rows in parts]
+        vals = _values(view, flat, range(0, s * s, s), [s] * s, [range(s)] * s, range(s * s))
+        cells = [(a, b) for a in members for b in members]
+        entries.update((p, v) for p, v in zip(cells, vals) if v != zero)
+    return IncidenceFunction(f.preorder, f.ring, entries)
 
 
 def is_unit_function(f: IncidenceFunction) -> bool:
     """A function is invertible iff every diagonal class block is."""
     try:
-        _diagonal_inverse(f)
+        _class_inverses(f, _scalar_view(f.ring))
     except NonInvertibleError:
         return False
     return True
@@ -246,35 +430,52 @@ def is_unit_function(f: IncidenceFunction) -> bool:
 def invert(f: IncidenceFunction) -> IncidenceFunction:
     """Two-sided inverse of a unit.
 
-    The class-diagonal blocks are inverted first (v^-1).  For x in a class
-    X, f g = 1 then gives g(x, y) = v^-1(x, y) inside X and, above it,
+    The class-diagonal blocks are inverted first (v^-1), in class order.
+    For x in a class X, f g = 1 then gives g(x, y) = v^-1(x, y) inside X
+    and, above it,
 
         g(x, y) = sum over [z] > X of d(x, z) g(z, y),
         d(x, z) = -sum over x' in X of v^-1(x, x') f(x', z),
 
     with factors kept left to right, so noncommutative rings work too.
-    Rows are solved top class first, with no recursion.  Each entry is
-    one ``ring.dot``; the whole pass costs about one convolution.
+    Per factor of the scalar view, rows are solved top class first, with
+    no recursion, on packed ints (:class:`_Kernel`).  The rows of X share
+    their columns, so row x of d is the sum of the multiples
+    n - v^-1(x, x') of the packed strict rows x' of f, reduced once per
+    field; row x of g is the sum of d(x, z) times the packed row z of g,
+    plus v^-1 on the columns of X, reduced once per field and packed for
+    the rows below.  The whole pass costs about one convolution.
     """
-    quotient = f.preorder.quotient()
-    ring = f.ring
-    v_inv = _diagonal_inverse(f).entries
-    cls = quotient.class_of
-    strict = _rows((p, a) for p, a in f.entries.items() if cls[p[0]] != cls[p[1]])
-    dot, neg, zero = ring.dot, ring.neg, ring.zero()
-    rows = {}  # z -> [(y, g(z, y))], filled top class first
-    for ci in quotient.top_down():
-        members = quotient.classes[ci]
-        for x in members:
-            d_terms = _row_product(
-                [(xp, neg(v_inv[x, xp])) for xp in members if (x, xp) in v_inv], strict)
-            d_row = [(z, v) for z, terms in d_terms.items() if (v := dot(terms)) != zero]
-            row = [(y, v_inv[x, y]) for y in members if (x, y) in v_inv]
-            row += [(y, v) for y, terms in _row_product(d_row, rows).items()
-                    if (v := dot(terms)) != zero]
-            rows[x] = row
-    return IncidenceFunction(
-        f.preorder, ring, {(x, y): v for x, row in rows.items() for y, v in row})
+    lay = _layout(f.preorder)
+    view = _scalar_view(f.ring)
+    inverses = _class_inverses(f, view)
+    cls, blocks, top_down = lay.classes
+    strict = [t for t in _index_entries(lay, f) if cls[t[0]] != cls[t[1]]]
+    parts = []
+    for fi, (n, k, part) in enumerate(view):
+        kernel = lay.kernel(n, k)
+        lo, shift, length, bits = kernel.lo, kernel.shift, kernel.length, kernel.bits
+        s_packed = kernel.pack_rows(_scalar_entries(strict, k, part))
+        packed, rows = [0] * len(lo), [None] * len(lo)
+        for ci in top_down:
+            block = [x * k + i for x in blocks[ci] for i in range(k)] if k else blocks[ci]
+            for r, v_row in zip(block, inverses[ci][fi]):
+                d = 0
+                for v, s in zip(v_row, block):
+                    if v:
+                        d += (n - v) * s_packed[s]
+                acc, base = 0, shift[r]
+                if d:
+                    d = kernel.reduce((d,), (length[r],))
+                    for c, t in compress(zip(count(lo[r]), d), d):
+                        acc += t * packed[c] << shift[c] - base
+                for v, s in zip(v_row, block):  # v^-1 on the columns of X
+                    if v:
+                        acc += v << bits * (s - lo[r])
+                rows[r] = row = kernel.reduce((acc,), (length[r],))
+                packed[r] = kernel.pack(row)
+        parts.append(list(chain.from_iterable(rows)))
+    return _function(lay, f, view, parts)
 
 
 def unit_decompose(u: IncidenceFunction):

@@ -129,6 +129,7 @@ class Preorder:
         self._up = list(up_masks)
         self._quotient = None
         self._pairs = None
+        self._layout = None  # filled by incidence_algebra._layout
 
     def _i(self, x) -> int:
         try:
@@ -156,13 +157,9 @@ class Preorder:
     def comparable_pairs(self):
         """Sorted list of ordered pairs (x, y) with x <= y, diagonal included."""
         if self._pairs is None:
-            pairs = [
-                (x, y)
-                for i, x in enumerate(self.elements)
-                for j, y in enumerate(self.elements)
-                if self._up[i] >> j & 1
-            ]
-            self._pairs = sorted(pairs)
+            labels = self.elements
+            self._pairs = sorted(
+                [(x, labels[j]) for x, row in zip(labels, self._up) for j in _bits(row)])
         return self._pairs
 
     def quotient(self) -> "QuotientPoset":

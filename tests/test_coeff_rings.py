@@ -208,20 +208,6 @@ def test_ring_equality_and_str_round_trip():
         assert parse_ring_spec(str(r)) == r
 
 
-@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/3", "M(2,Z/3)", "M(3,Z/2)", "Z/2 x M(2,Z/2)"])
-def test_dot_matches_mul_add_fold(spec, seed=17):
-    r = parse_ring_spec(spec)
-    elements = r.elements()
-    rng = random.Random(seed)
-    for size in (0, 1, 1, 2, 3, 7):
-        terms = [(rng.choice(elements), rng.choice(elements)) for _ in range(size)]
-        fold = r.zero()
-        for a, b in terms:
-            fold = r.add(fold, r.mul(a, b))
-        assert r.dot(terms) == fold
-        assert r.dot(iter(terms)) == fold
-
-
 def _laplace_determinant(ring, rows):
     """Reference: Laplace expansion along the first row, the determinant
     the package used before ``det_inverse``."""

@@ -1,13 +1,20 @@
 import random
+from collections import defaultdict
 
 import pytest
 
-from incalg.coeff_rings import MatrixRing, RingMismatchError, ZMod, parse_ring_spec
+from incalg.coeff_rings import (
+    MatrixRing,
+    ProductRing,
+    RingMismatchError,
+    ZMod,
+    det_inverse,
+    parse_ring_spec,
+)
 from incalg.incidence_algebra import (
     IncidenceFunction,
     NonInvertibleError,
     SupportError,
-    _block_inverse,
     _diagonal_inverse,
     convolve,
     delta,
@@ -20,7 +27,7 @@ from incalg.incidence_algebra import (
     unit_decompose,
     zeta,
 )
-from incalg.oracle import matrix_oracle, random_function, random_unit
+from incalg.oracle import inflate, matrix_oracle, random_function, random_unit
 from incalg.preorder_core import close_relations
 
 
@@ -194,7 +201,7 @@ def test_matrix_inverse_without_unit_entries():
     r = ZMod(6)
     mat = [[2, 3], [3, 2]]
     assert matrix_is_invertible(r, mat)
-    inv = _block_inverse(r, mat)
+    inv = det_inverse(6, mat)[1]
     prod = [
         [
             (mat[i][0] * inv[0][j] + mat[i][1] * inv[1][j]) % 6
@@ -332,3 +339,221 @@ def test_function_json_round_trip(crown, seed=8):
         function_from_json("{]", crown, r)
     with pytest.raises(SupportError):
         function_from_json('{"entries": [{"from": "a"}]}', crown, r)
+
+
+# The dict-of-term-lists engine that the packed-integer kernel replaced,
+# kept as the reference: rows grouped by first element, the terms of each
+# output entry collected per column and summed by an add/mul fold.
+
+def _ref_fold(ring, terms):
+    acc = ring.zero()
+    for a, b in terms:
+        acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
+def _ref_rows(items):
+    rows = defaultdict(list)
+    for (x, y), v in items:
+        rows[x].append((y, v))
+    return rows
+
+
+def _ref_row_product(row, rows):
+    terms = defaultdict(list)
+    for z, a in row:
+        for y, b in rows.get(z, ()):
+            terms[y].append((a, b))
+    return terms
+
+
+def _ref_convolve(f, g):
+    ring, zero = f.ring, f.ring.zero()
+    g_rows = _ref_rows(g.entries.items())
+    out = {}
+    for x, row in _ref_rows(f.entries.items()).items():
+        for y, terms in _ref_row_product(row, g_rows).items():
+            v = _ref_fold(ring, terms)
+            if v != zero:
+                out[(x, y)] = v
+    return IncidenceFunction(f.preorder, ring, out)
+
+
+def _ref_block_inverse(ring, rows):
+    s = len(rows)
+    if isinstance(ring, ProductRing):
+        parts = [_ref_block_inverse(r, [[a[i] for a in row] for row in rows])
+                 for i, r in enumerate(ring.factors)]
+        if None in parts:
+            return None
+        return [[tuple(p[a][b] for p in parts) for b in range(s)] for a in range(s)]
+    if isinstance(ring, MatrixRing):
+        k = ring.size
+        flat = det_inverse(ring.base.n, [[a[i][j] for a in row for j in range(k)]
+                                         for row in rows for i in range(k)])[1]
+        if flat is None:
+            return None
+        return [[tuple(tuple(flat[a * k + i][b * k:(b + 1) * k]) for i in range(k))
+                 for b in range(s)] for a in range(s)]
+    return det_inverse(ring.n, rows)[1]
+
+
+def _ref_invert(f):
+    quotient, ring = f.preorder.quotient(), f.ring
+    zero = ring.zero()
+    v_inv = {}
+    for ci, members in enumerate(quotient.classes):
+        inv = _ref_block_inverse(ring, [[f.value(s, t) for t in members] for s in members])
+        if inv is None:
+            raise NonInvertibleError(
+                f"diagonal block of class {quotient.reps[ci]!r} is not invertible")
+        for a, s in enumerate(members):
+            for b, t in enumerate(members):
+                if inv[a][b] != zero:
+                    v_inv[s, t] = inv[a][b]
+    cls = quotient.class_of
+    strict = _ref_rows((p, a) for p, a in f.entries.items() if cls[p[0]] != cls[p[1]])
+    rows = {}
+    for ci in quotient.top_down():
+        members = quotient.classes[ci]
+        for x in members:
+            d_terms = _ref_row_product(
+                [(xp, ring.neg(v_inv[x, xp])) for xp in members if (x, xp) in v_inv], strict)
+            d_row = [(z, v) for z, terms in d_terms.items()
+                     if (v := _ref_fold(ring, terms)) != zero]
+            row = [(y, v_inv[x, y]) for y in members if (x, y) in v_inv]
+            row += [(y, v) for y, terms in _ref_row_product(d_row, rows).items()
+                    if (v := _ref_fold(ring, terms)) != zero]
+            rows[x] = row
+    return IncidenceFunction(f.preorder, ring, {(x, y): v for x, row in rows.items() for y, v in row})
+
+
+KERNEL_RINGS = ["Z/2", "Z/12", f"Z/{2**61 - 1}", f"Z/{10**12}", "M(2,Z/3)", "M(3,Z/4)",
+                f"M(2,Z/{10**9})", "Z/2 x M(2,Z/3) x Z/5"]
+WIDE_RINGS = [f"Z/{2**61 - 1}", f"Z/{10**12}", f"M(2,Z/{10**9})"]
+
+
+def _kernel_preorders():
+    """A point, chains, B_4, doubled classes, a fence and a disconnected
+    preorder, with labels declared in shuffled order so that index order
+    and label order differ."""
+    rng = random.Random(3)
+
+    def build(labels, gens):
+        labels = list(labels)
+        rng.shuffle(labels)
+        return close_relations(labels, gens)
+
+    chain = [f"c{i}" for i in range(7)]
+    cube = [format(s, "04b") for s in range(16)]
+    fence = [f"f{i}" for i in range(9)]  # f0 < f1 > f2 < f3 ...
+    return {
+        "point": build(["p"], []),
+        "chain2": build("ab", [("a", "b")]),
+        "chain7": build(chain, list(zip(chain, chain[1:]))),
+        "B4": build(cube, [(cube[s], cube[s | 1 << b]) for s in range(16) for b in range(4)
+                           if not s >> b & 1]),
+        "doubled": inflate(close_relations("wxyz", [("w", "x"), ("x", "y"), ("w", "z")]),
+                           [2, 1, 3, 2]),
+        "fence": build(fence, [(fence[i], fence[i + 1]) if i % 2 == 0 else
+                               (fence[i + 1], fence[i]) for i in range(8)]),
+        "disconnected": build(["s", "t", "u", "v", "w"],
+                              [("s", "t"), ("t", "u"), ("v", "w"), ("w", "v")]),
+    }
+
+
+def _random_element(ring, rng):
+    """Zero, one, the largest residue or a random one, per scalar."""
+    if isinstance(ring, ProductRing):
+        return tuple(_random_element(r, rng) for r in ring.factors)
+    n = ring.base.n if isinstance(ring, MatrixRing) else ring.n
+
+    def pick():
+        return rng.choice((0, 1, n - 1, rng.randrange(n), rng.randrange(n)))
+
+    if isinstance(ring, MatrixRing):
+        return tuple(tuple(pick() for _ in range(ring.size)) for _ in range(ring.size))
+    return pick()
+
+
+def _largest(ring):
+    """The element whose every residue is n - 1: every term of a product
+    of two such functions is as large as the field bound allows."""
+    if isinstance(ring, ProductRing):
+        return tuple(_largest(r) for r in ring.factors)
+    if isinstance(ring, MatrixRing):
+        return tuple((ring.base.n - 1,) * ring.size for _ in range(ring.size))
+    return ring.n - 1
+
+
+def _function_of(p, ring, rng, density):
+    entries = [(x, y, _random_element(ring, rng)) for x, y in p.comparable_pairs()
+               if rng.random() < density]
+    return IncidenceFunction.from_entries(p, ring, entries)
+
+
+def _unit_of(p, ring, rng):
+    """A random function whose diagonal class blocks are invertible."""
+    entries = dict(_function_of(p, ring, rng, 0.7).strict_part().entries)
+    for members in p.quotient().classes:
+        while True:
+            block = [[_random_element(ring, rng) for _ in members] for _ in members]
+            if _ref_block_inverse(ring, block) is not None:
+                break
+        entries.update(((s, t), block[a][b]) for a, s in enumerate(members)
+                       for b, t in enumerate(members) if block[a][b] != ring.zero())
+    return IncidenceFunction(p, ring, entries)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_kernel_matches_reference(spec, seed=15):
+    """convolve and invert equal the reference engine on every test
+    preorder: the zero function, delta, zeta, the all-(n-1) function and
+    seeded random functions and units; singular units raise the same
+    error text."""
+    ring = parse_ring_spec(spec)
+    rng = random.Random(seed)
+    largest = _largest(ring)
+    for name, p in _kernel_preorders().items():
+        zero_f = IncidenceFunction(p, ring, {})
+        full = IncidenceFunction(p, ring, {pair: largest for pair in p.comparable_pairs()})
+        funcs = [zero_f, delta(p, ring), zeta(p, ring), full]
+        funcs += [_function_of(p, ring, rng, d) for d in (0.2, 0.6, 1.0)]
+        for f in funcs:
+            for g in funcs[:4] + [rng.choice(funcs[4:])]:
+                assert convolve(f, g) == _ref_convolve(f, g), (name, spec)
+        units = [delta(p, ring)] + [_unit_of(p, ring, rng) for _ in range(3)]
+        if p.quotient().n_classes == len(p.elements):
+            units.append(zeta(p, ring))  # a unit when every class is one element
+        for u in units:
+            assert invert(u) == _ref_invert(u), (name, spec)
+        singular = IncidenceFunction(p, ring, dict(units[1].entries))
+        x = rng.choice(p.elements)
+        singular.entries.pop((x, x), None)
+        for y in p.quotient().class_members(x):  # the whole row of x's block
+            singular.entries.pop((x, y), None)
+        for f in (singular, zero_f, full):
+            try:
+                want = _ref_invert(f)
+            except NonInvertibleError as e:
+                with pytest.raises(NonInvertibleError) as got:
+                    invert(f)
+                assert str(got.value) == str(e)
+                assert not is_unit_function(f)
+            else:
+                assert invert(f) == want
+
+
+@pytest.mark.parametrize("spec", WIDE_RINGS)
+def test_kernel_with_wide_fields_matches_matrix_oracle(spec, seed=16):
+    """Moduli whose fields need more than 64 bits: products agree with
+    the dense matrix oracle, and inverses are two-sided."""
+    ring = parse_ring_spec(spec)
+    rng = random.Random(seed)
+    for p in _kernel_preorders().values():
+        full = IncidenceFunction(p, ring, {pair: _largest(ring) for pair in p.comparable_pairs()})
+        for f, g in [(full, full), (_function_of(p, ring, rng, 0.8), full),
+                     (_function_of(p, ring, rng, 0.8), _function_of(p, ring, rng, 0.8))]:
+            assert matrix_oracle(f, g)
+        u = _unit_of(p, ring, rng)
+        assert convolve(u, invert(u)) == convolve(invert(u), u) == delta(p, ring)

@@ -256,3 +256,26 @@ def test_closure_matches_warshall(gate_posets, chain1100, seed=16):
         gens = [(rng.choice(labels), rng.choice(labels))
                 for _ in range(rng.randint(0, 3 * len(labels)))]
         assert close_relations(labels, gens)._up == _warshall_rows(labels, gens)
+
+
+def _comparable_pairs_by_shifts(p):
+    """Reference: the n^2 test of every (i, j) bit that comparable_pairs
+    made before it read each row's set bits."""
+    return sorted((x, y) for i, x in enumerate(p.elements) for j, y in enumerate(p.elements)
+                  if p._up[i] >> j & 1)
+
+
+def test_comparable_pairs_match_the_quadratic_scan(gate_posets, seed=21):
+    """On every poset with at most 5 points, the gate posets and seeded
+    random preorders with classes of several members, labels shuffled."""
+    rng = random.Random(seed)
+    posets = [p for n in range(1, 6) for p in all_posets(n)] + list(gate_posets)
+    for _ in range(200):
+        labels = [f"v{i}" for i in range(rng.randint(1, 12))]
+        rng.shuffle(labels)
+        gens = [(rng.choice(labels), rng.choice(labels))
+                for _ in range(rng.randint(0, 2 * len(labels)))]
+        posets.append(close_relations(labels, gens))
+    assert any(len(c) > 1 for p in posets[-200:] for c in p.quotient().classes)
+    for p in posets:
+        assert p.comparable_pairs() == _comparable_pairs_by_shifts(p)
