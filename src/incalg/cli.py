@@ -36,7 +36,6 @@ from .incidence_algebra import (
 from .mult_automorphisms import (
     NotInnerWitness,
     WeightSystemError,
-    _first_violations,
     decompose,
     find_potential,
     load_weight_system,
@@ -101,7 +100,7 @@ def _valid_weights(args):
     """The --weights system, or None once its first chain-condition
     failure has been reported on stderr."""
     ws = _load_weights(args)
-    bad = _first_violations(ws, 1)
+    bad = ws.violations(1)
     if bad:
         print(f"not a weight system: chain condition fails at {bad[0]}", file=sys.stderr)
         return None
@@ -147,7 +146,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_check(args) -> int:
     ws = _load_weights(args)
-    bad = _first_violations(ws, 10)
+    bad = ws.violations(10)
     doc = {
         "ring": str(ws.ring),
         "pairs": len(ws.values),
@@ -225,10 +224,9 @@ def _cmd_enumerate(args) -> int:
     }
     if len(inner):
         doc["tree_trivial"] = len(mult) // len(inner)
-    if args.list == "mult":
-        doc["systems"] = [json.loads(weight_system_to_json(w))["weights"] for w in mult]
-    elif args.list == "inner":
-        doc["systems"] = [json.loads(weight_system_to_json(w))["weights"] for w in inner]
+    if args.list:
+        listed = mult if args.list == "mult" else inner
+        doc["systems"] = [json.loads(weight_system_to_json(w))["weights"] for w in listed]
     _emit(args, _dump(doc))
     return 0
 

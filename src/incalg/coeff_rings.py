@@ -87,9 +87,10 @@ class ZMod(Ring):
     is_central_unit = is_unit
 
     def inverse(self, a):
-        if not self.is_unit(a):
-            raise NonUnitError(f"{a} is not invertible in {self}")
-        return pow(a, -1, self.n)
+        try:
+            return pow(a, -1, self.n)
+        except ValueError:  # what pow raises on a non-unit
+            raise NonUnitError(f"{a} is not invertible in {self}") from None
 
     def central_units(self):
         cache = getattr(self, "_central", None)
@@ -338,6 +339,28 @@ class MatrixRing(Ring):
 
     def __hash__(self):
         return hash(("Matrix", self.size, self.base.n))
+
+
+def count_central_units(ring, cap) -> int:
+    """min(cap, number of central units of the ring), listing none.
+
+    For Z/n, phi(n) >= n prod (1 - 1/p) over the primes p < 100 dividing
+    n, times 1 - t/100 for its t < log_101 n other prime factors; only
+    when that bound is below cap are the units of Z/n walked, up to cap.
+    M(k,Z/n) has the central units of Z/n, a product the tuples of its
+    factors'."""
+    if isinstance(ring, ProductRing):
+        return min(cap, math.prod(count_central_units(f, cap) for f in ring.factors))
+    base = ring.base if isinstance(ring, MatrixRing) else ring
+    low = rest = n = base.n
+    for p in range(2, 100):  # a composite p no longer divides rest
+        if rest % p == 0:
+            low = low // p * (p - 1)
+            while rest % p == 0:
+                rest //= p
+    if low * (99 - rest.bit_length() // 6) >= 100 * cap:
+        return cap
+    return sum(1 for _ in itertools.islice(filter(base.is_unit, range(n)), cap))
 
 
 def det_inverse(n, rows):

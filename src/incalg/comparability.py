@@ -24,8 +24,7 @@ class ComparabilityGraph:
     def __init__(self, poset):
         self.poset = poset
         self.vertices = poset.reps  # ascending, like the class indices
-        self.edges = tuple(poset.strict_pairs())
-        self.m = len(self.edges)
+        self.m = len(poset.index_pairs)  # edge s is slot s, labelled strict_pairs()[s]
         self.components = poset.connected_components()
         self.cyclomatic = self.m - len(self.vertices) + len(self.components)
 
@@ -52,15 +51,19 @@ class SpanningTree:
     edge in BFS order, where ``up`` says that parent < child, so the slot
     is (parent, child), not (child, parent).  ``non_tree_slots`` ascend.
     The fundamental cycles are built once, on first use of ``cycles``, or
-    one by one by :meth:`cycle`.  ``root`` and ``tree_edges`` are label
-    views.
+    one by one by :meth:`cycle`.  ``root`` is the root's class
+    representative; any member label of that class (or None, for the
+    least class) picks the same tree.  The tree holds no labels of its
+    edges: the edge of step ``(parent, child, slot, up)`` is
+    ``strict_pairs()[slot]``.
     """
 
-    def __init__(self, graph: ComparabilityGraph, root: str):
-        poset, self.graph, self.root = graph.poset, graph, root
+    def __init__(self, graph: ComparabilityGraph, root=None):
+        poset, self.graph = graph.poset, graph
         up, down, pos, k = poset._up, poset._down, poset.position, poset.n_classes
         parent, depth, steps = [None] * k, [0] * k, []
-        order = [poset.class_of[root]]
+        order = [0 if root is None else poset._c(root)]
+        self.root = poset.reps[order[0]]
         seen = 1 << order[0]
         for a in order:  # grows while it is read: the BFS queue
             for b in _bits((up[a] | down[a]) & ~seen):
@@ -75,7 +78,6 @@ class SpanningTree:
         self.parent, self.depth, self.steps = parent, depth, tuple(steps)
         in_tree = {s for _, _, s, _ in steps}
         self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
-        self.tree_edges = frozenset(graph.edges[s] for s in in_tree)
 
     @cached_property
     def cycles(self):
@@ -86,7 +88,8 @@ class SpanningTree:
         """The cycle of a non-tree slot: from the lexicographically smaller
         endpoint a across the edge to b, then up the tree from b to the
         meeting class and down to a."""
-        a, b = sorted(self.graph.poset.index_pairs[slot])
+        pair = self.graph.poset.index_pairs[slot]
+        a, b = sorted(pair)
         parent, depth = self.parent, self.depth
         left, right = [b], [a]
         while a != b:  # climb the deeper end until the ends meet
@@ -97,7 +100,7 @@ class SpanningTree:
                 b = parent[b]
                 left.append(b)
         reps = self.graph.vertices
-        return FundamentalCycle(edge=self.graph.edges[slot],
+        return FundamentalCycle(edge=(reps[pair[0]], reps[pair[1]]),
                                 sequence=tuple(reps[i] for i in right[:1] + left + right[-2::-1]))
 
     def __repr__(self):
@@ -105,11 +108,7 @@ class SpanningTree:
 
 
 def spanning_tree(graph: ComparabilityGraph, root=None) -> SpanningTree:
-    """BFS tree from the root (default: lexicographically least vertex)."""
-    if root is None:
-        root = min(graph.vertices)
-    else:
-        root = graph.poset.rep(root)
+    """BFS tree from the root (default: the least vertex, ``vertices[0]``)."""
     return SpanningTree(graph, root)
 
 
@@ -120,7 +119,7 @@ def tree_of(poset, root=None) -> SpanningTree:
     changes; the cache key is the resolved root, so None and the least
     class share one tree.
     """
-    root = min(poset.reps) if root is None else poset.rep(root)
+    root = poset.reps[0] if root is None else poset.rep(root)
     tree = poset._trees.get(root)
     if tree is None:
         if poset._graph is None:

@@ -23,8 +23,9 @@ and c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
 quotient's ``strict_pairs()`` (slot s is the pair ``index_pairs[s]``) or
 to its ``reps`` (one value per class index).  Label-keyed input from
 outside goes through the validating ``from_values`` classmethods (or the
-JSON readers, which use the same check), so internal builders never
-re-check what they construct.
+weight file reader, which uses the same check), so internal builders
+never re-check what they construct.  Potentials are written to files,
+never read from them.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ def _checked(ring, values, canon, allowed, what):
     return norm
 
 
-def _class_pair(poset):
-    return lambda pair: (poset.rep(pair[0]), poset.rep(pair[1]))
-
-
 class WeightSystem:
     """Total assignment of central units to the strict class pairs.
 
@@ -106,8 +103,8 @@ class WeightSystem:
         pair needs exactly one central-unit value.
         """
         pairs = poset.strict_pairs()
-        norm = _checked(ring, values, _class_pair(poset), frozenset(pairs),
-                        "a strictly comparable pair")
+        norm = _checked(ring, values, lambda p: (poset.rep(p[0]), poset.rep(p[1])),
+                        frozenset(pairs), "a strictly comparable pair")
         return cls(poset, ring, tuple(norm[p] for p in pairs))
 
     def value(self, x, y):
@@ -121,8 +118,9 @@ class WeightSystem:
         """((x, y), value) in sorted pair order."""
         return list(zip(self.poset.strict_pairs(), self.values))
 
-    def violations(self):
-        """Triples (x, z, y) with x < z < y where the chain condition fails.
+    def violations(self, limit=None):
+        """Triples (x, z, y) with x < z < y where the chain condition fails,
+        the first ``limit`` of them (all by default).
 
         The check is gated on covers: :meth:`is_valid` tests
         c[x,y] = c[x,z] c[z,y] only where z covers x and z < y.  That is
@@ -133,33 +131,29 @@ class WeightSystem:
         [z',y] gives c[z',y] = c[z',z] c[z,y]; so
         c[x,y] = c[x,z'] c[z',z] c[z,y] = c[x,z] c[z,y].  The cover checks
         are chain triples themselves, so the gate fails exactly when this
-        list is non-empty.  Only then does the ordered full scan of
-        :meth:`_failures` run, so the list and its order do not depend on
-        the gate; a caller that reports only the first few triples reads
-        that scan lazily instead (``_first_violations``).
+        list is non-empty.  Only then does the ordered full scan run, so
+        the list and its order do not depend on the gate: for each slot
+        (i, j) in slot order, the classes strictly between, the bits of
+        ``_up[i] & _down[j]`` other than i and j, are tried in ascending
+        order, and the scan stops after ``limit`` failing triples.
         """
-        return [] if self.is_valid() else list(self._failures())
-
-    def _failures(self):
-        """The failing triples of :meth:`violations`, yielded in its order.
-
-        For each slot (i, j) in slot order, the classes strictly between,
-        the bits of ``_up[i] & _down[j]`` other than i and j, are tried
-        in ascending order.  The scan runs only as far as it is read.
-        """
+        if self.is_valid():
+            return []
         poset, c, mul = self.poset, self.values, self.ring.mul
         up, down, pos, reps = poset._up, poset._down, poset.position, poset.reps
-        for s, (i, j) in enumerate(poset.index_pairs):
-            for z in _bits(up[i] & down[j] & ~(1 << i | 1 << j)):
-                if c[s] != mul(c[pos[i, z]], c[pos[z, j]]):
-                    yield reps[i], reps[z], reps[j]
+        failures = ((reps[i], reps[z], reps[j]) for s, (i, j) in enumerate(poset.index_pairs)
+                    for z in _bits(up[i] & down[j] & ~(1 << i | 1 << j))
+                    if c[s] != mul(c[pos[i, z]], c[pos[z, j]]))
+        return list(islice(failures, limit))
 
     def is_valid(self) -> bool:
         """Whether the chain condition holds, by the cover checks alone.
 
         It tests c[S] = c[T] c[U] over the slot lists of
         ``poset._cover_triples`` and stops at the first failure; why
-        that suffices is in :meth:`violations`.  Cached per instance.
+        that suffices is in :meth:`violations`.  The order of those lists
+        is not the slot order, so which failing triple stops the test is
+        not specified; only the answer is.  Cached per instance.
         """
         if self._valid is None:
             S, T, U = self.poset._cover_triples
@@ -237,9 +231,6 @@ class Potential:
         norm = _checked(ring, values, poset.rep, frozenset(poset.reps), "a class")
         return cls(poset, ring, tuple(norm[x] for x in poset.reps))
 
-    def value(self, x):
-        return self.values[self.poset._c(x)]
-
     def items(self):
         """(representative, value) in sorted order."""
         return list(zip(self.poset.reps, self.values))
@@ -274,27 +265,8 @@ def from_potential(potential: Potential) -> WeightSystem:
     return WeightSystem(poset, ring, tuple(mul(inv[i], v[j]) for i, j in poset.index_pairs))
 
 
-def from_tree(tree, ring, tree_values) -> WeightSystem:
-    """Extend central-unit values on the spanning-tree edges to a full system.
-
-    Each pair gets the product of the step weights along its tree
-    semi-path, which is the coboundary of the tree propagation.
-    """
-    poset = tree.graph.poset
-    weights = _checked(ring, tree_values, _class_pair(poset), tree.tree_edges, "a tree edge")
-    cls, c = poset.class_of, [None] * len(poset.index_pairs)
-    for (x, y), u in weights.items():
-        c[poset.position[cls[x], cls[y]]] = u
-    return from_potential(_propagate(c, tree, ring))
-
-
-def _first_violations(ws: WeightSystem, limit):
-    """The first ``limit`` triples of ``ws.violations()``, scanning no further."""
-    return [] if ws.is_valid() else list(islice(ws._failures(), limit))
-
-
 def _require_valid(ws: WeightSystem):
-    bad = _first_violations(ws, 5)
+    bad = ws.violations(5)
     if bad:
         raise WeightSystemError(f"chain condition fails at triples {bad}")
 
@@ -409,61 +381,41 @@ def weight_system_to_json(ws: WeightSystem) -> str:
                          (map(itemgetter(0), pairs), map(itemgetter(1), pairs), values))
 
 
-def _read_ring_records(text, what, list_key, fields, poset, ring):
-    """Ring, label columns and parsed values of a weight or potential
-    file, and whether every value is a central unit.
+def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
+    """Read a weight file.
 
-    The labels (all fields but the last) must be class representatives:
-    one subset test checks them all, and only when it fails does the
-    loop over the distinct labels run, to name the first bad one.  The
-    values are parsed by ``parse_values``, once per distinct text, and
-    each distinct value is tested for a central unit once.
+    The labels must be class representatives: one subset test checks
+    them all, and only when it fails does the loop over the distinct
+    labels run, to name the first bad one.  The values are parsed by
+    ``parse_values``, once per distinct text, and each distinct value is
+    tested for a central unit once.  The rows map to slots in bulk
+    through ``class_of`` and ``position``.  When every value is a
+    central unit and the rows name every slot once, the values are laid
+    out by slot directly; otherwise :meth:`WeightSystem.from_values`
+    runs on the parsed rows and raises the error of the first faulty one.
     """
-    obj, columns = read_records(text, what, list_key, fields, WeightSystemError)
+    obj, (xs, ys, texts) = read_records(text, "weight-system", "weights",
+                                        ("from", "to", "value"), WeightSystemError)
     if "ring" not in obj:
-        raise WeightSystemError(f'{what} file needs a "ring"')
+        raise WeightSystemError('weight-system file needs a "ring"')
     file_ring = parse_ring_spec(obj["ring"])
     if ring is not None and ring != file_ring:
         raise WeightSystemError(f"file ring {file_ring} does not match expected ring {ring}")
-    *labels, texts = columns
-    if not set().union(*labels).issubset(poset.reps):
-        for lab in dict.fromkeys(chain.from_iterable(zip(*labels))):
+    if not set(xs).union(ys).issubset(poset.reps):
+        for lab in dict.fromkeys(chain.from_iterable(zip(xs, ys))):
             if poset.rep(lab) != lab:
                 raise WeightSystemError(
                     f"label {lab!r} is not a class representative (expected {poset.rep(lab)!r})"
                 )
     use = file_ring if ring is None else ring
     values, distinct = parse_values(use, texts)
-    return use, labels, values, all(map(use.is_central_unit, distinct))
-
-
-def _laid_out(keys, values, size):
-    """The values as a tuple over the indices ``range(size)`` when the
-    keys (indices, or None for none) name each index exactly once, else
-    None."""
-    if len(keys) == size:
-        table = dict(zip(keys, values))
-        if len(table) == size and None not in table:
-            return tuple(map(table.__getitem__, range(size)))
-    return None
-
-
-def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
-    """Read a weight file.
-
-    The rows map to slots in bulk through ``class_of`` and ``position``.
-    When every value is a central unit and the rows name every slot
-    once, the values are laid out by slot directly; otherwise
-    :meth:`WeightSystem.from_values` runs on the parsed rows and raises
-    the error of the first faulty one.
-    """
-    use, (xs, ys), values, central = _read_ring_records(
-        text, "weight-system", "weights", ("from", "to", "value"), poset, ring)
-    cls = poset.class_of.__getitem__
+    del obj, texts  # the decoded file: freed before the slots are laid out
+    cls, size = poset.class_of.__getitem__, len(poset.index_pairs)
     slots = list(map(poset.position.get, zip(map(cls, xs), map(cls, ys))))
-    laid = _laid_out(slots, values, len(poset.index_pairs)) if central else None
-    if laid is not None:
-        return WeightSystem(poset, use, laid)
+    if len(slots) == size and all(map(use.is_central_unit, distinct)):
+        table = dict(zip(slots, values))
+        if len(table) == size and None not in table:
+            return WeightSystem(poset, use, tuple(map(table.__getitem__, range(size))))
     return WeightSystem.from_values(poset, use, list(zip(zip(xs, ys), values)))
 
 
@@ -477,14 +429,3 @@ def potential_to_json(potential: Potential) -> str:
     return write_records({"ring": str(potential.ring)}, "values", ("class", "value"),
                          (potential.poset.reps, values))
 
-
-def potential_from_json(text: str, poset, ring=None) -> Potential:
-    """Read a potential file, the way :func:`weight_system_from_json`
-    reads a weight file, with classes for slots."""
-    use, (xs,), values, central = _read_ring_records(
-        text, "potential", "values", ("class", "value"), poset, ring)
-    keys = list(map(poset.class_of.__getitem__, xs))
-    laid = _laid_out(keys, values, poset.n_classes) if central else None
-    if laid is not None:
-        return Potential(poset, use, laid)
-    return Potential.from_values(poset, use, list(zip(xs, values)))

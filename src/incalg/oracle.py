@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff_rings import ZMod
+from .coeff_rings import ZMod, count_central_units
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
@@ -82,6 +82,22 @@ def _instance(poset, ring) -> dict:
     return {"poset": preorder_descriptor(poset.source), "ring": str(ring)}
 
 
+def _guarded_units(ring, exponent, limit, force, what):
+    """The central units U for an enumeration of |U|^exponent ``what``,
+    refused over the limit after counting no more than r + 1 units,
+    r = floor(limit^(1/exponent)), and stating that lower bound; none are
+    listed for a refused ring or an exponent of 0."""
+    if not exponent:
+        return ()
+    if not force:
+        r = int(limit ** (1 / exponent))  # a float root, made exact
+        r += (r + 1) ** exponent <= limit
+        r -= r ** exponent > limit
+        if count_central_units(ring, r + 1) > r:
+            raise GuardExceeded(f"at least {r + 1}^{exponent} {what} exceed the guard {limit}")
+    return ring.central_units()
+
+
 def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
     """All weight systems satisfying the chain condition.
 
@@ -92,11 +108,7 @@ def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
     with central units ascending.
     """
     pairs = poset.strict_pairs()
-    units = ring.central_units()
-    if not force and len(units) ** len(pairs) > limit:
-        raise GuardExceeded(
-            f"{len(units)}^{len(pairs)} candidate vectors exceed the guard {limit}"
-        )
+    units = _guarded_units(ring, len(pairs), limit, force, "candidate vectors")
     index = {p: i for i, p in enumerate(pairs)}
     triples_at = [[] for _ in pairs]
     for x, y in pairs:
@@ -131,10 +143,8 @@ def enumerate_inner(poset, ring, limit=GUARD_VECTORS, force=False):
     no component data from the structural code is used, so the count
     |G|^(m - lambda) that the structure checks assert stays independent.
     """
-    units = ring.central_units()
     k = poset.n_classes
-    if not force and len(units) ** (k - 1) > limit:
-        raise GuardExceeded(f"{len(units)}^{k - 1} potentials exceed the guard {limit}")
+    units = _guarded_units(ring, k - 1, limit, force, "potentials")
     seen = {}
     one = (ring.one(),)
     for combo in itertools.product(units, repeat=k - 1):
@@ -162,21 +172,23 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     identity_key = WeightSystem.identity(poset, ring).values
     checks = []
 
-    decompose_failures = []
-    tree_trivial = []
+    decompose_failures, tree_trivial, disagreements = [], [], []
     for ws in mult:
-        w1, w0, potential = decompose(ws, root)
+        w1, w0, _ = decompose(ws, root)
         ok = (
             (w1 * w0).values == ws.values
             and all(w1.values[s] == one for s in tree_slots)
             and w1.is_valid()
             and w0.values in inner_keys
-            and from_potential(potential).values == w0.values
         )
         if not ok:
             decompose_failures.append(ws.items())
         if all(ws.values[s] == one for s in tree_slots):
             tree_trivial.append(ws)
+        by_cycles, _ = is_inner_cycles(ws, root)
+        by_potential = not isinstance(find_potential(ws, root), NotInnerWitness)
+        if not (by_cycles == by_potential == (ws.values in inner_keys)):
+            disagreements.append(ws.items())
     checks.append(
         CheckResult(
             "decompose-recompose",
@@ -194,7 +206,8 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
         )
     )
 
-    expected_inner = len(ring.central_units()) ** (graph.m - graph.cyclomatic)
+    rank = graph.m - graph.cyclomatic  # no units listed for a one-class poset
+    expected_inner = len(ring.central_units()) ** rank if rank else 1
     checks.append(
         CheckResult(
             "inner-count",
@@ -211,13 +224,6 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
         )
     )
 
-    disagreements = []
-    for ws in mult:
-        by_cycles, _ = is_inner_cycles(ws, root)
-        by_potential = not isinstance(find_potential(ws, root), NotInnerWitness)
-        member = ws.values in inner_keys
-        if not (by_cycles == by_potential == member):
-            disagreements.append(ws.items())
     checks.append(
         CheckResult(
             "inner-test-agreement", not disagreements, {"failures": disagreements[:3]}

@@ -15,9 +15,9 @@ up and down rows ``_up[i]``/``_down[i]`` (bitmasks of class indices),
 ``_starts[i]`` up to ``_starts[i + 1]``.  On first use, the cover rows
 ``_covers[i]`` (the classes covering i, the Hasse diagram) are derived
 from the up rows, and the chain triples through a cover, which the chain
-check tests, are laid out as three slot lists (``_cover_triples``).
-Weight systems and potentials are tuples over those slots and class
-indices; labels are resolved only at the edges.
+check tests, are laid out as three slot lists (``_cover_triples``), one
+Hasse edge after another.  Weight systems and potentials are tuples over
+those slots and class indices; labels are resolved only at the edges.
 """
 
 from __future__ import annotations
@@ -251,15 +251,14 @@ class QuotientPoset:
     def _cover_triples(self):
         """The chain triples (i, z, j) with z covering i and j above z,
         the ones the chain check tests, as three slot lists: S of (i, j),
-        T of (i, z) and U of (z, j), in (slot of (i, j), z) order: the
-        order of a scan over the slots, so that the check stops after the
-        same tests as that scan.
+        T of (i, z) and U of (z, j).
 
-        They are gathered per Hasse edge i -> z: the slots of row z are
-        ``_starts[z]`` up to ``_starts[z + 1]``, so U takes a slice of
-        them and S maps their classes through a dict of row i.  Within
-        row i, S is then one ascending run per cover, and where there are
-        several a stable sort by S merges them.
+        They are gathered per Hasse edge i -> z, in (i, z) order: the
+        slots of row z are ``_starts[z]`` up to ``_starts[z + 1]``, so U
+        takes a slice of them and S maps their classes through a dict of
+        row i.  That is not the slot order of (i, j), so a check that
+        stops at its first failure may stop at another triple than a
+        scan over the slots would; it finds one exactly when the scan does.
         """
         starts = self._starts
         to = [j for _, j in self.index_pairs]
@@ -268,19 +267,11 @@ class QuotientPoset:
         for i, row in enumerate(self._covers):
             a, b = starts[i], starts[i + 1]
             slot = dict(zip(to[a:b], ids[a:b])).__getitem__  # j -> slot of (i, j)
-            zs = _bits(row)
-            s, t, u = [], [], []
-            for z in zs:
+            for z in _bits(row):
                 za, zb = starts[z], starts[z + 1]
-                s += map(slot, to[za:zb])
-                t += repeat(slot(z), zb - za)
-                u += ids[za:zb]
-            if len(zs) > 1:
-                order = sorted(range(len(s)), key=s.__getitem__)
-                s, t, u = (map(col.__getitem__, order) for col in (s, t, u))
-            S += s
-            T += t
-            U += u
+                S += map(slot, to[za:zb])
+                T += repeat(slot(z), zb - za)
+                U += ids[za:zb]
         return S, T, U
 
     @property

@@ -406,6 +406,35 @@ def test_info_guard_shows_the_order_bits(capsys, crown_txt, monkeypatch):
                                   "10000000 for listing its central units\n")
 
 
+@pytest.mark.parametrize("spec", ["Z/20000003", "Z/99999999999999999999999",
+                                  "Z/2 x Z/99999999999999999999999", "M(2,Z/20000003)"])
+def test_enumeration_guards_count_units_without_listing(capsys, tmp_path, spec, monkeypatch):
+    """enumerate and verify --poset refuse a ring with too many central
+    units after counting at most floor(10^7^(1/e)) + 1 of them, e the
+    exponent of the enumeration, and state that lower bound; a one-class
+    poset needs no units and runs."""
+    for cls in (ZMod, ProductRing, MatrixRing):
+        monkeypatch.setattr(cls, "central_units", _refuse_listing)
+    files = {}
+    for name, text in (("chain3", "elements a b c\nrel a b\nrel b c\n"),
+                       ("antichain3", "elements a b c\n"), ("point", "elements a\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    expected = {"chain3": "at least 216^3 candidate vectors",
+                "antichain3": "at least 3163^2 potentials"}
+    # verify --ring takes a comma-separated list, so no matrix ring
+    for command in ("enumerate",) if "," in spec else ("enumerate", "verify"):
+        for name, refusal in expected.items():
+            start = time.process_time()
+            code, out, err = run(capsys, command, "--poset", str(files[name]), "--ring", spec)
+            assert time.process_time() - start < 1
+            assert (code, out, err) == (2, "", f"error: {refusal} exceed the guard 10000000\n")
+        code, out, err = run(capsys, command, "--poset", str(files["point"]), "--ring", spec)
+        assert (code, err) == (0, "")
+    assert json.loads(run(capsys, "enumerate", "--poset", str(files["point"]), "--ring", spec)[1]) == {
+        "inner": 1, "mult": 1, "ring": spec, "tree_trivial": 1}
+
+
 def _fence(tmp_path, n):
     """x0 < x1 > x2 < x3 ...: n - 1 tree edges and no cycle."""
     rels = [f"rel x{i} x{i + 1}" if i % 2 == 0 else f"rel x{i + 1} x{i}" for i in range(n - 1)]

@@ -10,6 +10,7 @@ from incalg.coeff_rings import (
     ProductRing,
     RingParseError,
     ZMod,
+    count_central_units,
     det_inverse,
     parse_ring_spec,
 )
@@ -29,8 +30,27 @@ def test_zmod_units_and_central_units():
     for u in r.central_units():
         assert r.mul(u, r.inverse(u)) == 1
     assert not r.is_unit(6)
-    with pytest.raises(NonUnitError):
-        r.inverse(8)
+    for a in range(12):
+        if a not in r.central_units():
+            with pytest.raises(NonUnitError) as err:
+                r.inverse(a)
+            assert str(err.value) == f"{a} is not invertible in Z/12"
+
+
+def test_count_central_units_matches_the_list(seed=23):
+    """min(cap, len(central_units())) for every Z/n with n < 500 and
+    seeded larger moduli, products and matrix rings, at caps around the
+    count, where the bound alone decides and where the count is needed."""
+    rng = random.Random(seed)
+    specs = [f"Z/{n}" for n in range(2, 500)]
+    specs += [f"Z/{rng.randrange(500, 10 ** 5)}" for _ in range(10)]
+    specs += ["Z/2 x Z/3", "Z/4 x Z/6 x Z/9", "M(3,Z/10)", "M(2,Z/12) x Z/7", "Z/30030"]
+    for spec in specs:
+        ring = parse_ring_spec(spec)
+        total = len(ring.central_units())
+        for cap in {1, 2, 3, total // 2 + 1, total - 1, total, total + 1, 2 * total + 5}:
+            if cap >= 1:
+                assert count_central_units(ring, cap) == min(cap, total), (spec, cap)
 
 
 def test_zmod_inverse_random(seed=20240817):

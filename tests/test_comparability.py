@@ -19,7 +19,7 @@ from incalg.preorder_core import close_relations
 def test_graph_of_crown(crown):
     g = ComparabilityGraph(crown.quotient())
     assert g.vertices == ("a", "b", "c", "d")
-    assert g.edges == (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"))
+    assert g.poset.strict_pairs() == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     assert g.m == 4
     assert g.cyclomatic == 1
 
@@ -37,12 +37,19 @@ def test_cyclomatic_counts_components():
     assert g.cyclomatic == 1 - 4 + 3
 
 
+def _tree_edges(tree):
+    """The label pairs of the tree's edges, read off its steps."""
+    pairs = tree.graph.poset.strict_pairs()
+    return {pairs[slot] for _, _, slot, _ in tree.steps}
+
+
 def test_spanning_tree_crown(crown):
-    g = ComparabilityGraph(crown.quotient())
+    q = crown.quotient()
+    g = ComparabilityGraph(q)
     t = spanning_tree(g)
     assert t.root == "a"
-    assert sorted(t.tree_edges) == [("a", "c"), ("a", "d"), ("b", "c")]
-    assert tuple(g.edges[s] for s in t.non_tree_slots) == (("b", "d"),)
+    assert sorted(_tree_edges(t)) == [("a", "c"), ("a", "d"), ("b", "c")]
+    assert tuple(q.strict_pairs()[s] for s in t.non_tree_slots) == (("b", "d"),)
     # classes a, b, c, d are indices 0-3; slots (0,2), (0,3), (1,2), (1,3)
     assert t.parent == [None, 2, 0, 0]
     assert t.steps == ((0, 2, 0, True), (0, 3, 1, True), (2, 1, 2, False))
@@ -57,7 +64,7 @@ def test_spanning_tree_other_root(crown):
     t = spanning_tree(g, "b")
     assert t.root == "b"
     # every tree has n-1 edges and one leftover edge on the crown
-    assert len(t.tree_edges) == 3
+    assert len(t.steps) == 3
     assert len(t.non_tree_slots) == 1
 
 
@@ -175,12 +182,13 @@ def test_index_tree_matches_label_reference(gate_posets):
         for root in reps:
             t = spanning_tree(g, root)
             order, parent, depth, tree_edges, non_tree, cycles = _reference_tree(q, root)
-            assert t.tree_edges == tree_edges
-            assert tuple(g.edges[s] for s in t.non_tree_slots) == non_tree
+            pairs = q.strict_pairs()
+            assert _tree_edges(t) == tree_edges
+            assert tuple(pairs[s] for s in t.non_tree_slots) == non_tree
             assert [reps[child] for _, child, _, _ in t.steps] == order[1:]
             assert {reps[i]: p if p is None else reps[p] for i, p in enumerate(t.parent)} == parent
             assert {reps[i]: d for i, d in enumerate(t.depth)} == depth
             for p, c, slot, up in t.steps:
                 assert p == t.parent[c]
-                assert g.edges[slot] == ((reps[p], reps[c]) if up else (reps[c], reps[p]))
+                assert pairs[slot] == ((reps[p], reps[c]) if up else (reps[c], reps[p]))
             assert [(c.edge, c.sequence) for c in fundamental_cycles(g, t)] == cycles

@@ -19,7 +19,6 @@ from incalg.mult_automorphisms import (
     WeightSystem,
     WeightSystemError,
     from_potential,
-    potential_from_json,
     weight_system_from_json,
 )
 from incalg.oracle import inflate, random_function
@@ -65,11 +64,6 @@ def ref_weight_system_from_json(text, poset, ring=None):
                                        ("from", "to", "value"), poset, ring)
     return WeightSystem.from_values(
         poset, use, [((x, y), use.parse_element(v)) for x, y, v in rows])
-
-
-def ref_potential_from_json(text, poset, ring=None):
-    use, rows = _ref_read_ring_records(text, "potential", "values", ("class", "value"), poset, ring)
-    return Potential.from_values(poset, use, [(x, use.parse_element(v)) for x, v in rows])
 
 
 def ref_function_from_json(text, preorder, ring):
@@ -148,9 +142,8 @@ def _mutants(rng, records, labels, fields, ring, members, unknown):
 
     faults = {"alias label": alias, "non-representative label": non_representative,
               "unknown label": unknown_label, "non-central value": non_central,
-              "unparsable value": unparsable, "non-string field": non_string}
-    if len(labels) == 2:
-        faults["non-comparable pair"] = swapped
+              "unparsable value": unparsable, "non-string field": non_string,
+              "non-comparable pair": swapped}
 
     def copy():
         return [dict(r) for r in records]
@@ -205,14 +198,11 @@ def test_bulk_readers_match_row_readers(spec, seed=13):
             ws = from_potential(pot)
             fmt = ring.format_element
             weights = [{"from": x, "to": y, "value": fmt(v)} for (x, y), v in ws.items()]
-            values = [{"class": x, "value": fmt(v)} for x, v in pot.items()]
             f = random_function(preorder, ring, rng)
             entries = [{"from": x, "to": y, "value": fmt(v)} for (x, y), v in f.entries.items()]
             files = [
                 (weight_system_from_json, ref_weight_system_from_json, "weights", weights,
                  ("from", "to"), ("from", "to", "value"), members, (q,)),
-                (potential_from_json, ref_potential_from_json, "values", values,
-                 ("class",), ("class", "value"), members, (q, ring)),
                 (function_from_json, ref_function_from_json, "entries", entries,
                  ("from", "to"), ("from", "to", "value"), everyone, (preorder, ring)),
             ]
