@@ -15,19 +15,13 @@ import decimal
 import json
 import sys
 
-from .coeff_rings import (
-    MatrixRing,
-    NonUnitError,
-    RingMismatchError,
-    RingParseError,
-    parse_ring_spec,
-)
-from .comparability import ComparabilityGraph, GraphError
+from .coeff_rings import MatrixRing, NonUnitError, parse_ring_spec, split_top_level
+from .comparability import ComparabilityGraph
 from .incidence_algebra import (
     NonInvertibleError,
-    SupportError,
     convolve,
     delta,
+    format_values,
     function_to_json,
     invert,
     load_function,
@@ -35,7 +29,6 @@ from .incidence_algebra import (
 )
 from .mult_automorphisms import (
     NotInnerWitness,
-    WeightSystemError,
     decompose,
     find_potential,
     load_weight_system,
@@ -51,19 +44,9 @@ from .oracle import (
     run_full_suite,
     verify_structure,
 )
-from .preorder_core import PreorderError, load_preorder
+from .preorder_core import load_preorder
 
-_INPUT_ERRORS = (
-    PreorderError,
-    RingParseError,
-    RingMismatchError,
-    SupportError,
-    WeightSystemError,
-    GraphError,
-    GuardExceeded,
-    OSError,
-    ValueError,
-)
+_INPUT_ERRORS = (ValueError, GuardExceeded, OSError)  # every input error class is a ValueError
 
 
 def _dump(obj) -> str:
@@ -206,8 +189,13 @@ def _cmd_decompose(args) -> int:
                 fh.write(text)
         sys.stdout.write(_dump(paths))
     else:
-        keys = {"w1": "tree_trivial", "w0": "coboundary", "potential": "potential"}
-        sys.stdout.write(_dump({keys[name]: json.loads(t) for name, t in texts.items()}))
+        # each text is a _dump document: nested one level deep, under keys in the
+        # sorted order _dump writes, by indenting its lines one text at a time
+        names = {"coboundary": "w0", "potential": "potential", "tree_trivial": "w1"}
+        for sep, (key, name) in zip("{,,", names.items()):
+            nested = texts.pop(name).rstrip("\n").replace("\n", "\n  ")
+            sys.stdout.write(f'{sep}\n  "{key}": {nested}')
+        sys.stdout.write("\n}\n")
     return 0
 
 
@@ -226,7 +214,10 @@ def _cmd_enumerate(args) -> int:
         doc["tree_trivial"] = len(mult) // len(inner)
     if args.list:
         listed = mult if args.list == "mult" else inner
-        doc["systems"] = [json.loads(weight_system_to_json(w))["weights"] for w in listed]
+        pairs = quotient.strict_pairs()
+        doc["systems"] = [[{"from": x, "to": y, "value": v}
+                           for (x, y), v in zip(pairs, format_values(ring, w.values))]
+                          for w in listed]
     _emit(args, _dump(doc))
     return 0
 
@@ -246,7 +237,7 @@ def _cmd_verify(args) -> int:
     if args.poset:
         preorder = load_preorder(args.poset)
         quotient = preorder.quotient()
-        specs = args.ring.split(",") if args.ring else list(DEFAULT_SUITE_RINGS)
+        specs = split_top_level(args.ring) if args.ring else DEFAULT_SUITE_RINGS
         reports = [
             verify_structure(quotient, parse_ring_spec(spec), args.root, force=args.force)
             for spec in specs

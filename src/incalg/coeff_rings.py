@@ -191,7 +191,7 @@ class ProductRing(Ring):
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise RingParseError(f"cannot parse {_excerpt(text)} as an element of {self}")
-        parts = _split_top_level(t[1:-1])
+        parts = split_top_level(t[1:-1])
         if len(parts) != len(self.factors):
             raise RingParseError(
                 f"{_excerpt(text)} has {len(parts)} components, {self} expects {len(self.factors)}"
@@ -412,7 +412,7 @@ def _excerpt(text):
     return shown if len(shown) <= 60 else shown[:60] + "..."
 
 
-def _split_top_level(text: str):
+def split_top_level(text: str):
     """Split on commas that are not nested inside parentheses or brackets."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):

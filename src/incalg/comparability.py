@@ -25,8 +25,16 @@ class ComparabilityGraph:
         self.poset = poset
         self.vertices = poset.reps  # ascending, like the class indices
         self.m = len(poset.index_pairs)  # edge s is slot s, labelled strict_pairs()[s]
-        self.components = poset.connected_components()
-        self.cyclomatic = self.m - len(self.vertices) + len(self.components)
+
+    @cached_property
+    def components(self):
+        """Connected components, as sorted tuples of class representatives."""
+        return self.poset.connected_components()
+
+    @cached_property
+    def cyclomatic(self):
+        """The cycle rank m - k + c: edges minus vertices plus components."""
+        return self.m - len(self.vertices) + len(self.components)
 
     def __repr__(self):
         return f"ComparabilityGraph({len(self.vertices)} vertices, {self.m} edges)"

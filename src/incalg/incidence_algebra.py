@@ -290,39 +290,30 @@ def _scalar_entries(items, k, part):
             for x, y, a in items for i, row in enumerate(a) for j, v in enumerate(row) if v]
 
 
-def _values(view, parts, start, width, offsets, cells):
-    """Ring values from the scalar rows of each factor, laid end to end.
-
-    ``parts[f]`` holds factor f's rows; element row x spans ``width[x]``
-    columns from ``start[x]`` in the residue layout (k = 0), or k scalar
-    rows of k times as many from k*k*start[x].  The values are taken at
-    ``offsets[x]`` of each row, in row order (``cells``: the same columns
-    as flat positions).
-    """
+def _function(lay, f, view, parts):
+    """The function over f's carrier whose scalar rows per factor are
+    ``parts``, laid end to end: its nonzero values on the up-set of each
+    row.  Over Z/n the fields off the up-sets are zero, so the nonzero
+    fields are the entries.  Otherwise each factor's values are taken at
+    the up-set columns (``lay.cells``), or, over M(k,Z/n), element row x
+    is k scalar rows of k * ``width[x]`` fields from k*k*``start[x]``,
+    read at ``offsets[x]``, and a product ring zips its factors."""
+    if len(view) == 1 and not view[0][1]:
+        flat = parts[0]
+        return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(lay.keys, flat), flat)))
     cols = []
     for (_, k, _), flat in zip(view, parts):
         if not k:
-            cols.append(list(map(flat.__getitem__, cells)))
+            cols.append(list(map(flat.__getitem__, lay.cells)))
             continue
         vals = []
-        for s, w, offs in zip(start, width, offsets):
+        for s, w, offs in zip(lay.start, lay.width, lay.offsets):
             s, w = k * k * s, k * w
             # scalar row i of element row x, cut into its k-tuples, one per column
             rows = [list(zip(*[iter(flat[s + i * w:s + i * w + w])] * k)) for i in range(k)]
             vals += zip(*[map(r.__getitem__, offs) for r in rows])
         cols.append(vals)
-    return cols[0] if len(cols) == 1 else list(zip(*cols))
-
-
-def _function(lay, f, view, parts):
-    """The function over f's carrier whose scalar rows per factor are
-    ``parts``: its nonzero values on the up-set of each row.  Over Z/n
-    the fields off the up-sets are zero, so the nonzero fields are the
-    entries."""
-    if len(view) == 1 and not view[0][1]:
-        flat = parts[0]
-        return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(lay.keys, flat), flat)))
-    vals = _values(view, parts, lay.start, lay.width, lay.offsets, lay.cells)
+    vals = cols[0] if len(cols) == 1 else list(zip(*cols))
     ne = f.ring.zero().__ne__
     out = dict(compress(zip(map(lay.keys.__getitem__, lay.cells), vals), map(ne, vals)))
     return IncidenceFunction(f.preorder, f.ring, out)
@@ -404,20 +395,6 @@ def _class_inverses(f: IncidenceFunction, view):
     return out
 
 
-def _diagonal_inverse(f: IncidenceFunction) -> IncidenceFunction:
-    """Blockwise inverse of the class-diagonal part of f."""
-    view = _scalar_view(f.ring)
-    zero = f.ring.zero()
-    entries = {}
-    for members, parts in zip(f.preorder.quotient().classes, _class_inverses(f, view)):
-        s = len(members)  # the block: s rows of s columns, laid end to end
-        flat = [list(chain.from_iterable(rows)) for rows in parts]
-        vals = _values(view, flat, range(0, s * s, s), [s] * s, [range(s)] * s, range(s * s))
-        cells = [(a, b) for a in members for b in members]
-        entries.update((p, v) for p, v in zip(cells, vals) if v != zero)
-    return IncidenceFunction(f.preorder, f.ring, entries)
-
-
 def is_unit_function(f: IncidenceFunction) -> bool:
     """A function is invertible iff every diagonal class block is."""
     try:
@@ -485,7 +462,7 @@ def unit_decompose(u: IncidenceFunction):
     d = strict(u) v^-1.
     """
     v = u.diagonal_part()
-    v_inv = _diagonal_inverse(u)
+    v_inv = invert(v)
     d = convolve(u.strict_part(), v_inv)
     return d, v
 

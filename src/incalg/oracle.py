@@ -8,8 +8,10 @@ algebra, bimodule endomorphisms by enumerating additive maps on the
 matrix-unit basis.  The fast structural
 code is then compared against these enumerations.
 
-Enumeration sizes are guarded; pass force=True to exceed a guard
-knowingly.  All randomness is seeded and the seed lands in the report.
+Enumeration sizes are guarded by module constants, read at call time:
+``GUARD_VECTORS`` for weight systems and potentials (``force=True``
+runs past it) and ``GUARD_ALGEBRA`` for the conjugation and bimodule
+sweeps.  All randomness is seeded and the seed lands in the report.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff_rings import ZMod, count_central_units
+from .coeff_rings import ZMod, count_central_units, parse_ring_spec
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
@@ -41,10 +43,11 @@ from .preorder_core import Preorder, close_relations, preorder_descriptor
 
 GUARD_VECTORS = 10 ** 7
 GUARD_ALGEBRA = 10 ** 6
+SPOT_TRIALS = 40  # random trials per spot check
 
 
 class GuardExceeded(RuntimeError):
-    """Enumeration would exceed the configured guard; pass force=True to run."""
+    """An enumeration would exceed its guard."""
 
 
 @dataclass
@@ -82,23 +85,24 @@ def _instance(poset, ring) -> dict:
     return {"poset": preorder_descriptor(poset.source), "ring": str(ring)}
 
 
-def _guarded_units(ring, exponent, limit, force, what):
+def _guarded_units(ring, exponent, force, what):
     """The central units U for an enumeration of |U|^exponent ``what``,
-    refused over the limit after counting no more than r + 1 units,
-    r = floor(limit^(1/exponent)), and stating that lower bound; none are
-    listed for a refused ring or an exponent of 0."""
+    refused over ``GUARD_VECTORS`` after counting no more than r + 1
+    units, r = floor(GUARD_VECTORS^(1/exponent)), and stating that lower
+    bound; none are listed for a refused ring or an exponent of 0."""
     if not exponent:
         return ()
     if not force:
-        r = int(limit ** (1 / exponent))  # a float root, made exact
-        r += (r + 1) ** exponent <= limit
-        r -= r ** exponent > limit
+        r = int(GUARD_VECTORS ** (1 / exponent))  # a float root, made exact
+        r += (r + 1) ** exponent <= GUARD_VECTORS
+        r -= r ** exponent > GUARD_VECTORS
         if count_central_units(ring, r + 1) > r:
-            raise GuardExceeded(f"at least {r + 1}^{exponent} {what} exceed the guard {limit}")
+            raise GuardExceeded(
+                f"at least {r + 1}^{exponent} {what} exceed the guard {GUARD_VECTORS}")
     return ring.central_units()
 
 
-def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
+def enumerate_mult(poset, ring, force=False):
     """All weight systems satisfying the chain condition.
 
     Exhaustive filter over central-unit assignments to the strict pairs,
@@ -108,7 +112,7 @@ def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
     with central units ascending.
     """
     pairs = poset.strict_pairs()
-    units = _guarded_units(ring, len(pairs), limit, force, "candidate vectors")
+    units = _guarded_units(ring, len(pairs), force, "candidate vectors")
     index = {p: i for i, p in enumerate(pairs)}
     triples_at = [[] for _ in pairs]
     for x, y in pairs:
@@ -133,7 +137,7 @@ def enumerate_mult(poset, ring, limit=GUARD_VECTORS, force=False):
     return out
 
 
-def enumerate_inner(poset, ring, limit=GUARD_VECTORS, force=False):
+def enumerate_inner(poset, ring, force=False):
     """All coboundary systems, by running through the vertex potentials
     with value one at the least class.
 
@@ -144,7 +148,7 @@ def enumerate_inner(poset, ring, limit=GUARD_VECTORS, force=False):
     |G|^(m - lambda) that the structure checks assert stays independent.
     """
     k = poset.n_classes
-    units = _guarded_units(ring, k - 1, limit, force, "potentials")
+    units = _guarded_units(ring, k - 1, force, "potentials")
     seen = {}
     one = (ring.one(),)
     for combo in itertools.product(units, repeat=k - 1):
@@ -153,7 +157,7 @@ def enumerate_inner(poset, ring, limit=GUARD_VECTORS, force=False):
     return [seen[key] for key in sorted(seen)]
 
 
-def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -> VerificationReport:
+def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     """Cross-check the structural machinery against raw enumeration.
 
     Runs on one connected instance: decomposition recomposes and lands in
@@ -162,8 +166,8 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     and the three innerness tests (cycle weights, potential
     reconstruction, enumerated membership) agree on every system.
     """
-    mult = enumerate_mult(poset, ring, limit, force)
-    inner = enumerate_inner(poset, ring, limit, force)
+    mult = enumerate_mult(poset, ring, force)
+    inner = enumerate_inner(poset, ring, force)
     inner_keys = {w.values for w in inner}
     tree = tree_of(poset, root)
     graph = tree.graph
@@ -248,7 +252,7 @@ def verify_structure(poset, ring, root=None, limit=GUARD_VECTORS, force=False) -
     return VerificationReport(instance=_instance(poset, ring), counts=counts, checks=checks)
 
 
-def verify_inner_conjugations(preorder, ring, limit=GUARD_ALGEBRA, force=False) -> VerificationReport:
+def verify_inner_conjugations(preorder, ring) -> VerificationReport:
     """Conjugation sweep over every unit of the incidence algebra.
 
     A unit's conjugation counts when it fixes each single-entry
@@ -257,9 +261,9 @@ def verify_inner_conjugations(preorder, ring, limit=GUARD_ALGEBRA, force=False) 
     with the coboundary enumeration.
     """
     pairs = preorder.comparable_pairs()
-    if not force and ring.order ** len(pairs) > limit:
+    if ring.order ** len(pairs) > GUARD_ALGEBRA:
         raise GuardExceeded(
-            f"{ring.order}^{len(pairs)} algebra elements exceed the guard {limit}"
+            f"{ring.order}^{len(pairs)} algebra elements exceed the guard {GUARD_ALGEBRA}"
         )
     quotient = preorder.quotient()
     zero = ring.zero()
@@ -341,7 +345,7 @@ def _matmul_mod(a, b, n):
     )
 
 
-def verify_bimodule_scalars(nrows, ncols, ring, limit=GUARD_ALGEBRA, force=False) -> VerificationReport:
+def verify_bimodule_scalars(nrows, ncols, ring) -> VerificationReport:
     """Bimodule endomorphisms of rectangular matrices over Z/n.
 
     Enumerates every additive self-map of M(nrows x ncols) determined on
@@ -357,8 +361,8 @@ def verify_bimodule_scalars(nrows, ncols, ring, limit=GUARD_ALGEBRA, force=False
         tuple(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
         for flat in itertools.product(range(n), repeat=dim)
     )
-    if not force and len(space) ** dim > limit:
-        raise GuardExceeded(f"{len(space)}^{dim} additive maps exceed the guard {limit}")
+    if len(space) ** dim > GUARD_ALGEBRA:
+        raise GuardExceeded(f"{len(space)}^{dim} additive maps exceed the guard {GUARD_ALGEBRA}")
     left = tuple(
         tuple(flat[i * nrows:(i + 1) * nrows] for i in range(nrows))
         for flat in itertools.product(range(n), repeat=nrows * nrows)
@@ -471,11 +475,11 @@ def matrix_oracle(f: IncidenceFunction, g: IncidenceFunction) -> bool:
     return True
 
 
-def random_function(preorder, ring, rng, density=0.6) -> IncidenceFunction:
+def random_function(preorder, ring, rng) -> IncidenceFunction:
     elements = ring.elements()
     entries = []
     for pair in preorder.comparable_pairs():
-        if rng.random() < density:
+        if rng.random() < 0.6:
             entries.append((pair[0], pair[1], elements[rng.randrange(len(elements))]))
     return IncidenceFunction.from_entries(preorder, ring, entries)
 
@@ -511,7 +515,7 @@ def random_unit(preorder, ring, rng, density=0.6) -> IncidenceFunction:
     )
 
 
-def automorphism_check(ws: WeightSystem, trials=100, seed=0) -> VerificationReport:
+def automorphism_check(ws: WeightSystem, seed=0) -> VerificationReport:
     """Random-sample test that ws.apply is a diagonal-fixing automorphism.
 
     Runs on any weight system, valid or not: a corrupted system is
@@ -522,7 +526,7 @@ def automorphism_check(ws: WeightSystem, trials=100, seed=0) -> VerificationRepo
     ring = ws.ring
     mult_failures = []
     diag_failures = []
-    for trial in range(trials):
+    for trial in range(SPOT_TRIALS):
         f = random_function(preorder, ring, rng)
         g = random_function(preorder, ring, rng)
         left = ws.apply(convolve(f, g))
@@ -541,17 +545,17 @@ def automorphism_check(ws: WeightSystem, trials=100, seed=0) -> VerificationRepo
         CheckResult("apply-multiplicative", not mult_failures, {"witness": mult_failures[:1]}),
         CheckResult("apply-fixes-diagonal", not diag_failures, {"witness": diag_failures[:1]}),
     ]
-    counts = {"trials": trials, "failures": len(mult_failures) + len(diag_failures)}
+    counts = {"trials": SPOT_TRIALS, "failures": len(mult_failures) + len(diag_failures)}
     return VerificationReport(
         instance=_instance(ws.poset, ring), counts=counts, checks=checks, seed=seed
     )
 
 
-def matrix_embedding_check(preorder, ring, trials=50, seed=0) -> VerificationReport:
+def matrix_embedding_check(preorder, ring, seed=0) -> VerificationReport:
     """Random-sample agreement of convolution with the matrix embedding."""
     rng = random.Random(seed)
     failures = 0
-    for _ in range(trials):
+    for _ in range(SPOT_TRIALS):
         f = random_function(preorder, ring, rng)
         g = random_function(preorder, ring, rng)
         if not matrix_oracle(f, g):
@@ -559,7 +563,7 @@ def matrix_embedding_check(preorder, ring, trials=50, seed=0) -> VerificationRep
     checks = [CheckResult("matrix-embedding-agrees", failures == 0, {"failures": failures})]
     return VerificationReport(
         instance=_instance(preorder.quotient(), ring),
-        counts={"trials": trials},
+        counts={"trials": SPOT_TRIALS},
         checks=checks,
         seed=seed,
     )
@@ -644,26 +648,23 @@ def inflate(poset: Preorder, sizes) -> Preorder:
 DEFAULT_SUITE_RINGS = ("Z/2", "Z/3", "Z/4", "Z/5", "Z/12")
 
 
-def run_structure_sweep(max_classes=5, ring_specs=DEFAULT_SUITE_RINGS, root=None,
-                        limit=GUARD_VECTORS, force=False):
-    """Structure verification over every connected generated poset."""
-    from .coeff_rings import parse_ring_spec
-
-    rings = [parse_ring_spec(s) for s in ring_specs]
+def run_structure_sweep(max_classes=5, force=False):
+    """Structure verification over every connected generated poset and
+    every ring of ``DEFAULT_SUITE_RINGS``."""
+    rings = [parse_ring_spec(s) for s in DEFAULT_SUITE_RINGS]
     reports = []
     for poset in connected_posets(max_classes):
         quotient = poset.quotient()
         for ring in rings:
-            reports.append(verify_structure(quotient, ring, root, limit, force))
+            reports.append(verify_structure(quotient, ring, force=force))
     return reports
 
 
-def run_full_suite(seed=0, max_classes=5, ring_specs=DEFAULT_SUITE_RINGS,
-                   limit=GUARD_VECTORS, force=False):
+def run_full_suite(seed=0, max_classes=5, force=False):
     """The complete oracle battery: structure sweep, conjugation sweep on
     the two chains over Z/2 and Z/3, the four bimodule instances, and
     seeded spot checks of apply and the matrix embedding."""
-    reports = run_structure_sweep(max_classes, ring_specs, None, limit, force)
+    reports = run_structure_sweep(max_classes, force)
     chain2 = close_relations("ab", [("a", "b")])
     chain3 = close_relations("abc", [("a", "b"), ("b", "c")])
     for preorder in (chain2, chain3):
@@ -674,7 +675,7 @@ def run_full_suite(seed=0, max_classes=5, ring_specs=DEFAULT_SUITE_RINGS,
     crown = close_relations("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     ring5 = ZMod(5)
     for ws in enumerate_mult(crown.quotient(), ring5)[:3]:
-        reports.append(automorphism_check(ws, trials=40, seed=seed))
-    reports.append(matrix_embedding_check(chain3, ZMod(12), trials=40, seed=seed))
-    reports.append(matrix_embedding_check(crown, ring5, trials=40, seed=seed))
+        reports.append(automorphism_check(ws, seed=seed))
+    reports.append(matrix_embedding_check(chain3, ZMod(12), seed=seed))
+    reports.append(matrix_embedding_check(crown, ring5, seed=seed))
     return reports

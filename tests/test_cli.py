@@ -5,9 +5,16 @@ import time
 
 import pytest
 
-from incalg.cli import run_command
+from incalg.cli import _dump, run_command
 from incalg.coeff_rings import MatrixRing, ProductRing, ZMod, parse_ring_spec
-from incalg.mult_automorphisms import WeightSystemError, decompose, load_weight_system
+from incalg.mult_automorphisms import (
+    WeightSystemError,
+    decompose,
+    load_weight_system,
+    potential_to_json,
+    weight_system_to_json,
+)
+from incalg.oracle import enumerate_inner, enumerate_mult
 from incalg.preorder_core import close_relations, preorder_to_text
 
 
@@ -165,6 +172,32 @@ def test_enumerate_listing(capsys, chain3_txt):
     assert len(doc["systems"]) == 4
 
 
+@pytest.mark.parametrize("spec", ["M(2,Z/3)", "Z/2 x Z/3"])
+def test_nested_stdout_is_the_dump_of_its_parts(capsys, tmp_path, crown, spec):
+    """decompose without --out and enumerate --list write exactly the
+    _dump of the documents they are made of, parsed back."""
+    ring = parse_ring_spec(spec)
+    poset, weights = tmp_path / "poset.txt", tmp_path / "w.json"
+    for preorder in (crown, close_relations("a", [])):  # the one-class poset has no pairs
+        q = preorder.quotient()
+        poset.write_text(preorder_to_text(preorder))
+        mult, inner = enumerate_mult(q, ring), enumerate_inner(q, ring)
+        for name, listed in (("mult", mult), ("inner", inner)):
+            doc = {"ring": spec, "mult": len(mult), "inner": len(inner),
+                   "tree_trivial": len(mult) // len(inner),
+                   "systems": [json.loads(weight_system_to_json(w))["weights"] for w in listed]}
+            got = run(capsys, "enumerate", "--poset", str(poset), "--ring", spec, "--list", name)
+            assert got == (0, _dump(doc), "")
+        for ws in mult[::5]:
+            weights.write_text(weight_system_to_json(ws))
+            w1, w0, potential = decompose(ws)
+            doc = {"tree_trivial": json.loads(weight_system_to_json(w1)),
+                   "coboundary": json.loads(weight_system_to_json(w0)),
+                   "potential": json.loads(potential_to_json(potential))}
+            got = run(capsys, "decompose", "--poset", str(poset), "--weights", str(weights))
+            assert got == (0, _dump(doc), "")
+
+
 def test_enumerate_guard(capsys, tmp_path):
     chain = tmp_path / "chain6.txt"
     chain.write_text(
@@ -214,14 +247,15 @@ def test_apply_builtin_function(capsys, crown_txt, tmp_path):
 
 
 def test_verify_single_instance(capsys, crown_txt):
-    code, out, _ = run(
-        capsys, "verify", "--poset", crown_txt, "--ring", "Z/3,Z/5"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert all(line.startswith("PASS") for line in lines)
-    assert "suite" in lines[-1]
+    """--ring splits on top-level commas only, so matrix rings are listed too."""
+    for specs in (["Z/3", "Z/5"], ["M(2,Z/3)", "Z/2 x Z/3"]):
+        code, out, err = run(capsys, "verify", "--poset", crown_txt, "--ring", ",".join(specs))
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("PASS") for line in lines)
+        assert [f"ring={spec} " in line for spec, line in zip(specs, lines)] == [True, True]
+        assert "suite" in lines[-1]
 
 
 def test_verify_suite_deterministic(capsys, tmp_path):
@@ -422,8 +456,7 @@ def test_enumeration_guards_count_units_without_listing(capsys, tmp_path, spec, 
         files[name].write_text(text)
     expected = {"chain3": "at least 216^3 candidate vectors",
                 "antichain3": "at least 3163^2 potentials"}
-    # verify --ring takes a comma-separated list, so no matrix ring
-    for command in ("enumerate",) if "," in spec else ("enumerate", "verify"):
+    for command in ("enumerate", "verify"):
         for name, refusal in expected.items():
             start = time.process_time()
             code, out, err = run(capsys, command, "--poset", str(files[name]), "--ring", spec)

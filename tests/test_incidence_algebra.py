@@ -15,7 +15,6 @@ from incalg.incidence_algebra import (
     IncidenceFunction,
     NonInvertibleError,
     SupportError,
-    _diagonal_inverse,
     convolve,
     delta,
     function_from_json,
@@ -264,7 +263,7 @@ def _series_inverse(f):
     """Reference: the inverse as v^-1 (1 + d)^-1 with d = strict(f) v^-1
     nilpotent, summing the alternating powers of d up to the height."""
     ring = f.ring
-    v_inv = _diagonal_inverse(f)
+    v_inv = invert(f.diagonal_part())
     d = convolve(f.strict_part(), v_inv)
     series = delta(f.preorder, ring)
     power, sign = d, -1

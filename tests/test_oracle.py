@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from incalg import oracle
 from incalg.coeff_rings import ZMod, parse_ring_spec
 from incalg.mult_automorphisms import WeightSystem
 from incalg.oracle import (
@@ -63,16 +64,23 @@ def test_inner_count_formula(crown, diamond, chain3):
         assert len(enumerate_inner(q, r)) == expected
 
 
-def test_guard_refuses_large_instances():
+def test_guard_refuses_large_instances(monkeypatch):
     chain = close_relations("abcdef", [(x, y) for x, y in zip("abcde", "bcdef")])
     q = chain.quotient()
     with pytest.raises(GuardExceeded):
         enumerate_mult(q, ZMod(1009))
     with pytest.raises(GuardExceeded):
-        enumerate_inner(q, ZMod(1009), limit=10)
-    # force runs anyway on something feasible
-    got = enumerate_inner(q, ZMod(2), limit=0, force=True)
-    assert len(got) == 1
+        enumerate_inner(q, ZMod(1009))
+    # the guards are read at call time; force runs past the enumeration guard
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 0)
+    with pytest.raises(GuardExceeded):
+        enumerate_inner(q, ZMod(2))
+    assert len(enumerate_inner(q, ZMod(2), force=True)) == 1
+    monkeypatch.setattr(oracle, "GUARD_ALGEBRA", 1)
+    with pytest.raises(GuardExceeded, match="exceed the guard 1$"):
+        verify_inner_conjugations(close_relations("ab", [("a", "b")]), ZMod(2))
+    with pytest.raises(GuardExceeded, match="exceed the guard 1$"):
+        verify_bimodule_scalars(1, 1, ZMod(2))
 
 
 def test_verify_structure_crown(crown):
@@ -143,12 +151,12 @@ def test_automorphism_check_detects_corruption(crown):
     q = crown.quotient()
     good = WeightSystem.from_values(
         q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 3})
-    assert automorphism_check(good, trials=30, seed=11).passed
+    assert automorphism_check(good, seed=11).passed
     # a chain-condition violation shows up as a failed multiplicativity trial
     chain3 = close_relations("abc", [("a", "b"), ("b", "c")])
     bad = WeightSystem.from_values(
         chain3.quotient(), ZMod(5), {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 2})
-    report = automorphism_check(bad, trials=30, seed=11)
+    report = automorphism_check(bad, seed=11)
     assert not report.passed
     assert report.seed == 11
     failing = [c for c in report.checks if not c.passed]
@@ -156,7 +164,7 @@ def test_automorphism_check_detects_corruption(crown):
 
 
 def test_matrix_embedding_check(chain3):
-    assert matrix_embedding_check(chain3, ZMod(12), trials=20, seed=3).passed
+    assert matrix_embedding_check(chain3, ZMod(12), seed=3).passed
 
 
 def test_all_posets_counts():
