@@ -1,7 +1,8 @@
 """Incidence algebra of a finite preorder over a finite coefficient ring.
 
 Elements are functions on the comparable pairs of the preorder, stored
-sparsely (absent pair = zero).  Multiplication is convolution,
+sparsely (absent pair = zero) by element index pair (positions in
+``preorder.elements``).  Multiplication is convolution,
 
     (fg)(x, y) = sum of f(x, z) g(z, y) over x <= z <= y,
 
@@ -20,8 +21,9 @@ class first (Rota's Moebius recursion), for the cost of about one
 convolution.
 
 ``IncidenceFunction(...)`` trusts its arguments and is what the algebra
-uses internally; :meth:`IncidenceFunction.from_entries` and the JSON
-reader validate support and encoding once, at the boundary.
+uses internally.  Labels appear only at the boundary: ``from_entries``
+and the JSON reader map them to indices and validate support and
+encoding once; ``value``, ``items`` and the JSON writer map back.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, chain, compress, count, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -47,7 +49,8 @@ class NonInvertibleError(ArithmeticError):
 
 
 class IncidenceFunction:
-    """Sparse ring-valued function on the comparable pairs of a preorder."""
+    """Sparse ring-valued function on the comparable pairs of a preorder:
+    ``entries`` maps element index pairs (i, j), i <= j, to nonzero values."""
 
     __slots__ = ("preorder", "ring", "entries")
 
@@ -59,36 +62,41 @@ class IncidenceFunction:
 
     @classmethod
     def from_entries(cls, preorder, ring, entries):
-        """Build from (x, y, value) triples, validating support and encoding."""
-        zero = ring.zero()
+        """Build from (x, y, value) triples of labels, validating support
+        and encoding; a pair may occur once, even with the value zero."""
+        index, up = preorder._i, preorder._up
         out = {}
         for x, y, value in entries:
-            if not preorder.leq(x, y):
+            i, j = index(x), index(y)
+            if not up[i] >> j & 1:
                 raise SupportError(f"pair ({x}, {y}) is not comparable: support violation")
             ring.check(value)
-            if (x, y) in out:
+            if (i, j) in out:
                 raise SupportError(f"duplicate entry for pair ({x}, {y})")
-            if value != zero:
-                out[(x, y)] = value
-        return cls(preorder, ring, out)
+            out[i, j] = value
+        zero = ring.zero()
+        return cls(preorder, ring, {p: v for p, v in out.items() if v != zero})
 
     def value(self, x, y):
-        got = self.entries.get((x, y))
-        if got is not None:
-            return got
-        self.preorder._i(x)
-        self.preorder._i(y)
-        return self.ring.zero()
+        index = self.preorder._i
+        return self.entries.get((index(x), index(y)), self.ring.zero())
+
+    def items(self):
+        """((x, y), value) for the nonzero entries, in sorted pair order."""
+        labels = self.preorder.elements
+        out = list(zip([(labels[i], labels[j]) for i, j in self.entries], self.entries.values()))
+        out.sort(key=itemgetter(0))  # the pairs are distinct: values are never compared
+        return out
 
     def diagonal_part(self) -> "IncidenceFunction":
         """Restriction to pairs inside one equivalence class."""
-        cls = self.preorder.quotient().class_of
+        cls = self.preorder.quotient().elem_class
         kept = {p: v for p, v in self.entries.items() if cls[p[0]] == cls[p[1]]}
         return IncidenceFunction(self.preorder, self.ring, kept)
 
     def strict_part(self) -> "IncidenceFunction":
         """Restriction to pairs across distinct classes."""
-        cls = self.preorder.quotient().class_of
+        cls = self.preorder.quotient().elem_class
         kept = {p: v for p, v in self.entries.items() if cls[p[0]] != cls[p[1]]}
         return IncidenceFunction(self.preorder, self.ring, kept)
 
@@ -146,24 +154,21 @@ class _Layout:
     ``offsets[x]`` lists its up-set as offsets from ``lo[x]``.  Laid end
     to end, row x's columns start at ``start[x]``; ``cells`` lists the
     up-set columns of all rows in that order as flat positions, and
-    ``keys`` holds the label pair of each such position (None elsewhere),
+    ``keys`` holds the index pair of each such position (None elsewhere),
     the key of that entry of a function.  ``most``, the size of the
     largest up-set, bounds the number of terms of one entry of a
-    product.  The :class:`_Kernel` of each scalar ring and the class data
-    that :func:`invert` needs are built on first use.
+    product.  The :class:`_Kernel` of each scalar ring is built on first use.
     """
 
     def __init__(self, preorder):
-        labels = preorder.elements
         ups = list(map(_bits, preorder._up))
-        self.preorder = preorder
         self.lo = [up[0] for up in ups]
         self.width = [up[-1] - up[0] + 1 for up in ups]
         self.start = list(accumulate(self.width, initial=0))
         self.offsets = [[y - up[0] for y in up] for up in ups]
         self.cells = [s + o for s, offs in zip(self.start, self.offsets) for o in offs]
-        self.keys = [None] * self.start[-1]  # the label pair of each column that is a cell
-        for cell, pair in zip(self.cells, [(x, labels[y]) for x, up in zip(labels, ups) for y in up]):
+        self.keys = [None] * self.start[-1]  # the index pair of each column that is a cell
+        for cell, pair in zip(self.cells, [(x, y) for x, up in enumerate(ups) for y in up]):
             self.keys[cell] = pair
         self.most = max(map(len, ups))
         self.kernels = {}
@@ -173,16 +178,6 @@ class _Layout:
         if kernel is None:
             kernel = self.kernels[n, k] = _Kernel(n, k, self)
         return kernel
-
-    @cached_property
-    def classes(self):
-        """The class of each element, the element indices of each class
-        (in class order, members as in the class tuple) and the class
-        indices top down."""
-        quotient, index = self.preorder.quotient(), self.preorder._index
-        cls = [quotient.class_of[x] for x in self.preorder.elements]
-        blocks = [[index[x] for x in members] for members in quotient.classes]
-        return cls, blocks, quotient.top_down()
 
 
 def _layout(preorder):
@@ -236,10 +231,10 @@ class _Kernel:
         self.at.append(sum(self.width))
 
     def pack_rows(self, entries):
-        """One packed int per row, from (row, column, residue) triples."""
+        """One packed int per row, from ((row, column), residue) items."""
         fields = [0] * self.at[-1]
         at = self.at
-        for r, c, v in entries:
+        for (r, c), v in entries:
             fields[at[r] + c] = v
         data = bytes(self.data(fields))
         return [int.from_bytes(data[a:b], "little") for a, b in self.bounds]
@@ -273,21 +268,16 @@ def _scalar_view(ring):
     return [(ring.n, 0, None)]
 
 
-def _index_entries(lay, f):
-    """f's entries as (row index, column index, value) triples."""
-    index = lay.preorder._index
-    return [(index[x], index[y], v) for (x, y), v in f.entries.items()]
-
-
 def _scalar_entries(items, k, part):
-    """Entry triples over the ring as the nonzero (scalar row, scalar
-    column, residue) triples of one factor of the scalar view."""
+    """Entry items ((row, column), value) over the ring as the nonzero
+    ((scalar row, scalar column), residue) items of one factor of the
+    scalar view; over Z/n, the items themselves."""
     if part is not None:
-        items = [(x, y, v[part]) for x, y, v in items]
+        items = [(p, v[part]) for p, v in items]
     if not k:
-        return items if part is None else [t for t in items if t[2]]
-    return [(x * k + i, y * k + j, v)
-            for x, y, a in items for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        return items if part is None else [t for t in items if t[1]]
+    return [((x * k + i, y * k + j), v)
+            for (x, y), a in items for i, row in enumerate(a) for j, v in enumerate(row) if v]
 
 
 def _function(lay, f, view, parts):
@@ -330,13 +320,12 @@ def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
     _same_carrier(f, g)
     lay = _layout(f.preorder)
     view = _scalar_view(f.ring)
-    f_items, g_items = _index_entries(lay, f), _index_entries(lay, g)
     parts = []
     for n, k, part in view:
         kernel = lay.kernel(n, k)
-        packed, shift = kernel.pack_rows(_scalar_entries(g_items, k, part)), kernel.shift
+        packed, shift = kernel.pack_rows(_scalar_entries(g.entries.items(), k, part)), kernel.shift
         accs = [0] * len(shift)
-        for r, c, a in _scalar_entries(f_items, k, part):
+        for (r, c), a in _scalar_entries(f.entries.items(), k, part):
             accs[r] += a * packed[c] << shift[c] - shift[r]
         parts.append(kernel.reduce(accs, kernel.length))
     return _function(lay, f, view, parts)
@@ -345,13 +334,14 @@ def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
 def delta(preorder, ring) -> IncidenceFunction:
     """Multiplicative identity: one on the diagonal."""
     one = ring.one()
-    return IncidenceFunction(preorder, ring, {(x, x): one for x in preorder.elements})
+    return IncidenceFunction(preorder, ring, {(i, i): one for i in range(len(preorder.elements))})
 
 
 def zeta(preorder, ring) -> IncidenceFunction:
     """One on every comparable pair."""
     one = ring.one()
-    return IncidenceFunction(preorder, ring, {p: one for p in preorder.comparable_pairs()})
+    return IncidenceFunction(
+        preorder, ring, {(i, j): one for i, row in enumerate(preorder._up) for j in _bits(row)})
 
 
 def _flatten(k, rows):
@@ -379,19 +369,19 @@ def matrix_is_invertible(ring, rows) -> bool:
 
 
 def _class_inverses(f: IncidenceFunction, view):
-    """Per class, in class order, the scalar inverses of f's diagonal
-    block (:func:`_scalar_inverses`); raises NonInvertibleError for the
-    first class whose block has none."""
-    quotient = f.preorder.quotient()
+    """Per class, in class order, its element indices (members as in the
+    class tuple) and the scalar inverses of f's diagonal block
+    (:func:`_scalar_inverses`); raises NonInvertibleError for the first
+    class whose block has none."""
+    quotient, index = f.preorder.quotient(), f.preorder._index
     get, zero = f.entries.get, f.ring.zero()
     out = []
-    for ci, members in enumerate(quotient.classes):
-        parts = _scalar_inverses(view, [[get((s, t), zero) for t in members] for s in members])
+    for rep, members in zip(quotient.reps, quotient.classes):
+        block = [index[x] for x in members]
+        parts = _scalar_inverses(view, [[get((s, t), zero) for t in block] for s in block])
         if parts is None:
-            raise NonInvertibleError(
-                f"diagonal block of class {quotient.reps[ci]!r} is not invertible"
-            )
-        out.append(parts)
+            raise NonInvertibleError(f"diagonal block of class {rep!r} is not invertible")
+        out.append((block, parts))
     return out
 
 
@@ -426,8 +416,9 @@ def invert(f: IncidenceFunction) -> IncidenceFunction:
     lay = _layout(f.preorder)
     view = _scalar_view(f.ring)
     inverses = _class_inverses(f, view)
-    cls, blocks, top_down = lay.classes
-    strict = [t for t in _index_entries(lay, f) if cls[t[0]] != cls[t[1]]]
+    quotient = f.preorder.quotient()
+    top_down, cls = quotient.top_down(), quotient.elem_class
+    strict = [t for t in f.entries.items() if cls[t[0][0]] != cls[t[0][1]]]
     parts = []
     for fi, (n, k, part) in enumerate(view):
         kernel = lay.kernel(n, k)
@@ -435,8 +426,9 @@ def invert(f: IncidenceFunction) -> IncidenceFunction:
         s_packed = kernel.pack_rows(_scalar_entries(strict, k, part))
         packed, rows = [0] * len(lo), [None] * len(lo)
         for ci in top_down:
-            block = [x * k + i for x in blocks[ci] for i in range(k)] if k else blocks[ci]
-            for r, v_row in zip(block, inverses[ci][fi]):
+            members, v_inv = inverses[ci]
+            block = [x * k + i for x in members for i in range(k)] if k else members
+            for r, v_row in zip(block, v_inv[fi]):
                 d = 0
                 for v, s in zip(v_row, block):
                     if v:
@@ -484,8 +476,9 @@ def hadamard(m: IncidenceFunction, f: IncidenceFunction) -> IncidenceFunction:
 
 
 def function_to_json(f: IncidenceFunction) -> str:
-    pairs = sorted(f.entries)
-    values = format_values(f.ring, list(map(f.entries.__getitem__, pairs)))
+    items = f.items()
+    pairs = list(map(itemgetter(0), items))
+    values = format_values(f.ring, list(map(itemgetter(1), items)))
     return write_records({}, "entries", ("from", "to", "value"),
                          (map(itemgetter(0), pairs), map(itemgetter(1), pairs), values))
 
@@ -566,7 +559,7 @@ def function_from_json(text: str, preorder, ring) -> IncidenceFunction:
     """Read a function file.
 
     Values are parsed once per distinct text (:func:`parse_values`).
-    When every label is known, no pair repeats and every pair is
+    When every label is known, no index pair repeats and every pair is
     comparable (one bit test of the up row each), the entries are taken
     as they are; otherwise :meth:`IncidenceFunction.from_entries` runs
     on the parsed rows and raises the error of the first faulty one.
@@ -576,8 +569,8 @@ def function_from_json(text: str, preorder, ring) -> IncidenceFunction:
     values, _ = parse_values(ring, texts)
     index, up = preorder._index, preorder._up
     if index.keys() >= set(xs).union(ys):
-        pairs = list(zip(xs, ys))
-        if len(set(pairs)) == len(pairs) and all(up[index[x]] >> index[y] & 1 for x, y in pairs):
+        pairs = list(zip(map(index.__getitem__, xs), map(index.__getitem__, ys)))
+        if len(set(pairs)) == len(pairs) and all(up[i] >> j & 1 for i, j in pairs):
             zero = ring.zero()
             return IncidenceFunction(
                 preorder, ring, {p: v for p, v in zip(pairs, values) if v != zero})

@@ -177,7 +177,7 @@ class WeightSystem:
         """Scale each cross-class entry of f by its class-pair weight."""
         if f.ring != self.ring or f.preorder != self.poset.source:
             raise WeightSystemError("function carrier does not match the weight system")
-        cls, pos = self.poset.class_of, self.poset.position
+        cls, pos = self.poset.elem_class, self.poset.position
         c, mul = self.values, self.ring.mul
         out = {}
         for (s, t), v in f.entries.items():
@@ -348,12 +348,10 @@ def to_mult_function(ws: WeightSystem) -> IncidenceFunction:
     """Incidence function acting by Hadamard product exactly as ws.apply:
     one on within-class pairs, the class-pair weight on cross pairs."""
     source = ws.poset.source
-    cls, pos = ws.poset.class_of, ws.poset.position
+    cls, pos = ws.poset.elem_class, ws.poset.position
     c, one = ws.values, ws.ring.one()
-    entries = {}
-    for s, t in source.comparable_pairs():
-        ci, cj = cls[s], cls[t]
-        entries[(s, t)] = one if ci == cj else c[pos[ci, cj]]
+    entries = {(s, t): one if cls[s] == cls[t] else c[pos[cls[s], cls[t]]]
+               for s, row in enumerate(source._up) for t in _bits(row)}
     return IncidenceFunction(source, ws.ring, entries)
 
 

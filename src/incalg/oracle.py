@@ -260,7 +260,8 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
     unit.  The weight systems collected that way must coincide exactly
     with the coboundary enumeration.
     """
-    pairs = preorder.comparable_pairs()
+    index = preorder._index
+    pairs = [(index[x], index[y]) for x, y in preorder.comparable_pairs()]
     if ring.order ** len(pairs) > GUARD_ALGEBRA:
         raise GuardExceeded(
             f"{ring.order}^{len(pairs)} algebra elements exceed the guard {GUARD_ALGEBRA}"
@@ -269,7 +270,7 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
     zero = ring.zero()
     one = ring.one()
     nonzero = [r for r in ring.elements() if r != zero]
-    cls = quotient.class_of
+    cls = quotient.elem_class
     within = [(s, t) for s, t in pairs if cls[s] == cls[t]]
     cross = {}
     for s, t in pairs:
@@ -535,8 +536,8 @@ def automorphism_check(ws: WeightSystem, seed=0) -> VerificationReport:
             mult_failures.append(
                 {
                     "trial": trial,
-                    "f": [[x, y, ring.format_element(v)] for (x, y), v in sorted(f.entries.items())],
-                    "g": [[x, y, ring.format_element(v)] for (x, y), v in sorted(g.entries.items())],
+                    "f": [[x, y, ring.format_element(v)] for (x, y), v in f.items()],
+                    "g": [[x, y, ring.format_element(v)] for (x, y), v in g.items()],
                 }
             )
         if ws.apply(f).diagonal_part() != f.diagonal_part():
@@ -611,6 +612,8 @@ def all_posets(n: int):
 @lru_cache(maxsize=None)
 def connected_posets(max_n: int):
     """All connected posets with at most max_n elements, up to isomorphism."""
+    if max_n < 1:
+        raise ValueError("poset generation supports 1 to 5 elements")
     out = []
     for n in range(1, max_n + 1):
         out.extend(p for p in all_posets(n) if p.quotient().is_connected())

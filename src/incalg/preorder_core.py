@@ -8,16 +8,18 @@ scale.  The closure is built per strongly connected component of the
 generators, in reverse topological order, with one row OR per generator
 edge (:func:`close_relations`).
 
-The quotient keeps one integer-indexed view, built once: class i has the
-up and down rows ``_up[i]``/``_down[i]`` (bitmasks of class indices),
-``index_pairs`` lists the strict pairs (i, j) in ``strict_pairs()`` order,
+The quotient keeps one integer-indexed view, built once: element e is
+in class ``elem_class[e]``, class i has the up and down rows
+``_up[i]``/``_down[i]`` (bitmasks of class indices), ``index_pairs``
+lists the strict pairs (i, j) in ``strict_pairs()`` order,
 ``position`` maps each pair to its slot, and the slots of row i run from
 ``_starts[i]`` up to ``_starts[i + 1]``.  On first use, the cover rows
 ``_covers[i]`` (the classes covering i, the Hasse diagram) are derived
 from the up rows, and the chain triples through a cover, which the chain
 check tests, are laid out as three slot lists (``_cover_triples``), one
 Hasse edge after another.  Weight systems and potentials are tuples over
-those slots and class indices; labels are resolved only at the edges.
+those slots and class indices, incidence functions are keyed by element
+index pairs; labels are resolved only at the edges.
 """
 
 from __future__ import annotations
@@ -188,16 +190,18 @@ class QuotientPoset:
     with the class index.  Order queries accept any member label and
     answer for its class.
 
-    The index view: ``_up[i]`` and ``_down[i]`` are the bitmasks of the
-    classes above and below class i (i included), ``index_pairs`` the
-    strict pairs in ``strict_pairs()`` order with ``position`` mapping
-    each to its slot, ``_starts[i]`` the first slot of row i (and
-    ``_starts[k]`` their count), and, built on first use, ``_covers[i]``,
-    the bitmask of the classes covering i, and ``_cover_triples``, the
-    slots of the triples through a cover.  The chain check of a weight
-    system tests only those triples (which implies all of them, see
-    ``WeightSystem.violations``) and lists the failing triples by a full
-    scan over ``_up[i] & _down[j]`` only when one fails.
+    The index view: ``elem_class[e]`` is the class of element e (an
+    index into ``source.elements``), ``_up[i]`` and ``_down[i]`` are the
+    bitmasks of the classes above and below class i (i included),
+    ``index_pairs`` the strict pairs in ``strict_pairs()`` order with
+    ``position`` mapping each to its slot, ``_starts[i]`` the first slot
+    of row i (and ``_starts[k]`` their count), and, built on first use,
+    ``_covers[i]``, the bitmask of the classes covering i, and
+    ``_cover_triples``, the slots of the triples through a cover.  The
+    chain check of a weight system tests only those triples (which
+    implies all of them, see ``WeightSystem.violations``) and lists the
+    failing triples by a full scan over ``_up[i] & _down[j]`` only when
+    one fails.
     """
 
     def __init__(self, source: Preorder):
@@ -214,7 +218,7 @@ class QuotientPoset:
         self.reps = tuple(c[0] for c in self.classes)
         self.class_of = {lab: ci for ci, c in enumerate(self.classes) for lab in c}
         k = len(self.classes)
-        elem_class = [self.class_of[x] for x in source.elements]
+        self.elem_class = elem_class = [self.class_of[x] for x in source.elements]
         self._up, self._down, pairs, starts = [], [0] * k, [], []
         for ci, r in enumerate(self.reps):
             starts.append(len(pairs))

@@ -234,6 +234,38 @@ def test_invert_non_unit(capsys, chain3_txt, tmp_path):
     assert "not invertible" in err
 
 
+@pytest.mark.parametrize("values", [("0", "2"), ("2", "0")])
+def test_duplicate_function_pair_exits_2(capsys, tmp_path, values):
+    """A pair given twice exits 2 whichever of its values is zero."""
+    poset = tmp_path / "chain2.txt"
+    poset.write_text("elements a b\nrel a b\n")
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"entries": [{"from": "a", "to": "b", "value": v} for v in values]}))
+    code, out, err = run(capsys, "invert", "--poset", str(poset), "--ring", "Z/5", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate entry for pair (a, b)\n"
+
+
+def test_output_order_does_not_depend_on_declaration_order(capsys, crown_txt, tmp_path):
+    """The same crown declared as d c b a gives byte-identical stdout:
+    records are written in label order, not in element order."""
+    backwards = tmp_path / "backwards.txt"
+    backwards.write_text("elements d c b a\nrel a c\nrel a d\nrel b c\nrel b d\n")
+    f = _write_function(tmp_path / "f.json", {
+        ("a", "a"): "2", ("b", "b"): "3", ("c", "c"): "4", ("d", "d"): "1",
+        ("a", "c"): "1", ("a", "d"): "3", ("b", "c"): "2"})
+    g = _write_function(tmp_path / "g.json", {
+        ("a", "a"): "1", ("b", "b"): "2", ("c", "c"): "1", ("d", "d"): "3",
+        ("b", "d"): "4", ("a", "c"): "2"})
+    weights = write_weights(tmp_path, "w.json", "Z/5", INNER)
+    for args in (["convolve", "--ring", "Z/5", f, g], ["invert", "--ring", "Z/5", f],
+                 ["apply", "--weights", weights, g]):
+        outs = [run(capsys, args[0], "--poset", path, *args[1:]) for path in (crown_txt,
+                                                                             str(backwards))]
+        assert outs[0][0] == 0 and outs[0][1].count('"from"') >= 6
+        assert outs[1] == outs[0], args[0]
+
+
 def test_apply_builtin_function(capsys, crown_txt, tmp_path):
     inner = write_weights(tmp_path, "in.json", "Z/5", INNER)
     code, out, _ = run(
@@ -293,6 +325,14 @@ def test_verify_exit_reflects_failure(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL")
     assert "failed=stub-check" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_verify_refuses_max_classes_below_one(capsys, bound):
+    """No poset has fewer than one element: refused like a bound above 5."""
+    code, out, err = run(capsys, "verify", "--max-classes", bound)
+    assert (code, out) == (2, "")
+    assert err == "error: poset generation supports 1 to 5 elements\n"
 
 
 def test_malformed_weight_file(capsys, crown_txt, tmp_path):

@@ -199,7 +199,7 @@ def test_bulk_readers_match_row_readers(spec, seed=13):
             fmt = ring.format_element
             weights = [{"from": x, "to": y, "value": fmt(v)} for (x, y), v in ws.items()]
             f = random_function(preorder, ring, rng)
-            entries = [{"from": x, "to": y, "value": fmt(v)} for (x, y), v in f.entries.items()]
+            entries = [{"from": x, "to": y, "value": fmt(v)} for (x, y), v in f.items()]
             files = [
                 (weight_system_from_json, ref_weight_system_from_json, "weights", weights,
                  ("from", "to"), ("from", "to", "value"), members, (q,)),
@@ -234,7 +234,7 @@ def test_mutated_files_exit_cleanly(capsys, tmp_path, seed=14):
         weights = [{"from": x, "to": y, "value": ring.format_element(v)} for (x, y), v in ws.items()]
         f = random_function(preorder, ring, rng)
         entries = [{"from": x, "to": y, "value": ring.format_element(v)}
-                   for (x, y), v in f.entries.items()]
+                   for (x, y), v in f.items()]
         path = tmp_path / "in.json"
         for kind, recs in _mutants(rng, weights, ("from", "to"), ("from", "to", "value"),
                                    spec, members, "nobody"):

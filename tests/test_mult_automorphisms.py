@@ -512,7 +512,7 @@ def test_writers_match_json_dumps(spec, seed=29):
         q = p.quotient()
         for f in (IncidenceFunction(p, r, {}), random_function(p, r, rng)):
             assert function_to_json(f) == _dumps({"entries": [
-                {"from": x, "to": y, "value": fmt(v)} for (x, y), v in sorted(f.entries.items())]})
+                {"from": x, "to": y, "value": fmt(v)} for (x, y), v in sorted(f.items())]})
         units = r.central_units()
         pot = Potential.from_values(q, r, {x: rng.choice(units) for x in q.reps})
         ws = from_potential(pot)
@@ -528,9 +528,14 @@ def test_from_mult_function_rejects_non_block_functions(preorder_21):
     r = ZMod(5)
     base = {("a1", "a1"): 1, ("a2", "a2"): 1, ("b1", "b1"): 1,
             ("a1", "a2"): 1, ("a2", "a1"): 1, ("a1", "b1"): 2, ("a2", "b1"): 2}
-    assert from_mult_function(IncidenceFunction(preorder_21, r, base)) == WeightSystem.from_values(
+
+    def function(values):
+        return IncidenceFunction.from_entries(
+            preorder_21, r, [(x, y, v) for (x, y), v in values.items()])
+
+    assert from_mult_function(function(base)) == WeightSystem.from_values(
         preorder_21.quotient(), r, {("a1", "b1"): 2})
     for pair, value in ((("a1", "a2"), 4), (("a2", "b1"), 3)):
-        bad = IncidenceFunction(preorder_21, r, {**base, pair: value})
+        bad = function({**base, pair: value})
         with pytest.raises(WeightSystemError):
             from_mult_function(bad)
