@@ -15,7 +15,7 @@ import decimal
 import json
 import sys
 
-from .coeff_rings import MatrixRing, NonUnitError, parse_ring_spec, split_top_level
+from .coeff_rings import NonUnitError, parse_ring_spec, scalar_view, split_top_level
 from .comparability import ComparabilityGraph
 from .incidence_algebra import (
     NonInvertibleError,
@@ -90,6 +90,10 @@ def _valid_weights(args):
     return ws
 
 
+def _witness(ws, found):
+    return {"cycle": str(found.cycle), "weight": ws.ring.format_element(found.weight)}
+
+
 def _cmd_info(args) -> int:
     preorder = load_preorder(args.poset)
     quotient = preorder.quotient()
@@ -106,8 +110,7 @@ def _cmd_info(args) -> int:
     }
     if args.ring:
         ring = parse_ring_spec(args.ring)
-        parts = [(f.base.n, f.size ** 2) if isinstance(f, MatrixRing) else (f.n, 1)
-                 for f in getattr(ring, "factors", [ring])]  # order: the product of n ** e
+        parts = [(n, k * k or 1) for n, k, _ in scalar_view(ring)]  # order: the product of n ** e
         with decimal.localcontext(decimal.Context(prec=99)):  # n ** (k*k) would take seconds
             log = sum(e * decimal.Decimal(n).ln() for n, e in parts) / decimal.Decimal(2).ln()
             bits = int(log + log.scaleb(-90))  # floor; the nudge keeps an integral log whole
@@ -142,10 +145,7 @@ def _cmd_check(args) -> int:
         inner = not isinstance(found, NotInnerWitness)
         doc["inner"] = inner
         if not inner:
-            doc["witness"] = {
-                "cycle": str(found.cycle),
-                "weight": ws.ring.format_element(found.weight),
-            }
+            doc["witness"] = _witness(ws, found)
         ok = inner
     _emit(args, _dump(doc))
     return 0 if ok else 1
@@ -157,16 +157,7 @@ def _cmd_is_inner(args) -> int:
         return 1
     found = find_potential(ws, args.root)
     if isinstance(found, NotInnerWitness):
-        _emit(
-            args,
-            _dump(
-                {
-                    "inner": False,
-                    "cycle": str(found.cycle),
-                    "weight": ws.ring.format_element(found.weight),
-                }
-            ),
-        )
+        _emit(args, _dump({"inner": False, **_witness(ws, found)}))
         return 1
     _emit(args, potential_to_json(found))
     return 0

@@ -10,8 +10,10 @@ encoding:
 * ``M(k,Z/n)``  tuple of k row tuples of residues, row major
 
 Canonical encodings make element equality plain ``==``, which the file
-formats and the enumeration code rely on.  Every matrix unit test and
-inverse over Z/n, here and for the class blocks of the incidence
+formats and the enumeration code rely on.  :func:`scalar_view` is the one
+place that splits a ring into its Z/n factors; the algebra kernel, the
+central-unit count and the CLI's order read it.  Every matrix unit test
+and inverse over Z/n, here and for the class blocks of the incidence
 algebra, is one row reduction, :func:`det_inverse`.
 """
 
@@ -341,26 +343,38 @@ class MatrixRing(Ring):
         return hash(("Matrix", self.size, self.base.n))
 
 
+def scalar_view(ring):
+    """The ring as Z/n factors, one ``(n, k, part)`` each: k = 0 for Z/n
+    itself, k for M(k,Z/n) (k x k blocks of residues), and ``part`` the
+    factor's place in the tuple of a product ring (None outside one)."""
+    if isinstance(ring, ProductRing):
+        return [scalar_view(f)[0][:2] + (i,) for i, f in enumerate(ring.factors)]
+    if isinstance(ring, MatrixRing):
+        return [(ring.base.n, ring.size, None)]
+    return [(ring.n, 0, None)]
+
+
 def count_central_units(ring, cap) -> int:
     """min(cap, number of central units of the ring), listing none.
 
-    For Z/n, phi(n) >= n prod (1 - 1/p) over the primes p < 100 dividing
-    n, times 1 - t/100 for its t < log_101 n other prime factors; only
-    when that bound is below cap are the units of Z/n walked, up to cap.
-    M(k,Z/n) has the central units of Z/n, a product the tuples of its
-    factors'."""
-    if isinstance(ring, ProductRing):
-        return min(cap, math.prod(count_central_units(f, cap) for f in ring.factors))
-    base = ring.base if isinstance(ring, MatrixRing) else ring
-    low = rest = n = base.n
-    for p in range(2, 100):  # a composite p no longer divides rest
-        if rest % p == 0:
-            low = low // p * (p - 1)
-            while rest % p == 0:
-                rest //= p
-    if low * (99 - rest.bit_length() // 6) >= 100 * cap:
-        return cap
-    return sum(1 for _ in itertools.islice(filter(base.is_unit, range(n)), cap))
+    A central unit is one unit of Z/n per factor of the scalar view
+    (:func:`scalar_view`), a scalar matrix over M(k,Z/n).  For Z/n,
+    phi(n) >= n prod (1 - 1/p) over the primes p < 100 dividing n, times
+    1 - t/100 for its t < log_101 n other prime factors; only when that
+    bound is below cap are the units of Z/n walked, up to cap."""
+    total = 1
+    for n, _, _ in scalar_view(ring):
+        low = rest = n
+        for p in range(2, 100):  # a composite p no longer divides rest
+            if rest % p == 0:
+                low = low // p * (p - 1)
+                while rest % p == 0:
+                    rest //= p
+        if low * (99 - rest.bit_length() // 6) >= 100 * cap:
+            total *= cap
+        else:
+            total *= sum(1 for _ in itertools.islice(filter(ZMod(n).is_unit, range(n)), cap))
+    return min(cap, total)
 
 
 def det_inverse(n, rows):

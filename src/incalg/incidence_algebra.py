@@ -7,13 +7,15 @@ sparsely (absent pair = zero) by element index pair (positions in
     (fg)(x, y) = sum of f(x, z) g(z, y) over x <= z <= y,
 
 which under a linear extension is just structural matrix multiplication.
-Both products and inverses run on the scalar view of the ring: Z/n
-itself, M(k,Z/n) as Z/n with k scalar rows and columns per element, and
-a product ring one factor at a time.  Over each, a row of a function is
-one packed int with a fixed-width field per column (Kronecker
-substitution), so a row of fg is the sum of f(x, z) times the packed
-rows z of g, one big-int multiply-add per term, and every field is
-reduced mod n once.  Functions split into a class-diagonal part (pairs
+Both products and inverses run on the scalar view of the ring
+(``coeff_rings.scalar_view``): Z/n itself, M(k,Z/n) as Z/n with k scalar
+rows and columns per element (M_s(M_k(R)) = M_sk(R)), and a product
+ring one factor at a time.  Over each, a row of a function is one packed
+int with a fixed-width field per column (Kronecker substitution), so a
+row of fg is the sum of f(x, z) times the packed rows z of g, one big-int
+multiply-add per term, and every field is reduced mod n once.  One field
+map places each pair's entry, for packing and reading back alike
+(``_Kernel.at``).  Functions split into a class-diagonal part (pairs
 inside one equivalence class) and a strict part (pairs across classes).
 :func:`invert` inverts the diagonal blocks, each by one row reduction
 over Z/n (``det_inverse``), and then solves f g = 1 row by row, top
@@ -36,7 +38,7 @@ from itertools import accumulate, chain, compress, count, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .coeff_rings import MatrixRing, ProductRing, RingMismatchError, det_inverse
+from .coeff_rings import RingMismatchError, det_inverse, scalar_view
 from .preorder_core import _bits
 
 
@@ -150,26 +152,19 @@ class _Layout:
     per preorder (``Preorder._layout``).
 
     Row x (an element index) spans the columns from ``lo[x]``, the least
-    index in its up-set, to the greatest, ``width[x]`` of them, and
-    ``offsets[x]`` lists its up-set as offsets from ``lo[x]``.  Laid end
-    to end, row x's columns start at ``start[x]``; ``cells`` lists the
-    up-set columns of all rows in that order as flat positions, and
-    ``keys`` holds the index pair of each such position (None elsewhere),
-    the key of that entry of a function.  ``most``, the size of the
-    largest up-set, bounds the number of terms of one entry of a
-    product.  The :class:`_Kernel` of each scalar ring is built on first use.
+    index in its up-set, to the greatest, ``width[x]`` of them.
+    ``pairs`` lists the comparable index pairs row by row, columns
+    ascending: the keys of a function's entries, in the order a result
+    is read back.  ``most``, the size of the largest up-set, bounds the
+    number of terms of one entry of a product.  The :class:`_Kernel` of
+    each scalar ring is built on first use.
     """
 
     def __init__(self, preorder):
         ups = list(map(_bits, preorder._up))
         self.lo = [up[0] for up in ups]
         self.width = [up[-1] - up[0] + 1 for up in ups]
-        self.start = list(accumulate(self.width, initial=0))
-        self.offsets = [[y - up[0] for y in up] for up in ups]
-        self.cells = [s + o for s, offs in zip(self.start, self.offsets) for o in offs]
-        self.keys = [None] * self.start[-1]  # the index pair of each column that is a cell
-        for cell, pair in zip(self.cells, [(x, y) for x, up in enumerate(ups) for y in up]):
-            self.keys[cell] = pair
+        self.pairs = [(x, y) for x, up in enumerate(ups) for y in up]
         self.most = max(map(len, ups))
         self.kernels = {}
 
@@ -203,6 +198,10 @@ class _Kernel:
     once with no carry between them.  Fields of 1, 2, 4 or 8 bytes are
     packed and read through ``array`` and ``memoryview`` casts; wider
     ones (large moduli) one at a time.
+
+    Pair (x, y)'s entry is packed into and read back from one field,
+    ``at[x] + y``, or over M(k,Z/n) block entry (i, j) from ``at[x*k+i]
+    + y*k + j``; ``cells`` lists these per (i, j), row-major.
     """
 
     def __init__(self, n, k, lay):
@@ -229,6 +228,9 @@ class _Kernel:
         # field of row r's column 0 when the rows are laid end to end; then their field count
         self.at = [s - lo for s, lo in zip(accumulate(self.width, initial=0), self.lo)]
         self.at.append(sum(self.width))
+        s = k or 1  # scalar rows (and columns) per element
+        self.cells = [[self.at[x * s + i] + y * s + j for x, y in lay.pairs]
+                      for i in range(s) for j in range(s)]
 
     def pack_rows(self, entries):
         """One packed int per row, from ((row, column), residue) items."""
@@ -251,23 +253,6 @@ class _Kernel:
         return [v % n for v in self.fields(data)]
 
 
-def _scalar_view(ring):
-    """The ring as scalar rings, one ``(n, k, part)`` per factor.
-
-    An element of a factor is a residue mod n (k = 0) or a k x k block of
-    them, for M(k,Z/n); ``part`` is its place in the tuple of a product
-    ring (None outside one).  A function over M(k,Z/n) is a function over
-    Z/n with k scalar rows and columns per element, since
-    M_s(M_k(R)) = M_sk(R) (:func:`_flatten`): element x owns the scalar
-    rows and columns x*k to x*k + k - 1.
-    """
-    if isinstance(ring, ProductRing):
-        return [_scalar_view(f)[0][:2] + (i,) for i, f in enumerate(ring.factors)]
-    if isinstance(ring, MatrixRing):
-        return [(ring.base.n, ring.size, None)]
-    return [(ring.n, 0, None)]
-
-
 def _scalar_entries(items, k, part):
     """Entry items ((row, column), value) over the ring as the nonzero
     ((scalar row, scalar column), residue) items of one factor of the
@@ -282,31 +267,18 @@ def _scalar_entries(items, k, part):
 
 def _function(lay, f, view, parts):
     """The function over f's carrier whose scalar rows per factor are
-    ``parts``, laid end to end: its nonzero values on the up-set of each
-    row.  Over Z/n the fields off the up-sets are zero, so the nonzero
-    fields are the entries.  Otherwise each factor's values are taken at
-    the up-set columns (``lay.cells``), or, over M(k,Z/n), element row x
-    is k scalar rows of k * ``width[x]`` fields from k*k*``start[x]``,
-    read at ``offsets[x]``, and a product ring zips its factors."""
-    if len(view) == 1 and not view[0][1]:
-        flat = parts[0]
-        return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(lay.keys, flat), flat)))
+    ``parts``, laid end to end: each factor's values are read at the
+    fields of the pairs (``_Kernel.cells``), over M(k,Z/n) grouped into
+    a k x k tuple per pair; a product ring zips its factors, and the
+    nonzero values are the entries."""
     cols = []
-    for (_, k, _), flat in zip(view, parts):
-        if not k:
-            cols.append(list(map(flat.__getitem__, lay.cells)))
-            continue
-        vals = []
-        for s, w, offs in zip(lay.start, lay.width, lay.offsets):
-            s, w = k * k * s, k * w
-            # scalar row i of element row x, cut into its k-tuples, one per column
-            rows = [list(zip(*[iter(flat[s + i * w:s + i * w + w])] * k)) for i in range(k)]
-            vals += zip(*[map(r.__getitem__, offs) for r in rows])
-        cols.append(vals)
+    for (n, k, _), flat in zip(view, parts):
+        got = [list(map(flat.__getitem__, cells)) for cells in lay.kernel(n, k).cells]
+        cols.append(list(zip(*[zip(*got[i:i + k]) for i in range(0, k * k, k)])) if k else got[0])
     vals = cols[0] if len(cols) == 1 else list(zip(*cols))
-    ne = f.ring.zero().__ne__
-    out = dict(compress(zip(map(lay.keys.__getitem__, lay.cells), vals), map(ne, vals)))
-    return IncidenceFunction(f.preorder, f.ring, out)
+    zero = f.ring.zero()  # 0 over Z/n, where a value is its own truth; a tuple otherwise
+    keep = map(zero.__ne__, vals) if zero else vals
+    return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(lay.pairs, vals), keep)))
 
 
 def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
@@ -319,7 +291,7 @@ def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
     """
     _same_carrier(f, g)
     lay = _layout(f.preorder)
-    view = _scalar_view(f.ring)
+    view = scalar_view(f.ring)
     parts = []
     for n, k, part in view:
         kernel = lay.kernel(n, k)
@@ -365,7 +337,7 @@ def _scalar_inverses(view, rows):
 
 def matrix_is_invertible(ring, rows) -> bool:
     """Invertibility of a square matrix over the coefficient ring."""
-    return _scalar_inverses(_scalar_view(ring), rows) is not None
+    return _scalar_inverses(scalar_view(ring), rows) is not None
 
 
 def _class_inverses(f: IncidenceFunction, view):
@@ -388,7 +360,7 @@ def _class_inverses(f: IncidenceFunction, view):
 def is_unit_function(f: IncidenceFunction) -> bool:
     """A function is invertible iff every diagonal class block is."""
     try:
-        _class_inverses(f, _scalar_view(f.ring))
+        _class_inverses(f, scalar_view(f.ring))
     except NonInvertibleError:
         return False
     return True
@@ -414,7 +386,7 @@ def invert(f: IncidenceFunction) -> IncidenceFunction:
     the rows below.  The whole pass costs about one convolution.
     """
     lay = _layout(f.preorder)
-    view = _scalar_view(f.ring)
+    view = scalar_view(f.ring)
     inverses = _class_inverses(f, view)
     quotient = f.preorder.quotient()
     top_down, cls = quotient.top_down(), quotient.elem_class

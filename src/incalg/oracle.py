@@ -579,7 +579,7 @@ def all_posets(n: int):
 
     Generated as transitive closures of subsets of the upper triangle
     (every finite poset admits such a labelling), deduplicated by the
-    minimum of the relation tuple over all label permutations.
+    minimum of the closed relation tuple over all label permutations.
     """
     if not 1 <= n <= 5:
         raise ValueError("poset generation supports 1 to 5 elements")
@@ -588,24 +588,13 @@ def all_posets(n: int):
     seen = set()
     out = []
     for bits in range(1 << len(pairs)):
-        rel = {pairs[k] for k in range(len(pairs)) if bits >> k & 1}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        gens = [(_LABELS[i], _LABELS[j]) for k, (i, j) in enumerate(pairs) if bits >> k & 1]
+        poset = close_relations(_LABELS[:n], gens)
+        rel = [(i, j) for i, j in pairs if poset._up[i] >> j & 1]
         key = min(tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(
-            close_relations(
-                _LABELS[:n], [(_LABELS[i], _LABELS[j]) for i, j in sorted(rel)]
-            )
-        )
+        if key not in seen:
+            seen.add(key)
+            out.append(poset)
     return tuple(out)
 
 
