@@ -12,13 +12,15 @@ encoding:
 Canonical encodings make element equality plain ``==``, which the file
 formats and the enumeration code rely on.  :func:`scalar_view` is the one
 place that splits a ring into its Z/n factors; the algebra kernel, the
-central-unit count and the CLI's order read it.  Every matrix unit test
+central-unit count, the CLI's order and the weight layer's scalars
+(:func:`scalar_codec`) read it.  Every matrix unit test
 and inverse over Z/n, here and for the class blocks of the incidence
 algebra, is one row reduction, :func:`det_inverse`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -38,6 +40,19 @@ class RingMismatchError(ValueError):
     """Carriers or encodings from different rings were mixed."""
 
 
+def _kept(method):
+    """A method without arguments whose result is kept on the ring after
+    its first call."""
+    name = "_" + method.__name__
+
+    @functools.wraps(method)
+    def kept(self):
+        if name not in self.__dict__:
+            self.__dict__[name] = method(self)
+        return self.__dict__[name]
+    return kept
+
+
 class Ring:
     """Interface shared by all coefficient rings.
 
@@ -45,8 +60,13 @@ class Ring:
     ``elements()`` enumeration and its size ``order``, unit testing and
     inversion, the central units and a test for one canonical element
     (``is_central_unit``, which never lists them), and text encoding of
-    elements.
+    elements.  ``scalars`` is the ring's :func:`scalar_codec`, built on
+    first use.
     """
+
+    @functools.cached_property
+    def scalars(self):
+        return scalar_codec(self)
 
 
 class ZMod(Ring):
@@ -94,12 +114,9 @@ class ZMod(Ring):
         except ValueError:  # what pow raises on a non-unit
             raise NonUnitError(f"{a} is not invertible in {self}") from None
 
+    @_kept
     def central_units(self):
-        cache = getattr(self, "_central", None)
-        if cache is None:
-            cache = tuple(a for a in range(self.n) if math.gcd(a, self.n) == 1)
-            self._central = cache
-        return cache
+        return tuple(a for a in range(self.n) if math.gcd(a, self.n) == 1)
 
     def parse_element(self, text: str):
         t = text.strip()
@@ -129,12 +146,7 @@ class ProductRing(Ring):
     """Direct product of two or more rings; elements are flat tuples."""
 
     def __init__(self, factors):
-        flat = []
-        for f in factors:
-            if isinstance(f, ProductRing):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
+        flat = [g for f in factors for g in (f.factors if isinstance(f, ProductRing) else (f,))]
         if len(flat) < 2:
             raise RingParseError("product needs at least two factors")
         self.factors = tuple(flat)
@@ -160,12 +172,9 @@ class ProductRing(Ring):
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
+    @_kept
     def elements(self):
-        cache = getattr(self, "_elements", None)
-        if cache is None:
-            cache = tuple(itertools.product(*(f.elements() for f in self.factors)))
-            self._elements = cache
-        return cache
+        return tuple(itertools.product(*(f.elements() for f in self.factors)))
 
     @property
     def order(self) -> int:
@@ -182,12 +191,9 @@ class ProductRing(Ring):
             raise NonUnitError(f"{self.format_element(a)} is not invertible in {self}")
         return tuple(f.inverse(x) for f, x in zip(self.factors, a))
 
+    @_kept
     def central_units(self):
-        cache = getattr(self, "_central", None)
-        if cache is None:
-            cache = tuple(itertools.product(*(f.central_units() for f in self.factors)))
-            self._central = cache
-        return cache
+        return tuple(itertools.product(*(f.central_units() for f in self.factors)))
 
     def parse_element(self, text: str):
         t = text.strip()
@@ -227,27 +233,15 @@ class MatrixRing(Ring):
         self.base = base
 
     def check(self, a):
-        k, n = self.size, self.base.n
-        ok = (
-            isinstance(a, tuple)
-            and len(a) == k
-            and all(
-                isinstance(row, tuple)
-                and len(row) == k
-                and all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n for v in row)
-                for row in a
-            )
-        )
-        if not ok:
+        n = self.base.n
+        if not (_square(a, self.size, tuple) and all(0 <= v < n for row in a for v in row)):
             raise RingMismatchError(f"{a!r} is not a canonical element of {self}")
 
     def zero(self):
-        k = self.size
-        return tuple(tuple(0 for _ in range(k)) for _ in range(k))
+        return scalar_matrix(self.size, 0)
 
     def one(self):
-        k = self.size
-        return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+        return scalar_matrix(self.size, 1)
 
     def add(self, a, b):
         n = self.base.n
@@ -261,16 +255,11 @@ class MatrixRing(Ring):
         n, cols = self.base.n, tuple(zip(*b))
         return tuple(tuple(sum(map(operator.mul, row, col)) % n for col in cols) for row in a)
 
+    @_kept
     def elements(self):
-        cache = getattr(self, "_elements", None)
-        if cache is None:
-            k, n = self.size, self.base.n
-            cache = tuple(
-                tuple(flat[i * k:(i + 1) * k] for i in range(k))
-                for flat in itertools.product(range(n), repeat=k * k)
-            )
-            self._elements = cache
-        return cache
+        k, n = self.size, self.base.n
+        return tuple(tuple(flat[i * k:(i + 1) * k] for i in range(k))
+                     for flat in itertools.product(range(n), repeat=k * k))
 
     @property
     def order(self) -> int:
@@ -281,9 +270,7 @@ class MatrixRing(Ring):
 
     def is_central_unit(self, a) -> bool:
         """A scalar matrix with a unit on the diagonal (see central_units)."""
-        u = a[0][0]
-        return self.base.is_unit(u) and all(
-            x == (u if i == j else 0) for i, row in enumerate(a) for j, x in enumerate(row))
+        return self.base.is_unit(a[0][0]) and a == scalar_matrix(self.size, a[0][0])
 
     def inverse(self, a):
         det, inv = det_inverse(self.base.n, a)
@@ -292,17 +279,10 @@ class MatrixRing(Ring):
                 f"{self.format_element(a)} has non-unit determinant {det} in {self}")
         return tuple(map(tuple, inv))
 
+    @_kept
     def central_units(self):
         # center of a full matrix ring over a commutative base: scalar matrices
-        cache = getattr(self, "_central", None)
-        if cache is None:
-            k = self.size
-            cache = tuple(
-                tuple(tuple(u if i == j else 0 for j in range(k)) for i in range(k))
-                for u in self.base.central_units()
-            )
-            self._central = cache
-        return cache
+        return tuple(scalar_matrix(self.size, u) for u in self.base.central_units())
 
     def parse_element(self, text: str):
         try:
@@ -310,17 +290,7 @@ class MatrixRing(Ring):
         except (ValueError, RecursionError):  # bad JSON, or an int with too many digits
             raise RingParseError(f"cannot parse {_excerpt(text)} as an element of {self}") from None
         k, n = self.size, self.base.n
-        ok = (
-            isinstance(raw, list)
-            and len(raw) == k
-            and all(
-                isinstance(row, list)
-                and len(row) == k
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
-                for row in raw
-            )
-        )
-        if not ok:
+        if not _square(raw, k, list):
             raise RingParseError(f"{_excerpt(text)} is not a {k}x{k} integer matrix for {self}")
         return tuple(tuple(v % n for v in row) for row in raw)
 
@@ -343,6 +313,13 @@ class MatrixRing(Ring):
         return hash(("Matrix", self.size, self.base.n))
 
 
+def _square(a, k, kind):
+    """Whether a is k rows of k ints (no bools), rows and a of type kind."""
+    return isinstance(a, kind) and len(a) == k and all(
+        isinstance(row, kind) and len(row) == k
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in row) for row in a)
+
+
 def scalar_view(ring):
     """The ring as Z/n factors, one ``(n, k, part)`` each: k = 0 for Z/n
     itself, k for M(k,Z/n) (k x k blocks of residues), and ``part`` the
@@ -352,6 +329,35 @@ def scalar_view(ring):
     if isinstance(ring, MatrixRing):
         return [(ring.base.n, ring.size, None)]
     return [(ring.n, 0, None)]
+
+
+def scalar_matrix(k, u):
+    """u times the k x k identity matrix, in the canonical encoding."""
+    return tuple((0,) * i + (u,) + (0,) * (k - 1 - i) for i in range(k))
+
+
+def scalar_codec(ring):
+    """``(split, join)`` between tuples of central units and Z/n scalars.
+
+    ``split`` gives one ``(n, residues)`` per factor of the scalar view
+    and ``join`` maps one residue tuple per factor back.  A unit of Z/n
+    is its own scalar (both return the tuple they are given), lambda I of
+    M(k,Z/n) is lambda, and a product has one scalar per factor.
+    """
+    view = scalar_view(ring)
+    if view[0][1:] == (0, None):  # Z/n itself: nothing to convert
+        return (lambda units, n=view[0][0]: [(n, units)]), operator.itemgetter(0)
+
+    def split(units):
+        return [(n, tuple([(a if part is None else a[part])[0][0] if k else a[part]
+                           for a in units])) for n, k, part in view]
+
+    def join(columns):
+        parts = [tuple([scalar_matrix(k, u) for u in col]) if k else col
+                 for (_, k, _), col in zip(view, columns)]
+        return parts[0] if view[0][2] is None else tuple(zip(*parts))
+
+    return split, join
 
 
 def count_central_units(ring, cap) -> int:
@@ -452,21 +458,15 @@ _MATRIX_RE = re.compile(r"M\((\d+),Z/(\d+)\)\Z")
 
 def _parse_atom(token: str) -> Ring:
     t = token.strip()
-    m = _ZMOD_RE.fullmatch(t)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise RingParseError(f"modulus below 2 in spec token {t!r}")
-        return ZMod(n)
-    m = _MATRIX_RE.fullmatch(t)
-    if m:
-        k, n = int(m.group(1)), int(m.group(2))
-        if k < 1:
-            raise RingParseError(f"matrix size below 1 in spec token {t!r}")
-        if n < 2:
-            raise RingParseError(f"modulus below 2 in spec token {t!r}")
-        return MatrixRing(k, ZMod(n))
-    raise RingParseError(f"cannot parse ring spec token {_excerpt(t)}")
+    m = _ZMOD_RE.fullmatch(t) or _MATRIX_RE.fullmatch(t)
+    if not m:
+        raise RingParseError(f"cannot parse ring spec token {_excerpt(t)}")
+    *k, n = map(int, m.groups())
+    if k and k[0] < 1:
+        raise RingParseError(f"matrix size below 1 in spec token {t!r}")
+    if n < 2:
+        raise RingParseError(f"modulus below 2 in spec token {t!r}")
+    return MatrixRing(k[0], ZMod(n)) if k else ZMod(n)
 
 
 def parse_ring_spec(text: str) -> Ring:

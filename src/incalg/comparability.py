@@ -58,11 +58,11 @@ class SpanningTree:
     is None).  ``steps`` holds one ``(parent, child, slot, up)`` per tree
     edge in BFS order, where ``up`` says that parent < child, so the slot
     is (parent, child), not (child, parent).  ``non_tree_slots`` ascend.
-    The fundamental cycles are built once, on first use of ``cycles``, or
-    one by one by :meth:`cycle`.  ``root`` is the root's class
-    representative; any member label of that class (or None, for the
-    least class) picks the same tree.  The tree holds no labels of its
-    edges: the edge of step ``(parent, child, slot, up)`` is
+    Each fundamental cycle is built once and kept, all of them on first
+    use of ``cycles``, or one by one by :meth:`cycle`.  ``root`` is the
+    root's class representative; any member label of that class (or None,
+    for the least class) picks the same tree.  The tree holds no labels
+    of its edges: the edge of step ``(parent, child, slot, up)`` is
     ``strict_pairs()[slot]``.
     """
 
@@ -86,6 +86,7 @@ class SpanningTree:
         self.parent, self.depth, self.steps = parent, depth, tuple(steps)
         in_tree = {s for _, _, s, _ in steps}
         self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
+        self._cycles = {}
 
     @cached_property
     def cycles(self):
@@ -96,6 +97,8 @@ class SpanningTree:
         """The cycle of a non-tree slot: from the lexicographically smaller
         endpoint a across the edge to b, then up the tree from b to the
         meeting class and down to a."""
+        if slot in self._cycles:  # a witness names the same few cycles again and again
+            return self._cycles[slot]
         pair = self.graph.poset.index_pairs[slot]
         a, b = sorted(pair)
         parent, depth = self.parent, self.depth
@@ -108,8 +111,10 @@ class SpanningTree:
                 b = parent[b]
                 left.append(b)
         reps = self.graph.vertices
-        return FundamentalCycle(edge=(reps[pair[0]], reps[pair[1]]),
-                                sequence=tuple(reps[i] for i in right[:1] + left + right[-2::-1]))
+        cycle = self._cycles[slot] = FundamentalCycle(
+            edge=(reps[pair[0]], reps[pair[1]]),
+            sequence=tuple(reps[i] for i in right[:1] + left + right[-2::-1]))
+        return cycle
 
     def __repr__(self):
         return f"SpanningTree(root={self.root!r}, {len(self.steps)} edges)"

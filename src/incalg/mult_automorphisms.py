@@ -18,6 +18,13 @@ tree edges.  Each fundamental cycle weighs w1 on its non-tree edge
 (inverted when the cycle crosses it upwards), so c is inner iff w1 = 1,
 and c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
 
+The tree walk, the gate of :meth:`WeightSystem.is_valid`, coboundaries,
+products and inverses compute on plain ints: ``ring.scalars`` (see
+``coeff_rings.scalar_codec``) splits the central units into one Z/n
+scalar per factor of the scalar view (a unit of Z/n itself, lambda for
+lambda I over M(k,Z/n), one per factor of a product), each factor runs
+with ``a * b % n`` and ``pow(a, -1, n)``, and the results are joined back.
+
 ``WeightSystem(...)`` and ``Potential(...)`` trust their arguments, like
 ``IncidenceFunction(...)``: a tuple of central units aligned to the
 quotient's ``strict_pairs()`` (slot s is the pair ``index_pairs[s]``) or
@@ -31,8 +38,8 @@ never read from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import eq, itemgetter
+from itertools import chain, islice, repeat
+from operator import eq, itemgetter, mod, mul
 
 from .coeff_rings import parse_ring_spec
 from .comparability import FundamentalCycle, fundamental_cycles, tree_of
@@ -90,10 +97,7 @@ class WeightSystem:
 
     def __init__(self, poset, ring, values):
         # trusted constructor: callers guarantee a central-unit tuple aligned to strict_pairs()
-        self.poset = poset
-        self.ring = ring
-        self.values = values
-        self._valid = None
+        self.poset, self.ring, self.values, self._valid = poset, ring, values, None
 
     @classmethod
     def from_values(cls, poset, ring, values) -> "WeightSystem":
@@ -149,16 +153,17 @@ class WeightSystem:
     def is_valid(self) -> bool:
         """Whether the chain condition holds, by the cover checks alone.
 
-        It tests c[S] = c[T] c[U] over the slot lists of
-        ``poset._cover_triples`` and stops at the first failure; why
-        that suffices is in :meth:`violations`.  The order of those lists
-        is not the slot order, so which failing triple stops the test is
-        not specified; only the answer is.  Cached per instance.
+        It tests c[S] = c[T] c[U] mod n on each factor's scalars, over the
+        slot lists of ``poset._cover_triples``, in C-level map chains that
+        stop at the first failure; why that suffices is in :meth:`violations`.
+        Those lists are not in slot order, so which failing triple stops the
+        test is not specified; only the answer is.  Cached per instance.
         """
         if self._valid is None:
             S, T, U = self.poset._cover_triples
-            get = self.values.__getitem__
-            self._valid = all(map(eq, map(get, S), map(self.ring.mul, map(get, T), map(get, U))))
+            self._valid = all([all(map(eq, map(c.__getitem__, S), map(
+                mod, map(mul, map(c.__getitem__, T), map(c.__getitem__, U)), repeat(n))))
+                for n, c in self.ring.scalars[0](self.values)])
         return self._valid
 
     @classmethod
@@ -166,12 +171,18 @@ class WeightSystem:
         return cls(poset, ring, (ring.one(),) * len(poset.index_pairs))
 
     def __mul__(self, other):
-        _same_carrier(self, other)
-        return WeightSystem(self.poset, self.ring,
-                            tuple(map(self.ring.mul, self.values, other.values)))
+        if other.ring != self.ring or other.poset != self.poset:
+            raise WeightSystemError("weight systems live on different carriers")
+        split, join = self.ring.scalars
+        cols = []
+        for (n, a), (_, b) in zip(split(self.values), split(other.values)):
+            cols.append(tuple([x * y % n for x, y in zip(a, b)]))
+        return WeightSystem(self.poset, self.ring, join(cols))
 
     def inverse(self) -> "WeightSystem":
-        return WeightSystem(self.poset, self.ring, tuple(map(self.ring.inverse, self.values)))
+        split, join = self.ring.scalars
+        cols = [tuple([pow(x, -1, n) for x in c]) for n, c in split(self.values)]
+        return WeightSystem(self.poset, self.ring, join(cols))
 
     def apply(self, f: IncidenceFunction) -> IncidenceFunction:
         """Scale each cross-class entry of f by its class-pair weight."""
@@ -186,25 +197,14 @@ class WeightSystem:
         return IncidenceFunction(f.preorder, f.ring, out)
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, WeightSystem)
-            and other.ring == self.ring
-            and other.poset == self.poset
-            and other.values == self.values
-        )
+        return self is other or (isinstance(other, WeightSystem) and other.ring == self.ring
+                                 and other.poset == self.poset and other.values == self.values)
 
     def __hash__(self):
         return hash((str(self.ring), self.values))
 
     def __repr__(self):
         return f"WeightSystem({len(self.values)} pairs over {self.ring})"
-
-
-def _same_carrier(a, b):
-    if a.ring != b.ring or a.poset != b.poset:
-        raise WeightSystemError("weight systems live on different carriers")
 
 
 class Potential:
@@ -217,9 +217,7 @@ class Potential:
 
     def __init__(self, poset, ring, values):
         # trusted constructor: callers guarantee a central-unit tuple aligned to reps
-        self.poset = poset
-        self.ring = ring
-        self.values = values
+        self.poset, self.ring, self.values = poset, ring, values
 
     @classmethod
     def from_values(cls, poset, ring, values) -> "Potential":
@@ -236,12 +234,8 @@ class Potential:
         return list(zip(self.poset.reps, self.values))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Potential)
-            and other.ring == self.ring
-            and other.poset == self.poset
-            and other.values == self.values
-        )
+        return (isinstance(other, Potential) and other.ring == self.ring
+                and other.poset == self.poset and other.values == self.values)
 
     def __repr__(self):
         return f"Potential({len(self.values)} classes over {self.ring})"
@@ -260,9 +254,12 @@ class NotInnerWitness:
 
 def from_potential(potential: Potential) -> WeightSystem:
     """Coboundary weights c[x,y] = v[x]^-1 v[y]."""
-    ring, poset, v = potential.ring, potential.poset, potential.values
-    inv, mul = tuple(map(ring.inverse, v)), ring.mul
-    return WeightSystem(poset, ring, tuple(mul(inv[i], v[j]) for i, j in poset.index_pairs))
+    (split, join), pairs = potential.ring.scalars, potential.poset.index_pairs
+    cols = []
+    for n, v in split(potential.values):
+        inv = [pow(x, -1, n) for x in v]
+        cols.append(tuple([inv[i] * v[j] % n for i, j in pairs]))
+    return WeightSystem(potential.poset, potential.ring, join(cols))
 
 
 def _require_valid(ws: WeightSystem):
@@ -271,30 +268,30 @@ def _require_valid(ws: WeightSystem):
         raise WeightSystemError(f"chain condition fails at triples {bad}")
 
 
-def _propagate(c, tree, ring) -> Potential:
-    """Potential with value one at the root, pushed along the tree steps.
-
-    ``c`` holds the weights by slot; only the tree-edge slots are read.
-    """
-    poset, mul, inverse = tree.graph.poset, ring.mul, ring.inverse
-    v = [None] * poset.n_classes
-    v[poset.class_of[tree.root]] = ring.one()
+def _propagate(c, tree, n):
+    """Scalar potential mod n, one at the root (the one class that is no
+    step's child), pushed along the tree steps; only tree slots of c are read."""
+    v = [1] * tree.graph.poset.n_classes
     for i, j, slot, up in tree.steps:
-        v[j] = mul(v[i], c[slot] if up else inverse(c[slot]))
-    return Potential(poset, ring, tuple(v))
+        v[j] = v[i] * (c[slot] if up else pow(c[slot], -1, n)) % n
+    return tuple(v)
 
 
 def _tree_split(ws: WeightSystem, root):
     """The one tree walk of a valid ws: (tree, v, w1), v propagated from one
-    at the root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over the slots."""
-    _require_valid(ws)
-    poset, ring = ws.poset, ws.ring
-    tree = tree_of(poset, root)
-    potential = _propagate(ws.values, tree, ring)
-    v, mul = potential.values, ring.mul
-    inv = tuple(map(ring.inverse, v))
-    w1 = tuple(mul(mul(c, v[i]), inv[j]) for c, (i, j) in zip(ws.values, poset.index_pairs))
-    return tree, potential, WeightSystem(poset, ring, w1)
+    at the root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over the
+    slots, per factor of the scalar view."""
+    if not ws.is_valid():
+        _require_valid(ws)
+    poset, ring, (split, join) = ws.poset, ws.ring, ws.ring.scalars
+    tree, pairs = tree_of(poset, root), poset.index_pairs
+    vs, w1s = [], []
+    for n, c in split(ws.values):
+        v = _propagate(c, tree, n)
+        inv = [pow(x, -1, n) for x in v]
+        vs.append(v)
+        w1s.append(tuple([x * v[i] * inv[j] % n for x, (i, j) in zip(c, pairs)]))
+    return tree, Potential(poset, ring, join(vs)), WeightSystem(poset, ring, join(w1s))
 
 
 def _cycle_value(ring, w1, slot):
@@ -326,6 +323,9 @@ def is_inner_cycles(ws: WeightSystem, root=None):
     """Cycle-weight criterion: inner iff every fundamental cycle has weight one.
 
     Returns (answer, report) where report lists (cycle, weight) pairs.
+    Kept for the tests and the benchmark's tracer only: the oracle judges
+    cycles with its own arithmetic, and the CLI's witness comes from
+    :func:`find_potential`.
     """
     tree, _, w1 = _tree_split(ws, root)
     one = ws.ring.one()

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff_rings import ZMod, count_central_units, parse_ring_spec
+from .coeff_rings import ZMod, count_central_units, parse_ring_spec, scalar_view
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
@@ -37,7 +37,6 @@ from .mult_automorphisms import (
     decompose,
     find_potential,
     from_potential,
-    is_inner_cycles,
 )
 from .preorder_core import Preorder, close_relations, preorder_descriptor
 
@@ -128,9 +127,13 @@ def enumerate_mult(poset, ring, force=False):
         if k == len(pairs):
             out.append(WeightSystem(poset, ring, tuple(chosen)))
             return
+        closing = triples_at[k]
         for u in units:
             chosen[k] = u
-            if all(mul(chosen[i], chosen[j]) == chosen[t] for i, j, t in triples_at[k]):
+            for i, j, t in closing:
+                if mul(chosen[i], chosen[j]) != chosen[t]:
+                    break
+            else:
                 search(k + 1)
 
     search(0)
@@ -163,8 +166,12 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     Runs on one connected instance: decomposition recomposes and lands in
     the advertised factors, the factors intersect trivially, the
     coboundary count matches |G|^(m - lambda), the group sizes multiply,
-    and the three innerness tests (cycle weights, potential
-    reconstruction, enumerated membership) agree on every system.
+    and three innerness judges agree on every system: ``find_potential``
+    (the library's tree walk), membership in the enumerated coboundaries,
+    and the oracle's own cycle product.  The last one multiplies c around
+    every fundamental cycle of the tree with ``ring.mul``, inverting the
+    weight of each descending step, so it shares no arithmetic with the
+    library's Z/n scalars.
     """
     mult = enumerate_mult(poset, ring, force)
     inner = enumerate_inner(poset, ring, force)
@@ -172,7 +179,22 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     tree = tree_of(poset, root)
     graph = tree.graph
     tree_slots = [slot for _, _, slot, _ in tree.steps]
-    one = ring.one()
+    one, mul, inverse = ring.one(), ring.mul, ring.inverse
+    ones = [one] * len(tree_slots)
+    index = {p: s for s, p in enumerate(poset.strict_pairs())}
+    cycles = [[(index[x, y], True) if poset.lt(x, y) else (index[y, x], False)
+               for x, y in zip(cycle.sequence, cycle.sequence[1:])] for cycle in tree.cycles]
+
+    def by_cycles(c):
+        """Whether c multiplies to one around every fundamental cycle,
+        inverting the weight of each descending step."""
+        for steps in cycles:
+            acc = one
+            for slot, up in steps:
+                acc = mul(acc, c[slot] if up else inverse(c[slot]))
+            if acc != one:
+                return False
+        return True
     identity_key = WeightSystem.identity(poset, ring).values
     checks = []
 
@@ -181,17 +203,16 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
         w1, w0, _ = decompose(ws, root)
         ok = (
             (w1 * w0).values == ws.values
-            and all(w1.values[s] == one for s in tree_slots)
+            and [w1.values[s] for s in tree_slots] == ones
             and w1.is_valid()
             and w0.values in inner_keys
         )
         if not ok:
             decompose_failures.append(ws.items())
-        if all(ws.values[s] == one for s in tree_slots):
+        if [ws.values[s] for s in tree_slots] == ones:
             tree_trivial.append(ws)
-        by_cycles, _ = is_inner_cycles(ws, root)
         by_potential = not isinstance(find_potential(ws, root), NotInnerWitness)
-        if not (by_cycles == by_potential == (ws.values in inner_keys)):
+        if not (by_cycles(ws.values) == by_potential == (ws.values in inner_keys)):
             disagreements.append(ws.items())
     checks.append(
         CheckResult(
@@ -354,9 +375,9 @@ def verify_bimodule_scalars(nrows, ncols, ring) -> VerificationReport:
     matrix actions, and compares the survivors with the central
     multiplications v -> c v.  Bijective survivors must match the units.
     """
-    if not isinstance(ring, ZMod):
+    (n, k, _), *rest = scalar_view(ring)
+    if k or rest:
         raise NotImplementedError("bimodule sweep is implemented for Z/n bases")
-    n = ring.n
     dim = nrows * ncols
     space = tuple(
         tuple(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))

@@ -25,7 +25,7 @@ index pairs; labels are resolved only at the edges.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 
 
 class PreorderError(ValueError):
@@ -383,20 +383,20 @@ def _bits(mask):
 
     The mask is read a byte at a time, lowest first.  Table k maps each
     of the 256 byte values to the indices 8k..8k+7 of its set bits, so a
-    non-zero byte costs one lookup and one list extension, and a zero
-    byte one test.  The tables are built on first use, one per byte
-    position, sharing the index objects of that position, for the first
-    ``_TABLED_BYTES`` positions only (about 10 MiB); a byte past them
-    reads ``_BYTE_BITS`` and adds its bit offset.
+    non-zero byte costs one lookup and one list extension, while the zero
+    bytes are skipped in C (``compress`` over the bytes).  The tables are
+    built on first use, one per byte position, sharing the index objects
+    of that position, for the first ``_TABLED_BYTES`` positions only
+    (about 10 MiB); a byte past them reads ``_BYTE_BITS`` and adds its
+    bit offset.
     """
     data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
     while len(_BIT_TABLES) < min(len(data), _TABLED_BYTES):
         at = tuple(range(8 * len(_BIT_TABLES), 8 * len(_BIT_TABLES) + 8))
         _BIT_TABLES.append(tuple(tuple(at[b] for b in bits) for bits in _BYTE_BITS))
     out = []
-    for table, byte in zip(_BIT_TABLES, data):
-        if byte:
-            out += table[byte]
+    for table, byte in compress(zip(_BIT_TABLES, data), data):
+        out += table[byte]
     for k in range(_TABLED_BYTES, len(data)):
         if data[k]:
             out += map((8 * k).__add__, _BYTE_BITS[data[k]])

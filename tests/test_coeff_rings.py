@@ -13,6 +13,7 @@ from incalg.coeff_rings import (
     count_central_units,
     det_inverse,
     parse_ring_spec,
+    scalar_view,
 )
 
 
@@ -181,6 +182,32 @@ def test_is_central_unit_is_membership_in_central_units(spec):
     assert central
     for a in r.elements():
         assert r.is_central_unit(a) == (a in central)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/3", "M(1,Z/4)", "M(2,Z/3)", "M(3,Z/2)",
+                                  "Z/4 x M(2,Z/3)", "Z/2 x M(2,Z/2) x Z/5"])
+def test_scalar_codec_is_lambda_per_factor(spec):
+    """``ring.scalars`` splits every central unit into one residue per
+    factor of the scalar view: a unit of Z/n itself, the diagonal entry
+    lambda of lambda I, read as the unit's component in a product; join
+    maps the residues back to the very same units."""
+    r = parse_ring_spec(spec)
+    units = r.central_units()
+    split, join = r.scalars
+    columns = split(units)
+    view = scalar_view(r)
+    assert [n for n, _ in columns] == [n for n, _, _ in view]
+    for (n, k, part), (_, col) in zip(view, columns):
+        for u, scalar in zip(units, col):
+            factor = u if part is None else u[part]
+            assert factor == (_lambda_identity(k, scalar) if k else scalar)
+    assert join([col for _, col in columns]) == units
+    assert join([col for _, col in split(())]) == ()
+
+
+def _lambda_identity(k, u):
+    """Reference lambda I: u on the diagonal, zero elsewhere."""
+    return tuple(tuple(u if i == j else 0 for j in range(k)) for i in range(k))
 
 
 def test_order_needs_no_element_list():

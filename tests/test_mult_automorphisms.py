@@ -5,7 +5,13 @@ from collections import Counter
 import pytest
 
 from incalg.coeff_rings import ZMod, parse_ring_spec
-from incalg.comparability import ComparabilityGraph, cycle_weight, path_weight, spanning_tree
+from incalg.comparability import (
+    ComparabilityGraph,
+    cycle_weight,
+    path_weight,
+    spanning_tree,
+    tree_of,
+)
 from incalg.incidence_algebra import (
     IncidenceFunction,
     convolve,
@@ -19,7 +25,6 @@ from incalg.mult_automorphisms import (
     WeightSystem,
     WeightSystemError,
     _checked,
-    _propagate,
     decompose,
     find_potential,
     from_mult_function,
@@ -37,6 +42,7 @@ from incalg.oracle import (
     enumerate_mult,
     inflate,
     random_function,
+    verify_structure,
 )
 from incalg.preorder_core import close_relations
 
@@ -58,7 +64,16 @@ def from_tree(tree, ring, tree_values) -> WeightSystem:
     c = [None] * len(q.index_pairs)
     for (x, y), u in weights.items():
         c[q.position[q.class_of[x], q.class_of[y]]] = u
-    return from_potential(_propagate(c, tree, ring))
+    return from_potential(_ref_propagate(c, tree, ring))
+
+
+def _ref_propagate(c, tree, ring) -> Potential:
+    """Reference tree propagation on ring.mul: one at the root, pushed
+    along the tree steps, inverting the weight of a descending step."""
+    v = [ring.one()] * tree.graph.poset.n_classes
+    for i, j, slot, up in tree.steps:
+        v[j] = ring.mul(v[i], c[slot] if up else ring.inverse(c[slot]))
+    return Potential(tree.graph.poset, ring, tuple(v))
 
 
 def crown_ws(crown, bd):
@@ -495,6 +510,79 @@ def test_inner_iff_coboundary_small_product_ring(crown):
     for ws in enumerate_mult(q, r):
         ok, _ = is_inner_cycles(ws)
         assert ok == (ws.values in inner_keys)
+
+
+SCALAR_VIEW_RINGS = ["Z/2 x Z/3", "M(2,Z/3)", "Z/4 x M(2,Z/3)"]
+
+
+@pytest.mark.parametrize("spec", SCALAR_VIEW_RINGS)
+def test_verify_structure_over_products_and_matrix_rings(crown, diamond, chain3, spec):
+    """Every structure check passes over rings whose central units the
+    weight layer computes on as one Z/n scalar per factor."""
+    ring = parse_ring_spec(spec)
+    for poset in (crown, diamond, chain3):
+        report = verify_structure(poset.quotient(), ring)
+        assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def _ref_tree_split(ws, root):
+    """Reference on ring.mul and ring.inverse: the tree potential v and
+    w1[x,y] = c[x,y] v[x] v[y]^-1."""
+    ring, q = ws.ring, ws.poset
+    v = _ref_propagate(ws.values, tree_of(q, root), ring)
+    inv = [ring.inverse(a) for a in v.values]
+    w1 = tuple(ring.mul(ring.mul(c, v.values[i]), inv[j])
+               for c, (i, j) in zip(ws.values, q.index_pairs))
+    return v, WeightSystem(q, ring, w1)
+
+
+def _ref_coboundary(v):
+    """Reference c[x,y] = v[x]^-1 v[y] on ring.mul and ring.inverse."""
+    ring, q = v.ring, v.poset
+    return WeightSystem(q, ring, tuple(ring.mul(ring.inverse(v.values[i]), v.values[j])
+                                       for i, j in q.index_pairs))
+
+
+@pytest.mark.parametrize("spec", SCALAR_VIEW_RINGS)
+def test_scalar_weight_layer_matches_ring_arithmetic(spec, seed=31):
+    """On seeded systems of every connected poset <= 4 points and its
+    dual, from two roots, decompose, find_potential, from_potential, *,
+    inverse and is_valid (on seeded single-slot mutants too) equal the
+    same operations computed with the ring's own mul and inverse."""
+    rng = random.Random(seed)
+    ring = parse_ring_spec(spec)
+    units, one = ring.central_units(), ring.one()
+    posets = connected_posets(4)
+    duals = [close_relations(p.elements, [(y, x) for x, y in p.comparable_pairs()])
+             for p in posets]
+    mutants = broken = 0
+    for poset in posets + tuple(duals):
+        q = poset.quotient()
+        mult = enumerate_mult(q, ring)
+        for ws in rng.sample(mult, min(6, len(mult))):
+            for root in (None, q.reps[-1]):
+                v, w1 = _ref_tree_split(ws, root)
+                assert decompose(ws, root) == (w1, _ref_coboundary(v), v)
+                found = find_potential(ws, root)
+                if all(w == one for w in w1.values):
+                    assert found == v
+                else:
+                    assert isinstance(found, NotInnerWitness)
+            other = rng.choice(mult)
+            assert (ws * other).values == tuple(map(ring.mul, ws.values, other.values))
+            assert ws.inverse().values == tuple(map(ring.inverse, ws.values))
+            pot = Potential(q, ring, tuple(rng.choice(units) for _ in q.reps))
+            assert from_potential(pot) == _ref_coboundary(pot)
+            if not ws.values:
+                continue
+            values = list(ws.values)
+            slot = rng.randrange(len(values))
+            values[slot] = rng.choice([u for u in units if u != values[slot]])
+            bad = WeightSystem(q, ring, tuple(values))
+            assert bad.is_valid() == (not _chain_violations_by_definition(bad))
+            mutants += 1
+            broken += not bad.is_valid()
+    assert mutants > 100 and 0 < broken < mutants
 
 
 def _dumps(obj):

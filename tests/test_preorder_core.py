@@ -202,6 +202,13 @@ def test_bits_match_binary_digits(seed=11):
             assert _bits(m) == [i for i, ch in enumerate(reversed(bin(m))) if ch == "1"]
 
 
+def test_bits_of_a_sparse_mask_on_both_sides_of_the_table_limit():
+    """The zero bytes of a sparse mask are skipped, below and above the
+    4,096 bits the per-position tables cover."""
+    bits = [0, 7, 8, 1000, 4087, 4088, 4095, 4096, 4103, 4104, 6000, 16383]
+    assert _bits(sum(1 << b for b in bits)) == bits
+
+
 def test_bit_tables_are_bounded():
     """A 16,384-bit mask builds tables for the first 4,096 bits only."""
     saved = list(preorder_core._BIT_TABLES)
