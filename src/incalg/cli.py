@@ -63,7 +63,7 @@ def _emit(args, text: str):
 
 
 def _ring_of(args):
-    return parse_ring_spec(args.ring) if args.ring else None
+    return None if args.ring is None else parse_ring_spec(args.ring)
 
 
 def _function_arg(name, preorder, ring):
@@ -108,7 +108,7 @@ def _cmd_info(args) -> int:
         "connected": len(graph.components) <= 1,
         "height": quotient.height(),
     }
-    if args.ring:
+    if args.ring is not None:
         ring = parse_ring_spec(args.ring)
         parts = [(n, k * k or 1) for n, k, _ in scalar_view(ring)]  # order: the product of n ** e
         with decimal.localcontext(decimal.Context(prec=99)):  # n ** (k*k) would take seconds
@@ -225,14 +225,13 @@ def _report_line(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.poset:
-        preorder = load_preorder(args.poset)
-        quotient = preorder.quotient()
-        specs = split_top_level(args.ring) if args.ring else DEFAULT_SUITE_RINGS
-        reports = [
-            verify_structure(quotient, parse_ring_spec(spec), args.root, force=args.force)
-            for spec in specs
-        ]
+    if args.poset is not None:
+        quotient = load_preorder(args.poset).quotient()
+        specs = DEFAULT_SUITE_RINGS if args.ring is None else split_top_level(args.ring)
+        rings = [parse_ring_spec(spec) for spec in specs]  # all parse before any runs
+        reports = [verify_structure(quotient, ring, args.root, force=args.force) for ring in rings]
+    elif args.ring is not None or args.root is not None:
+        raise ValueError(f"--{'ring' if args.ring is not None else 'root'} needs --poset")
     else:
         reports = run_full_suite(
             seed=args.seed, max_classes=args.max_classes, force=args.force

@@ -18,12 +18,13 @@ tree edges.  Each fundamental cycle weighs w1 on its non-tree edge
 (inverted when the cycle crosses it upwards), so c is inner iff w1 = 1,
 and c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
 
-The tree walk, the gate of :meth:`WeightSystem.is_valid`, coboundaries,
-products and inverses compute on plain ints: ``ring.scalars`` (see
-``coeff_rings.scalar_codec``) splits the central units into one Z/n
-scalar per factor of the scalar view (a unit of Z/n itself, lambda for
-lambda I over M(k,Z/n), one per factor of a product), each factor runs
-with ``a * b % n`` and ``pow(a, -1, n)``, and the results are joined back.
+The tree walk, the chain check (the gate and the violation scan),
+coboundaries, products and inverses compute on plain ints:
+``ring.scalars`` (see ``coeff_rings.scalar_codec``) splits the central
+units into one Z/n scalar per factor of the scalar view (a unit of Z/n
+itself, lambda for lambda I over M(k,Z/n), one per factor of a
+product), each factor runs with ``a * b % n`` and ``pow(a, -1, n)``,
+and the results are joined back.
 
 ``WeightSystem(...)`` and ``Potential(...)`` trust their arguments, like
 ``IncidenceFunction(...)``: a tuple of central units aligned to the
@@ -38,8 +39,8 @@ never read from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import eq, itemgetter, mod, mul
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, mod, mul, ne
 
 from .coeff_rings import parse_ring_spec
 from .comparability import FundamentalCycle, fundamental_cycles, tree_of
@@ -84,6 +85,13 @@ def _checked(ring, values, canon, allowed, what):
     return norm
 
 
+def _mismatches(cols, S, T, U):
+    """The chain condition: per factor (n, c), lazily, c[S] != c[T] c[U] mod n."""
+    return [map(ne, map(c.__getitem__, S), map(mod, map(mul, map(c.__getitem__, T),
+                                                        map(c.__getitem__, U)), repeat(n)))
+            for n, c in cols]
+
+
 class WeightSystem:
     """Total assignment of central units to the strict class pairs.
 
@@ -124,46 +132,41 @@ class WeightSystem:
 
     def violations(self, limit=None):
         """Triples (x, z, y) with x < z < y where the chain condition fails,
-        the first ``limit`` of them (all by default).
+        the first ``limit`` of them (all by default), by slot (x, y), then z.
 
-        The check is gated on covers: :meth:`is_valid` tests
-        c[x,y] = c[x,z] c[z,y] only where z covers x and z < y.  That is
-        enough, by induction on the interval [x,y]: for x < z < y pick a
-        cover z' of x with z' <= z.  If z' = z the gate checked the
-        triple.  Otherwise the gate gives c[x,y] = c[x,z'] c[z',y] and
-        c[x,z] = c[x,z'] c[z',z], and induction on the shorter interval
-        [z',y] gives c[z',y] = c[z',z] c[z,y]; so
-        c[x,y] = c[x,z'] c[z',z] c[z,y] = c[x,z] c[z,y].  The cover checks
-        are chain triples themselves, so the gate fails exactly when this
-        list is non-empty.  Only then does the ordered full scan run, so
-        the list and its order do not depend on the gate: for each slot
-        (i, j) in slot order, the classes strictly between, the bits of
-        ``_up[i] & _down[j]`` other than i and j, are tried in ascending
-        order, and the scan stops after ``limit`` failing triples.
+        :meth:`is_valid` tests c[x,y] = c[x,z] c[z,y] only where z covers
+        x and z < y.  That is enough, by induction on the interval [x,y]:
+        for x < z < y pick a cover z' of x with z' <= z.  If z' = z the
+        gate checked the triple.  Otherwise the gate gives
+        c[x,y] = c[x,z'] c[z',y] and c[x,z] = c[x,z'] c[z',z], and
+        induction on the shorter interval [z',y] gives
+        c[z',y] = c[z',z] c[z,y]; so c[x,y] = c[x,z'] c[z',z] c[z,y] =
+        c[x,z] c[z,y].  The cover checks are chain triples themselves, so
+        the gate fails exactly when this list is non-empty.  Only then
+        does the scan run, the gate's test over all middles: per row i, on
+        ``poset.triples(i, strict up-set of i)``, the failures of every
+        factor sorted by (slot (i, j), slot (i, z)), up to the row where
+        ``limit`` is reached.
         """
         if self.is_valid():
             return []
-        poset, c, mul = self.poset, self.values, self.ring.mul
-        up, down, pos, reps = poset._up, poset._down, poset.position, poset.reps
-        failures = ((reps[i], reps[z], reps[j]) for s, (i, j) in enumerate(poset.index_pairs)
-                    for z in _bits(up[i] & down[j] & ~(1 << i | 1 << j))
-                    if c[s] != mul(c[pos[i, z]], c[pos[z, j]]))
-        return list(islice(failures, limit))
+        poset, cols, out = self.poset, self.ring.scalars[0](self.values), []
+        for i, row in enumerate(poset._up):
+            S, T, U = poset.triples(i, row & ~(1 << i))
+            bad = set().union(*[compress(count(), m) for m in _mismatches(cols, S, T, U)])
+            out += [(i, *poset.index_pairs[U[p]]) for p in sorted(bad, key=lambda p: (S[p], T[p]))]
+            if limit is not None and len(out) >= limit:
+                break
+        return [tuple(map(poset.reps.__getitem__, t)) for t in out[:limit]]
 
     def is_valid(self) -> bool:
-        """Whether the chain condition holds, by the cover checks alone.
-
-        It tests c[S] = c[T] c[U] mod n on each factor's scalars, over the
-        slot lists of ``poset._cover_triples``, in C-level map chains that
-        stop at the first failure; why that suffices is in :meth:`violations`.
-        Those lists are not in slot order, so which failing triple stops the
-        test is not specified; only the answer is.  Cached per instance.
+        """Whether the chain condition holds: no factor has a mismatch over
+        ``poset._cover_triples``, the map chains stopping at the first one.
+        Why the covers suffice is in :meth:`violations`.  Cached per instance.
         """
         if self._valid is None:
-            S, T, U = self.poset._cover_triples
-            self._valid = all([all(map(eq, map(c.__getitem__, S), map(
-                mod, map(mul, map(c.__getitem__, T), map(c.__getitem__, U)), repeat(n))))
-                for n, c in self.ring.scalars[0](self.values)])
+            cols = self.ring.scalars[0](self.values)
+            self._valid = not any(map(any, _mismatches(cols, *self.poset._cover_triples)))
         return self._valid
 
     @classmethod

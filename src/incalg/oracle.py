@@ -32,11 +32,9 @@ from .incidence_algebra import (
 )
 from .mult_automorphisms import (
     NotInnerWitness,
-    Potential,
     WeightSystem,
     decompose,
     find_potential,
-    from_potential,
 )
 from .preorder_core import Preorder, close_relations, preorder_descriptor
 
@@ -146,18 +144,21 @@ def enumerate_inner(poset, ring, force=False):
 
     Multiplying a whole potential by one central unit u leaves every
     v[x]^-1 u^-1 u v[y] = v[x]^-1 v[y] unchanged, so these |G|^(k - 1)
-    potentials already give every coboundary.  Deduplicated and sorted;
-    no component data from the structural code is used, so the count
-    |G|^(m - lambda) that the structure checks assert stays independent.
+    potentials already give every coboundary.  Each v[x]^-1 v[y] is
+    formed with ``ring.inverse`` and ``ring.mul``, not the library's
+    coboundary code.  Deduplicated and sorted; no component data from the
+    structural code is used, so the count |G|^(m - lambda) that the
+    structure checks assert stays independent.
     """
-    k = poset.n_classes
-    units = _guarded_units(ring, k - 1, force, "potentials")
-    seen = {}
-    one = (ring.one(),)
-    for combo in itertools.product(units, repeat=k - 1):
-        ws = from_potential(Potential(poset, ring, one + combo))
-        seen.setdefault(ws.values, ws)
-    return [seen[key] for key in sorted(seen)]
+    units = _guarded_units(ring, poset.n_classes - 1, force, "potentials")
+    rank = {x: i for i, x in enumerate(poset.reps)}
+    pairs = [(rank[x], rank[y]) for x, y in poset.strict_pairs()]
+    inverse, mul, one = {u: ring.inverse(u) for u in units}, ring.mul, (ring.one(),)
+    seen = set()
+    for combo in itertools.product(units, repeat=len(rank) - 1):
+        v = one + combo
+        seen.add(tuple([mul(inverse[v[i]], v[j]) for i, j in pairs]))
+    return [WeightSystem(poset, ring, key) for key in sorted(seen)]
 
 
 def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:

@@ -13,13 +13,11 @@ in class ``elem_class[e]``, class i has the up and down rows
 ``_up[i]``/``_down[i]`` (bitmasks of class indices), ``index_pairs``
 lists the strict pairs (i, j) in ``strict_pairs()`` order,
 ``position`` maps each pair to its slot, and the slots of row i run from
-``_starts[i]`` up to ``_starts[i + 1]``.  On first use, the cover rows
-``_covers[i]`` (the classes covering i, the Hasse diagram) are derived
-from the up rows, and the chain triples through a cover, which the chain
-check tests, are laid out as three slot lists (``_cover_triples``), one
-Hasse edge after another.  Weight systems and potentials are tuples over
-those slots and class indices, incidence functions are keyed by element
-index pairs; labels are resolved only at the edges.
+``_starts[i]`` up to ``_starts[i + 1]``.  ``triples(i, middles)`` lays
+out the triples i < z < j through given middle classes z as three slot
+lists.  Weight systems and potentials are tuples over those slots and
+class indices, incidence functions are keyed by element index pairs;
+labels are resolved only at the edges.
 """
 
 from __future__ import annotations
@@ -196,12 +194,7 @@ class QuotientPoset:
     ``index_pairs`` the strict pairs in ``strict_pairs()`` order with
     ``position`` mapping each to its slot, ``_starts[i]`` the first slot
     of row i (and ``_starts[k]`` their count), and, built on first use,
-    ``_covers[i]``, the bitmask of the classes covering i, and
-    ``_cover_triples``, the slots of the triples through a cover.  The
-    chain check of a weight system tests only those triples (which
-    implies all of them, see ``WeightSystem.violations``) and lists the
-    failing triples by a full scan over ``_up[i] & _down[j]`` only when
-    one fails.
+    ``_covers[i]``, the bitmask of the classes covering i.
     """
 
     def __init__(self, source: Preorder):
@@ -251,31 +244,34 @@ class QuotientPoset:
             covers.append(row & ~above)
         return covers
 
+    def triples(self, i, middles):
+        """The triples i < z < j with z in the bitmask ``middles`` (above
+        i), by z then j, as slot lists S of (i, j), T of (i, z), U of (z, j):
+        U slices row z's slots, S maps their classes through a dict of row
+        i; the lists share the int objects of one slot range."""
+        starts, (to, ids) = self._starts, self._slot_lists
+        a, b = starts[i], starts[i + 1]
+        slot = dict(zip(to[a:b], ids[a:b])).__getitem__  # j -> slot of (i, j)
+        S, T, U = [], [], []
+        for z in _bits(middles):
+            za, zb = starts[z], starts[z + 1]
+            S += map(slot, to[za:zb])
+            T += repeat(slot(z), zb - za)
+            U += ids[za:zb]
+        return S, T, U
+
+    @cached_property
+    def _slot_lists(self):
+        """The class j of each slot (i, j), and the slots themselves."""
+        return [j for _, j in self.index_pairs], list(range(len(self.index_pairs)))
+
     @cached_property
     def _cover_triples(self):
-        """The chain triples (i, z, j) with z covering i and j above z,
-        the ones the chain check tests, as three slot lists: S of (i, j),
-        T of (i, z) and U of (z, j).
-
-        They are gathered per Hasse edge i -> z, in (i, z) order: the
-        slots of row z are ``_starts[z]`` up to ``_starts[z + 1]``, so U
-        takes a slice of them and S maps their classes through a dict of
-        row i.  That is not the slot order of (i, j), so a check that
-        stops at its first failure may stop at another triple than a
-        scan over the slots would; it finds one exactly when the scan does.
-        """
-        starts = self._starts
-        to = [j for _, j in self.index_pairs]
-        ids = list(range(len(to)))  # slices of one list share its int objects
+        """``triples(i, _covers[i])`` of every row i, concatenated."""
         S, T, U = [], [], []
         for i, row in enumerate(self._covers):
-            a, b = starts[i], starts[i + 1]
-            slot = dict(zip(to[a:b], ids[a:b])).__getitem__  # j -> slot of (i, j)
-            for z in _bits(row):
-                za, zb = starts[z], starts[z + 1]
-                S += map(slot, to[za:zb])
-                T += repeat(slot(z), zb - za)
-                U += ids[za:zb]
+            for whole, part in zip((S, T, U), self.triples(i, row)):
+                whole += part
         return S, T, U
 
     @property

@@ -335,6 +335,35 @@ def test_verify_refuses_max_classes_below_one(capsys, bound):
     assert err == "error: poset generation supports 1 to 5 elements\n"
 
 
+@pytest.mark.parametrize("options", [["--ring", "Z/7"], ["--root", "a"],
+                                     ["--ring", "Z/7", "--root", "a"], ["--ring", ""]])
+def test_verify_refuses_instance_options_without_poset(capsys, options):
+    """--ring and --root choose the rings and the tree of the --poset
+    instance; without one they are refused, not ignored by the suite."""
+    code, out, err = run(capsys, "verify", "--max-classes", "1", *options)
+    assert (code, out) == (2, "")
+    assert err == f"error: {options[0]} needs --poset\n"
+
+
+@pytest.mark.parametrize("command, spec", [(c, "") for c in (
+    "verify", "info", "check", "is-inner", "decompose", "apply")] + [("verify", "Z/3,")])
+def test_empty_ring_spec_is_refused(capsys, crown_txt, tmp_path, monkeypatch, command, spec):
+    """An empty --ring is a malformed spec, not an absent one, and verify
+    parses every listed spec before it runs any."""
+    import incalg.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("verify ran an instance before every spec parsed")
+
+    monkeypatch.setattr(cli, "verify_structure", never)
+    weights = write_weights(tmp_path, "w.json", "Z/5", INNER)
+    rest = {"verify": [], "info": [], "apply": ["--weights", weights, "zeta"]}
+    code, out, err = run(capsys, command, "--poset", crown_txt, "--ring", spec,
+                         *rest.get(command, ["--weights", weights]))
+    assert (code, out) == (2, "")
+    assert err == "error: empty ring spec ''\n"
+
+
 def test_malformed_weight_file(capsys, crown_txt, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

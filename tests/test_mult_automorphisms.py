@@ -304,41 +304,52 @@ def test_slot_chain_check_matches_definition(seed=8):
     assert checked > 1000 and broken > checked // 2
 
 
-@pytest.mark.parametrize("spec", ["Z/3", "M(2,Z/3)"])
+@pytest.mark.parametrize("spec", ["Z/3", "M(2,Z/3)", "Z/2 x Z/3", "Z/4 x M(2,Z/3)"])
 def test_gated_violations_match_definition(gate_posets, spec, seed=10):
     """The cover-gated violations() and is_valid() agree with the
     definitional scan over all reps, on valid systems and on copies with
-    one slot changed, a random one and a cover slot (j covers i)."""
+    slots changed: a random one, a cover slot (j covers i), and three at
+    once, whose failures in one row interleave, so that slot order and
+    middle-first order differ.  Over a product the failures of every
+    factor are listed.  violations(limit) is the head of the full list."""
     rng = random.Random(seed)
     ring = parse_ring_spec(spec)
     units = ring.central_units()
-    checked = broken = 0
+    checked = broken = interleaved = 0
     for poset in gate_posets:
         q = poset.quotient()
         if not q.index_pairs:
             continue
+        rank = {x: r for r, x in enumerate(q.reps)}
         cover_slots = [s for s, (i, j) in enumerate(q.index_pairs) if q._covers[i] >> j & 1]
         for _ in range(3):
             ws = from_potential(Potential(q, ring, tuple(rng.choice(units) for _ in q.reps)))
             assert ws.is_valid()
             assert ws.violations() == _chain_violations_by_definition(ws) == []
-            for slot in (rng.randrange(len(ws.values)), rng.choice(cover_slots)):
+            for slots in ([rng.randrange(len(ws.values))], [rng.choice(cover_slots)],
+                          rng.sample(range(len(ws.values)), min(3, len(ws.values)))):
                 values = list(ws.values)
-                values[slot] = rng.choice([u for u in units if u != values[slot]])
+                for slot in slots:
+                    values[slot] = rng.choice([u for u in units if u != values[slot]])
                 bad = WeightSystem(q, ring, tuple(values))
                 expected = _chain_violations_by_definition(bad)
                 assert bad.is_valid() == (not expected)
                 assert bad.violations() == expected
+                for limit in (1, 5, 10):
+                    assert bad.violations(limit) == expected[:limit]
                 checked += 1
                 broken += bool(expected)
-    assert checked > 700 and broken > checked // 2
+                interleaved += sorted(expected, key=lambda t: tuple(map(rank.get, t))) != expected
+    assert checked > 1000 and broken > checked // 2 and interleaved > 10
 
 
 def test_cover_triples_are_the_chain_triples_through_a_cover(gate_posets):
     """zip(S, T, U) of ``_cover_triples`` holds, as a multiset, exactly the
     slot triples (slot(i, j), slot(i, z), slot(z, j)) with z covering i and
     z < j, by definition: i < z with no class strictly between.  Their
-    order is free; the gate's answer does not depend on it."""
+    order is free; the gate's answer does not depend on it.  Over all
+    strict middles, ``triples(i, middles)`` lists every i < z < j, by z
+    ascending and then j ascending."""
     for poset in gate_posets:
         q = poset.quotient()
         k, pos = q.n_classes, q.position
@@ -348,6 +359,11 @@ def test_cover_triples_are_the_chain_triples_through_a_cover(gate_posets):
         expected = Counter((pos[i, j], pos[i, z], pos[z, j])
                            for i in range(k) for z in covers[i] for j in range(k) if lt[z][j])
         assert Counter(zip(*q._cover_triples)) == expected
+        for i in range(k):
+            middles = sum(1 << z for z in range(k) if lt[i][z])
+            assert list(zip(*q.triples(i, middles))) == [
+                (pos[i, j], pos[i, z], pos[z, j])
+                for z in range(k) if lt[i][z] for j in range(k) if lt[z][j]]
 
 
 def test_tuples_follow_pair_and_class_order(seed=9):
