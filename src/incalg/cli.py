@@ -225,7 +225,12 @@ def _report_line(report) -> str:
 
 
 def _cmd_verify(args) -> int:
+    seed = 0 if args.seed is None else args.seed  # None tells an absent option from a default
     if args.poset is not None:
+        if args.max_classes is not None or args.seed is not None:
+            raise ValueError(
+                f"--{'max-classes' if args.max_classes is not None else 'seed'} is for the "
+                "sweep, not --poset")
         quotient = load_preorder(args.poset).quotient()
         specs = DEFAULT_SUITE_RINGS if args.ring is None else split_top_level(args.ring)
         rings = [parse_ring_spec(spec) for spec in specs]  # all parse before any runs
@@ -233,16 +238,15 @@ def _cmd_verify(args) -> int:
     elif args.ring is not None or args.root is not None:
         raise ValueError(f"--{'ring' if args.ring is not None else 'root'} needs --poset")
     else:
-        reports = run_full_suite(
-            seed=args.seed, max_classes=args.max_classes, force=args.force
-        )
+        max_classes = 5 if args.max_classes is None else args.max_classes
+        reports = run_full_suite(seed=seed, max_classes=max_classes, force=args.force)
     lines = [_report_line(r) for r in reports]
     passed = all(r.passed for r in reports)
-    lines.append(f"{'PASS' if passed else 'FAIL'} suite reports={len(reports)} seed={args.seed}")
+    lines.append(f"{'PASS' if passed else 'FAIL'} suite reports={len(reports)} seed={seed}")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         doc = {
-            "seed": args.seed,
+            "seed": seed,
             "passed": passed,
             "reports": [r.to_dict() for r in reports],
         }
@@ -336,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", help="restrict to one poset file")
     p.add_argument("--ring", help="comma-separated ring specs for --poset mode")
     p.add_argument("--root", help="spanning-tree root class")
-    p.add_argument("--max-classes", type=int, default=5,
+    p.add_argument("--max-classes", type=int,
                    help="poset size bound for the sweep (default 5)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    p.add_argument("--seed", type=int, help="seed for randomized spot checks")
     p.add_argument("--force", action="store_true", help="ignore enumeration guards")
     p.add_argument("--out", help="write the full JSON report here")
     p.set_defaults(handler=_cmd_verify)

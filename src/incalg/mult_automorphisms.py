@@ -50,8 +50,8 @@ from .incidence_algebra import (
     parse_values,
     read_records,
     write_records,
+    zeta,
 )
-from .preorder_core import _bits
 
 
 class WeightSystemError(ValueError):
@@ -349,13 +349,9 @@ def decompose(ws: WeightSystem, root=None):
 
 def to_mult_function(ws: WeightSystem) -> IncidenceFunction:
     """Incidence function acting by Hadamard product exactly as ws.apply:
-    one on within-class pairs, the class-pair weight on cross pairs."""
-    source = ws.poset.source
-    cls, pos = ws.poset.elem_class, ws.poset.position
-    c, one = ws.values, ws.ring.one()
-    entries = {(s, t): one if cls[s] == cls[t] else c[pos[cls[s], cls[t]]]
-               for s, row in enumerate(source._up) for t in _bits(row)}
-    return IncidenceFunction(source, ws.ring, entries)
+    one on within-class pairs, the class-pair weight on cross pairs, i.e.
+    ws applied to zeta."""
+    return ws.apply(zeta(ws.poset.source, ws.ring))
 
 
 def from_mult_function(m: IncidenceFunction) -> WeightSystem:

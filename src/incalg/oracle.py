@@ -5,8 +5,9 @@ filtering all central-unit assignments against the chain condition,
 coboundaries by running through every vertex potential that is one at
 the least class, automorphisms by conjugating with every unit of the
 algebra, bimodule endomorphisms by enumerating additive maps on the
-matrix-unit basis.  The fast structural
-code is then compared against these enumerations.
+matrix-unit basis.  The fast structural code is then compared against
+these enumerations; the structure judge (:func:`verify_structure`) uses
+only ``ring`` arithmetic and the two weight-system enumerations.
 
 Enumeration sizes are guarded by module constants, read at call time:
 ``GUARD_VECTORS`` for weight systems and potentials (``force=True``
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff_rings import ZMod, count_central_units, parse_ring_spec, scalar_view
+from .coeff_rings import ZMod, count_central_units, parse_ring_spec
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
@@ -103,38 +104,39 @@ def enumerate_mult(poset, ring, force=False):
     """All weight systems satisfying the chain condition.
 
     Exhaustive filter over central-unit assignments to the strict pairs,
-    organised as a depth-first search that rejects a partial assignment as
-    soon as a fully assigned chain triple fails.  Output order equals the
-    plain product-then-filter order: lexicographic in the sorted pair list
-    with central units ascending.
+    organised as a depth-first search on an explicit stack (one iterator
+    of units per assigned slot, so no depth limit) that rejects a partial
+    assignment as soon as a fully assigned chain triple fails.  The
+    triples i < z < j come from bit tests of the up rows.  Output order
+    equals the plain product-then-filter order: lexicographic in the slot
+    order with central units ascending.
     """
-    pairs = poset.strict_pairs()
+    pairs, up, position = poset.index_pairs, poset._up, poset.position
     units = _guarded_units(ring, len(pairs), force, "candidate vectors")
-    index = {p: i for i, p in enumerate(pairs)}
-    triples_at = [[] for _ in pairs]
-    for x, y in pairs:
-        for z in poset.reps:
-            if poset.lt(x, z) and poset.lt(z, y):
-                spots = (index[(x, z)], index[(z, y)], index[(x, y)])
-                triples_at[max(spots)].append(spots)
-    out = []
-    chosen = [None] * len(pairs)
-    mul = ring.mul
-
-    def search(k):
-        if k == len(pairs):
+    closing = [[] for _ in pairs]  # closing[s]: the triples whose last slot is s
+    for s, (i, j) in enumerate(pairs):
+        for z in range(poset.n_classes):
+            if z != i and z != j and up[i] >> z & 1 and up[z] >> j & 1:
+                spots = (position[i, z], position[z, j], s)
+                closing[max(spots)].append(spots)
+    out, chosen, mul = [], [None] * len(pairs), ring.mul
+    stack = [iter(units)]  # stack[s]: the units still to try at slot s
+    while stack:
+        s = len(stack) - 1
+        if s == len(pairs):
             out.append(WeightSystem(poset, ring, tuple(chosen)))
-            return
-        closing = triples_at[k]
-        for u in units:
-            chosen[k] = u
-            for i, j, t in closing:
-                if mul(chosen[i], chosen[j]) != chosen[t]:
+            stack.pop()
+            continue
+        for u in stack[s]:
+            chosen[s] = u
+            for a, b, t in closing[s]:
+                if mul(chosen[a], chosen[b]) != chosen[t]:
                     break
             else:
-                search(k + 1)
-
-    search(0)
+                stack.append(iter(units))
+                break
+        else:
+            stack.pop()
     return out
 
 
@@ -151,13 +153,11 @@ def enumerate_inner(poset, ring, force=False):
     structure checks assert stays independent.
     """
     units = _guarded_units(ring, poset.n_classes - 1, force, "potentials")
-    rank = {x: i for i, x in enumerate(poset.reps)}
-    pairs = [(rank[x], rank[y]) for x, y in poset.strict_pairs()]
     inverse, mul, one = {u: ring.inverse(u) for u in units}, ring.mul, (ring.one(),)
     seen = set()
-    for combo in itertools.product(units, repeat=len(rank) - 1):
+    for combo in itertools.product(units, repeat=poset.n_classes - 1):
         v = one + combo
-        seen.add(tuple([mul(inverse[v[i]], v[j]) for i, j in pairs]))
+        seen.add(tuple([mul(inverse[v[i]], v[j]) for i, j in poset.index_pairs]))
     return [WeightSystem(poset, ring, key) for key in sorted(seen)]
 
 
@@ -169,22 +169,27 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     coboundary count matches |G|^(m - lambda), the group sizes multiply,
     and three innerness judges agree on every system: ``find_potential``
     (the library's tree walk), membership in the enumerated coboundaries,
-    and the oracle's own cycle product.  The last one multiplies c around
-    every fundamental cycle of the tree with ``ring.mul``, inverting the
-    weight of each descending step, so it shares no arithmetic with the
-    library's Z/n scalars.
+    and the oracle's own cycle product.
+
+    The judge uses only ``ring`` arithmetic and the two enumerations: it
+    recomposes w1 w0 with ``ring.mul`` slot by slot, accepts w1 by
+    membership in the enumerated Mult and w0 in the enumerated
+    coboundaries, and multiplies c around every fundamental cycle of the
+    tree with ``ring.mul``, inverting the weight of each descending step,
+    so it shares no arithmetic with the library's Z/n scalars.
     """
     mult = enumerate_mult(poset, ring, force)
     inner = enumerate_inner(poset, ring, force)
-    inner_keys = {w.values for w in inner}
+    mult_keys, inner_keys = {w.values for w in mult}, {w.values for w in inner}
     tree = tree_of(poset, root)
     graph = tree.graph
     tree_slots = [slot for _, _, slot, _ in tree.steps]
     one, mul, inverse = ring.one(), ring.mul, ring.inverse
     ones = [one] * len(tree_slots)
-    index = {p: s for s, p in enumerate(poset.strict_pairs())}
-    cycles = [[(index[x, y], True) if poset.lt(x, y) else (index[y, x], False)
-               for x, y in zip(cycle.sequence, cycle.sequence[1:])] for cycle in tree.cycles]
+    cls, position = poset.class_of, poset.position
+    walks = [[(cls[x], cls[y]) for x, y in zip(c.sequence, c.sequence[1:])] for c in tree.cycles]
+    cycles = [[(position[p], True) if p in position else (position[p[::-1]], False)
+               for p in walk] for walk in walks]
 
     def by_cycles(c):
         """Whether c multiplies to one around every fundamental cycle,
@@ -196,16 +201,14 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
             if acc != one:
                 return False
         return True
-    identity_key = WeightSystem.identity(poset, ring).values
-    checks = []
 
     decompose_failures, tree_trivial, disagreements = [], [], []
     for ws in mult:
         w1, w0, _ = decompose(ws, root)
         ok = (
-            (w1 * w0).values == ws.values
+            tuple(map(mul, w1.values, w0.values)) == ws.values
             and [w1.values[s] for s in tree_slots] == ones
-            and w1.is_valid()
+            and w1.values in mult_keys
             and w0.values in inner_keys
         )
         if not ok:
@@ -215,55 +218,24 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
         by_potential = not isinstance(find_potential(ws, root), NotInnerWitness)
         if not (by_cycles(ws.values) == by_potential == (ws.values in inner_keys)):
             disagreements.append(ws.items())
-    checks.append(
-        CheckResult(
-            "decompose-recompose",
-            not decompose_failures,
-            {"failures": decompose_failures[:3]},
-        )
-    )
 
     crossing = [w.values for w in tree_trivial if w.values in inner_keys]
-    checks.append(
-        CheckResult(
-            "factor-intersection-trivial",
-            crossing == [identity_key],
-            {"intersection_size": len(crossing)},
-        )
-    )
-
+    identity_key = (one,) * graph.m
     rank = graph.m - graph.cyclomatic  # no units listed for a one-class poset
     expected_inner = len(ring.central_units()) ** rank if rank else 1
-    checks.append(
-        CheckResult(
-            "inner-count",
-            len(inner) == expected_inner,
-            {"got": len(inner), "expected": expected_inner},
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "size-product",
-            len(mult) == len(tree_trivial) * len(inner),
-            {"mult": len(mult), "tree_trivial": len(tree_trivial), "inner": len(inner)},
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "inner-test-agreement", not disagreements, {"failures": disagreements[:3]}
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "all-inner-iff-trivial-complement",
-            (len(mult) == len(inner)) == (len(tree_trivial) == 1),
-            {},
-        )
-    )
-
+    checks = [
+        CheckResult("decompose-recompose", not decompose_failures,
+                    {"failures": decompose_failures[:3]}),
+        CheckResult("factor-intersection-trivial", crossing == [identity_key],
+                    {"intersection_size": len(crossing)}),
+        CheckResult("inner-count", len(inner) == expected_inner,
+                    {"got": len(inner), "expected": expected_inner}),
+        CheckResult("size-product", len(mult) == len(tree_trivial) * len(inner),
+                    {"mult": len(mult), "tree_trivial": len(tree_trivial), "inner": len(inner)}),
+        CheckResult("inner-test-agreement", not disagreements, {"failures": disagreements[:3]}),
+        CheckResult("all-inner-iff-trivial-complement",
+                    (len(mult) == len(inner)) == (len(tree_trivial) == 1), {}),
+    ]
     counts = {
         "mult": len(mult),
         "inner": len(inner),
@@ -314,39 +286,24 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
         def conj(g):
             return convolve(convolve(u_inv, g), u)
 
-        fixes_diagonal = all(
-            conj(IncidenceFunction(preorder, ring, {(s, t): r}))
-            == IncidenceFunction(preorder, ring, {(s, t): r})
-            for s, t in within
-            for r in nonzero
-        )
-        if not fixes_diagonal:
+        if any(conj(IncidenceFunction(preorder, ring, {p: r}))
+               != IncidenceFunction(preorder, ring, {p: r}) for p in within for r in nonzero):
             continue
         weights = []
-        scales = True
         for class_pair, block_pairs in sorted(cross.items()):
             base = block_pairs[0]
             image = conj(IncidenceFunction(preorder, ring, {base: one}))
             c = image.entries.get(base, zero)
-            if set(image.entries) != {base} or not ring.is_central_unit(c):
-                scales = False
-                break
-            for s, t in block_pairs:
-                for r in nonzero:
-                    got = conj(IncidenceFunction(preorder, ring, {(s, t): r}))
-                    if got != IncidenceFunction(preorder, ring, {(s, t): ring.mul(c, r)}):
-                        scales = False
-                        break
-                if not scales:
-                    break
-            if not scales:
+            if set(image.entries) != {base} or not ring.is_central_unit(c) or any(
+                    conj(IncidenceFunction(preorder, ring, {p: r}))
+                    != IncidenceFunction(preorder, ring, {p: ring.mul(c, r)})
+                    for p in block_pairs for r in nonzero):
                 break
             weights.append((class_pair, c))
-        if not scales:
-            continue
-        multiplicative += 1
-        ws = WeightSystem.from_values(quotient, ring, weights)
-        induced.setdefault(ws.values, ws)
+        else:
+            multiplicative += 1
+            ws = WeightSystem.from_values(quotient, ring, weights)
+            induced.setdefault(ws.values, ws)
 
     expected = {w.values for w in enumerate_inner(quotient, ring)}
     checks = [
@@ -376,9 +333,9 @@ def verify_bimodule_scalars(nrows, ncols, ring) -> VerificationReport:
     matrix actions, and compares the survivors with the central
     multiplications v -> c v.  Bijective survivors must match the units.
     """
-    (n, k, _), *rest = scalar_view(ring)
-    if k or rest:
+    if not isinstance(ring, ZMod):
         raise NotImplementedError("bimodule sweep is implemented for Z/n bases")
+    n = ring.n
     dim = nrows * ncols
     space = tuple(
         tuple(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
@@ -461,21 +418,11 @@ def linear_extension(preorder):
     """Element order compatible with the preorder: classes topologically
     sorted with lexicographic tie-break, members in label order."""
     quotient = preorder.quotient()
-    k = quotient.n_classes
-    remaining = set(range(k))
-    order = []
-    while remaining:
-        ready = sorted(
-            quotient.reps[ci]
-            for ci in remaining
-            if not any(
-                cj in remaining and cj != ci and quotient.lt(quotient.reps[cj], quotient.reps[ci])
-                for cj in remaining
-            )
-        )
-        pick = quotient.class_of[ready[0]]
+    down, placed, order = quotient._down, 0, []
+    for _ in quotient.classes:  # the least unplaced class with every class below it placed
+        pick = next(c for c, row in enumerate(down) if row & ~placed == 1 << c)
+        placed |= 1 << pick
         order.extend(quotient.classes[pick])
-        remaining.remove(pick)
     return order
 
 

@@ -345,6 +345,38 @@ def test_verify_refuses_instance_options_without_poset(capsys, options):
     assert err == f"error: {options[0]} needs --poset\n"
 
 
+@pytest.mark.parametrize("options", [["--max-classes", "5"], ["--seed", "0"],
+                                     ["--max-classes", "0", "--seed", "5"]])
+def test_verify_refuses_sweep_options_with_poset(capsys, chain3_txt, options):
+    """--max-classes and --seed shape the sweep; with --poset they are
+    refused, not ignored, even at their default values.  Without them the
+    instance run still reports seed 0."""
+    code, out, err = run(capsys, "verify", "--poset", chain3_txt, "--ring", "Z/3", *options)
+    assert (code, out) == (2, "")
+    assert err == f"error: {options[0]} is for the sweep, not --poset\n"
+    code, out, err = run(capsys, "verify", "--poset", chain3_txt, "--ring", "Z/3")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nPASS suite reports=1 seed=0\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_oracle_commands_on_a_120_chain(capsys, tmp_path, command):
+    """The oracle's search has no recursion: a 120-chain (7,140 strict
+    pairs) over Z/2 has one weight system, found without a traceback."""
+    labels = [f"c{i:03d}" for i in range(120)]
+    path = tmp_path / "chain120.txt"
+    path.write_text(preorder_to_text(close_relations(labels, list(zip(labels, labels[1:])))))
+    start = time.process_time()
+    code, out, err = run(capsys, command, "--poset", str(path), "--ring", "Z/2")
+    assert time.process_time() - start < 5
+    assert (code, err) == (0, "")
+    if command == "enumerate":
+        doc = json.loads(out)
+        assert (doc["mult"], doc["inner"]) == (1, 1)
+    else:
+        assert out.startswith("PASS ") and " inner=1 mult=1 " in out
+
+
 @pytest.mark.parametrize("command, spec", [(c, "") for c in (
     "verify", "info", "check", "is-inner", "decompose", "apply")] + [("verify", "Z/3,")])
 def test_empty_ring_spec_is_refused(capsys, crown_txt, tmp_path, monkeypatch, command, spec):

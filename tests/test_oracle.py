@@ -125,6 +125,18 @@ def test_verify_inner_conjugations_preorder():
     assert report.counts["induced"] == 1
 
 
+@pytest.mark.parametrize("n, units", [(3, 1296), (4, 4096)])
+def test_verify_inner_conjugations_where_mult_exceeds_inner(crown, n, units):
+    """On the crown Mult = Inn x T with T of order 2, so conjugations
+    induce the 8 coboundaries, not the 16 weight systems."""
+    report = verify_inner_conjugations(crown, ZMod(n))
+    assert report.passed
+    assert report.counts["units"] == units
+    induced = report.counts["induced"]
+    assert induced == len(enumerate_inner(crown.quotient(), ZMod(n))) == 8
+    assert induced < len(enumerate_mult(crown.quotient(), ZMod(n))) == 16
+
+
 def test_verify_bimodule_scalars():
     for nrows, ncols, n, endos, autos in (
         (1, 1, 2, 2, 1),
