@@ -131,6 +131,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.root is not None and not args.expect_inner:
+        raise ValueError("--root needs --expect-inner")
     ws = _load_weights(args)
     bad = ws.violations(10)
     doc = {

@@ -166,35 +166,3 @@ def path_weight(ws, path):
         acc = ring.mul(acc, step)
     return acc
 
-
-def cycle_weight(ws, cycle: FundamentalCycle):
-    """Weight of a fundamental cycle, traversed tree-path first.
-
-    The stored sequence crosses the non-tree edge first; the weight is
-    taken along the reversed sequence, i.e. the tree semi-path followed by
-    the closing edge step.  The opposite traversal gives the inverse
-    value; triviality (weight one) does not depend on the direction.
-    Definitional reference for tests, like :func:`path_weight`.
-    """
-    return path_weight(ws, tuple(reversed(cycle.sequence)))
-
-
-def simple_semi_paths(graph: ComparabilityGraph, x, y):
-    """All simple semi-paths from x to y, in lexicographic vertex order."""
-    poset = graph.poset
-    x, y = poset._c(x), poset._c(y)
-    up, down, reps = poset._up, poset._down, poset.reps
-    out = []
-
-    def extend(path, seen):
-        v = path[-1]
-        if v == y:
-            out.append(tuple(reps[i] for i in path))
-            return
-        for w in _bits((up[v] | down[v]) & ~seen):
-            path.append(w)
-            extend(path, seen | 1 << w)
-            path.pop()
-
-    extend([x], 1 << x)
-    return out

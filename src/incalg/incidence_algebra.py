@@ -335,11 +335,6 @@ def _scalar_inverses(view, rows):
     return out
 
 
-def matrix_is_invertible(ring, rows) -> bool:
-    """Invertibility of a square matrix over the coefficient ring."""
-    return _scalar_inverses(scalar_view(ring), rows) is not None
-
-
 def _class_inverses(f: IncidenceFunction, view):
     """Per class, in class order, its element indices (members as in the
     class tuple) and the scalar inverses of f's diagonal block

@@ -298,7 +298,7 @@ def _tree_split(ws: WeightSystem, root):
 
 
 def _cycle_value(ring, w1, slot):
-    """``comparability.cycle_weight`` of the cycle of a non-tree slot (i, j):
+    """The weight of the cycle of a non-tree slot (i, j), tree path first:
     w1 there, inverted when i < j, where the cycle starts at i, the
     lexicographically smaller endpoint, and crosses the edge upwards."""
     i, j = w1.poset.index_pairs[slot]

@@ -29,7 +29,6 @@ from .incidence_algebra import (
     NonInvertibleError,
     convolve,
     invert,
-    matrix_is_invertible,
 )
 from .mult_automorphisms import (
     NotInnerWitness,
@@ -37,7 +36,7 @@ from .mult_automorphisms import (
     decompose,
     find_potential,
 )
-from .preorder_core import Preorder, close_relations, preorder_descriptor
+from .preorder_core import close_relations, preorder_descriptor
 
 GUARD_VECTORS = 10 ** 7
 GUARD_ALGEBRA = 10 ** 6
@@ -454,37 +453,6 @@ def random_function(preorder, ring, rng) -> IncidenceFunction:
     return IncidenceFunction.from_entries(preorder, ring, entries)
 
 
-def random_unit(preorder, ring, rng, density=0.6) -> IncidenceFunction:
-    """Random invertible function: invertible diagonal blocks, random strict part."""
-    quotient = preorder.quotient()
-    elements = ring.elements()
-    units = [u for u in elements if ring.is_unit(u)]
-    entries = []
-    for members in quotient.classes:
-        size = len(members)
-        if size == 1:
-            entries.append((members[0], members[0], units[rng.randrange(len(units))]))
-            continue
-        while True:
-            mat = [
-                [elements[rng.randrange(len(elements))] for _ in range(size)]
-                for _ in range(size)
-            ]
-            if matrix_is_invertible(ring, mat):
-                break
-        for i, s in enumerate(members):
-            for j, t in enumerate(members):
-                entries.append((s, t, mat[i][j]))
-    zero = ring.zero()
-    cls = quotient.class_of
-    for x, y in preorder.comparable_pairs():
-        if cls[x] != cls[y] and rng.random() < density:
-            entries.append((x, y, elements[rng.randrange(len(elements))]))
-    return IncidenceFunction.from_entries(
-        preorder, ring, [(x, y, v) for x, y, v in entries if v != zero]
-    )
-
-
 def automorphism_check(ws: WeightSystem, seed=0) -> VerificationReport:
     """Random-sample test that ws.apply is a diagonal-fixing automorphism.
 
@@ -576,34 +544,6 @@ def connected_posets(max_n: int):
     for n in range(1, max_n + 1):
         out.extend(p for p in all_posets(n) if p.quotient().is_connected())
     return tuple(out)
-
-
-def inflate(poset: Preorder, sizes) -> Preorder:
-    """Preorder whose classes have the given sizes over the given poset.
-
-    Element i of the class over base label x is named x followed by its
-    one-based index; members of one class are related both ways.
-    """
-    if len(sizes) != len(poset.elements):
-        raise ValueError("need one class size per base element")
-    members = {}
-    labels = []
-    for x, size in zip(poset.elements, sizes):
-        if size < 1:
-            raise ValueError("class sizes must be positive")
-        members[x] = [f"{x}{i}" for i in range(1, size + 1)]
-        labels.extend(members[x])
-    gens = []
-    for x in poset.elements:
-        chain = members[x]
-        for a, b in zip(chain, chain[1:]):
-            gens.append((a, b))
-        if len(chain) > 1:
-            gens.append((chain[-1], chain[0]))
-    for x, y in poset.comparable_pairs():
-        if x != y:
-            gens.append((members[x][0], members[y][0]))
-    return close_relations(labels, gens)
 
 
 DEFAULT_SUITE_RINGS = ("Z/2", "Z/3", "Z/4", "Z/5", "Z/12")

@@ -3,7 +3,7 @@
 A preorder is a reflexive transitive relation on labelled elements.  Two
 elements are equivalent when each is below the other; the classes of that
 equivalence inherit a partial order.  Relations are stored as one bitmask
-row per element, which keeps closure and interval queries cheap at desk
+row per element, which keeps closure and order queries cheap at desk
 scale.  The closure is built per strongly connected component of the
 generators, in reverse topological order, with one row OR per generator
 edge (:func:`close_relations`).
@@ -144,16 +144,6 @@ class Preorder:
         i, j = self._i(x), self._i(y)
         return bool(self._up[i] >> j & 1) and not self._up[j] >> i & 1
 
-    def interval(self, x, y):
-        """Sorted tuple of all z with x <= z <= y."""
-        i, j = self._i(x), self._i(y)
-        out = [
-            self.elements[k]
-            for k in range(len(self.elements))
-            if self._up[i] >> k & 1 and self._up[k] >> j & 1
-        ]
-        return tuple(sorted(out))
-
     def comparable_pairs(self):
         """Sorted list of ordered pairs (x, y) with x <= y, diagonal included."""
         if self._pairs is None:
@@ -287,9 +277,6 @@ class QuotientPoset:
     def rep(self, x) -> str:
         return self.reps[self._c(x)]
 
-    def class_members(self, x):
-        return self.classes[self._c(x)]
-
     def leq(self, x, y) -> bool:
         return bool(self._up[self._c(x)] >> self._c(y) & 1)
 
@@ -350,10 +337,6 @@ class QuotientPoset:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
-
-    def as_preorder(self) -> Preorder:
-        """The quotient itself as a preorder on the representative labels."""
-        return close_relations(sorted(self.reps), self.strict_pairs())
 
     def __eq__(self, other):
         if self is other:

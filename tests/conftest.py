@@ -82,7 +82,8 @@ def gate_posets():
     """Posets for the cover-only chain check: every connected poset with
     at most 5 points and its dual, B_4, a 10-chain with classes of 1 to 3
     members, and a 6-crown times a 3-chain."""
-    from incalg.oracle import connected_posets, inflate
+    from incalg.oracle import connected_posets
+    from reference import inflate
 
     small = connected_posets(5)
     duals = [close_relations(p.elements, [(y, x) for x, y in p.comparable_pairs()])

@@ -345,6 +345,21 @@ def test_verify_refuses_instance_options_without_poset(capsys, options):
     assert err == f"error: {options[0]} needs --poset\n"
 
 
+def test_check_refuses_root_without_expect_inner(capsys, crown_txt, tmp_path):
+    """--root chooses the tree of the --expect-inner test; without it the
+    root is refused, not ignored, even when it names no class."""
+    inner = write_weights(tmp_path, "in.json", "Z/5", INNER)
+    check = ["check", "--poset", crown_txt, "--weights", inner]
+    for root in ("zzz", "a"):
+        code, out, err = run(capsys, *check, "--root", root)
+        assert (code, out, err) == (2, "", "error: --root needs --expect-inner\n")
+    code, out, err = run(capsys, *check, "--root", "b", "--expect-inner")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inner"] is True
+    code, out, err = run(capsys, *check, "--root", "zzz", "--expect-inner")
+    assert (code, out, err) == (2, "", "error: unknown label 'zzz'\n")
+
+
 @pytest.mark.parametrize("options", [["--max-classes", "5"], ["--seed", "0"],
                                      ["--max-classes", "0", "--seed", "5"]])
 def test_verify_refuses_sweep_options_with_poset(capsys, chain3_txt, options):

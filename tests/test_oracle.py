@@ -12,7 +12,6 @@ from incalg.oracle import (
     connected_posets,
     enumerate_inner,
     enumerate_mult,
-    inflate,
     linear_extension,
     matrix_embedding_check,
     run_full_suite,
@@ -21,6 +20,7 @@ from incalg.oracle import (
     verify_structure,
 )
 from incalg.preorder_core import close_relations
+from reference import inflate
 
 
 def test_enumerate_mult_equals_product_filter(crown):
