@@ -16,7 +16,7 @@ import json
 import sys
 
 from .coeff_rings import NonUnitError, parse_ring_spec, scalar_view, split_top_level
-from .comparability import ComparabilityGraph
+from .comparability import tree_of
 from .incidence_algebra import (
     NonInvertibleError,
     convolve,
@@ -97,7 +97,7 @@ def _witness(ws, found):
 def _cmd_info(args) -> int:
     preorder = load_preorder(args.poset)
     quotient = preorder.quotient()
-    graph = ComparabilityGraph(quotient)
+    graph = tree_of(quotient).graph  # one graph and one forest per quotient
     doc = {
         "elements": len(preorder.elements),
         "n": quotient.n_classes,

@@ -3,9 +3,10 @@
 Vertices are the class representatives; there is one undirected edge for
 every strictly comparable pair of classes, stored oriented with the
 order-smaller class first, so edge s is the quotient's slot s.  Spanning
-trees live on class indices: breadth-first search over the bit rows
-``_up[i] | _down[i]`` in ascending index, i.e. lexicographic, order.
-Every derived object here is deterministic for a given input.
+forests live on class indices: breadth-first search over the bit rows
+``_up[i] | _down[i]`` in ascending index, i.e. lexicographic, order, one
+tree per component.  That is the one walk of the graph: the components
+are read off it.  Every derived object here is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .preorder_core import _bits
 
 
 class GraphError(ValueError):
-    """Disconnected inputs, unknown vertices, or invalid semi-paths."""
+    """Invalid semi-paths: consecutive vertices that are not comparable."""
 
 
 class ComparabilityGraph:
@@ -29,7 +30,7 @@ class ComparabilityGraph:
     @cached_property
     def components(self):
         """Connected components, as sorted tuples of class representatives."""
-        return self.poset.connected_components()
+        return tree_of(self.poset).components
 
     @cached_property
     def cyclomatic(self):
@@ -52,37 +53,43 @@ class FundamentalCycle:
 
 
 class SpanningTree:
-    """BFS spanning tree on class indices.
+    """BFS spanning forest on class indices: a BFS tree from the root,
+    then one from each unreached class in ascending index.
 
-    ``parent`` and ``depth`` are lists over the classes (the root's parent
-    is None).  ``steps`` holds one ``(parent, child, slot, up)`` per tree
-    edge in BFS order, where ``up`` says that parent < child, so the slot
-    is (parent, child), not (child, parent).  ``non_tree_slots`` ascend.
-    Each fundamental cycle is built once and kept, all of them on first
-    use of ``cycles``, or one by one by :meth:`cycle`.  ``root`` is the
-    root's class representative; any member label of that class (or None,
-    for the least class) picks the same tree.  The tree holds no labels
-    of its edges: the edge of step ``(parent, child, slot, up)`` is
-    ``strict_pairs()[slot]``.
+    ``components`` holds each tree's class representatives as a sorted
+    tuple, the tuples sorted.  ``parent`` and ``depth`` are lists over
+    the classes (a tree root's parent is None).  ``steps`` holds one
+    ``(parent, child, slot, up)`` per tree edge in BFS order, tree by
+    tree, where ``up`` says that parent < child, so the slot is (parent,
+    child), not (child, parent).  ``non_tree_slots`` ascend; both ends
+    of one lie in the same tree.  Each fundamental cycle is built once
+    and kept, all of them on first use of ``cycles``, or one by one by
+    :meth:`cycle`.  ``root`` is the root's class representative; any
+    member label of that class (or None, for the least class) picks the
+    same forest.  The forest holds no labels of its edges: the edge of
+    step ``(parent, child, slot, up)`` is ``strict_pairs()[slot]``.
     """
 
     def __init__(self, graph: ComparabilityGraph, root=None):
         poset, self.graph = graph.poset, graph
         up, down, pos, k = poset._up, poset._down, poset.position, poset.n_classes
-        parent, depth, steps = [None] * k, [0] * k, []
-        order = [0 if root is None else poset._c(root)]
-        self.root = poset.reps[order[0]]
-        seen = 1 << order[0]
-        for a in order:  # grows while it is read: the BFS queue
-            for b in _bits((up[a] | down[a]) & ~seen):
-                seen |= 1 << b
-                parent[b], depth[b] = a, depth[a] + 1
-                order.append(b)
-                ascends = bool(up[a] >> b & 1)
-                steps.append((a, b, pos[a, b] if ascends else pos[b, a], ascends))
-        if len(order) != k:
-            missing = [poset.reps[i] for i in range(k) if not seen >> i & 1]
-            raise GraphError(f"comparability graph is not connected; unreached: {missing}")
+        parent, depth, steps, components = [None] * k, [0] * k, [], []
+        first = 0 if root is None else poset._c(root)
+        self.root, seen = poset.reps[first], 0
+        for start in (first, *range(k)):  # one BFS per component, roots in this order
+            if seen >> start & 1:
+                continue
+            seen |= 1 << start
+            order = [start]
+            for a in order:  # grows while it is read: the BFS queue
+                for b in _bits((up[a] | down[a]) & ~seen):
+                    seen |= 1 << b
+                    parent[b], depth[b] = a, depth[a] + 1
+                    order.append(b)
+                    ascends = bool(up[a] >> b & 1)
+                    steps.append((a, b, pos[a, b] if ascends else pos[b, a], ascends))
+            components.append(tuple(poset.reps[i] for i in sorted(order)))
+        self.components = sorted(components)
         self.parent, self.depth, self.steps = parent, depth, tuple(steps)
         in_tree = {s for _, _, s, _ in steps}
         self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
@@ -121,12 +128,12 @@ class SpanningTree:
 
 
 def spanning_tree(graph: ComparabilityGraph, root=None) -> SpanningTree:
-    """BFS tree from the root (default: the least vertex, ``vertices[0]``)."""
+    """BFS forest from the root (default: the least vertex, ``vertices[0]``)."""
     return SpanningTree(graph, root)
 
 
 def tree_of(poset, root=None) -> SpanningTree:
-    """The BFS tree of a quotient poset's comparability graph for a root.
+    """The BFS forest of a quotient poset's comparability graph for a root.
 
     Graph and trees are built once and cached on the poset, which never
     changes; the cache key is the resolved root, so None and the least

@@ -13,10 +13,11 @@ pointwise multiplication of weights.
 Coboundary systems c[x,y] = v[x]^-1 v[y] for a vertex potential v are the
 ones induced by conjugation with a unit.  Whether a system is a coboundary
 is decided on the comparability graph by one walk: propagate a potential v
-along a spanning tree and form w1[x,y] = c[x,y] v[x] v[y]^-1, one on the
-tree edges.  Each fundamental cycle weighs w1 on its non-tree edge
-(inverted when the cycle crosses it upwards), so c is inner iff w1 = 1,
-and c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
+along a spanning forest, one tree per component with v = 1 at its root,
+and form w1[x,y] = c[x,y] v[x] v[y]^-1, one on the tree edges.  Each
+fundamental cycle weighs w1 on its non-tree edge (inverted when the
+cycle crosses it upwards), so c is inner iff w1 = 1, and
+c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
 
 The tree walk, the chain check (the gate and the violation scan),
 coboundaries, products and inverses compute on plain ints:
@@ -272,8 +273,8 @@ def _require_valid(ws: WeightSystem):
 
 
 def _propagate(c, tree, n):
-    """Scalar potential mod n, one at the root (the one class that is no
-    step's child), pushed along the tree steps; only tree slots of c are read."""
+    """Scalar potential mod n, one at each tree root of the forest (a class
+    that is no step's child), pushed along the steps; reads only tree slots."""
     v = [1] * tree.graph.poset.n_classes
     for i, j, slot, up in tree.steps:
         v[j] = v[i] * (c[slot] if up else pow(c[slot], -1, n)) % n
@@ -281,9 +282,9 @@ def _propagate(c, tree, n):
 
 
 def _tree_split(ws: WeightSystem, root):
-    """The one tree walk of a valid ws: (tree, v, w1), v propagated from one
-    at the root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over the
-    slots, per factor of the scalar view."""
+    """The one forest walk of a valid ws: (tree, v, w1), v propagated from
+    one at each tree root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over
+    the slots, per factor of the scalar view."""
     if not ws.is_valid():
         _require_valid(ws)
     poset, ring, (split, join) = ws.poset, ws.ring, ws.ring.scalars
@@ -309,9 +310,9 @@ def _cycle_value(ring, w1, slot):
 def find_potential(ws: WeightSystem, root=None):
     """Reconstruct a vertex potential, or witness that none exists.
 
-    Propagates from the root along a BFS spanning tree; the potential is
-    the answer iff the tree-trivial factor w1 is one on every non-tree
-    edge.  Returns a :class:`Potential`, or a :class:`NotInnerWitness`
+    Propagates from one at each tree root of the BFS spanning forest; the
+    potential is the answer iff the tree-trivial factor w1 is one on every
+    non-tree edge.  Returns a :class:`Potential`, or a :class:`NotInnerWitness`
     holding the first fundamental cycle with non-unit weight.
     """
     tree, potential, w1 = _tree_split(ws, root)
@@ -341,7 +342,7 @@ def decompose(ws: WeightSystem, root=None):
     """Split ws = w1 * w0 with w1 trivial on the tree edges and w0 a coboundary.
 
     Returns (w1, w0, potential) where w0 = from_potential(potential) and
-    the potential is the tree propagation of ws with value one at the root.
+    the potential is the forest propagation of ws, one at each tree root.
     """
     _, potential, w1 = _tree_split(ws, root)
     return w1, from_potential(potential), potential

@@ -163,24 +163,25 @@ def enumerate_inner(poset, ring, force=False):
 def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     """Cross-check the structural machinery against raw enumeration.
 
-    Runs on one connected instance: decomposition recomposes and lands in
-    the advertised factors, the factors intersect trivially, the
+    Runs on one instance, connected or not: decomposition recomposes and
+    lands in the advertised factors, the factors intersect trivially, the
     coboundary count matches |G|^(m - lambda), the group sizes multiply,
     and three innerness judges agree on every system: ``find_potential``
-    (the library's tree walk), membership in the enumerated coboundaries,
-    and the oracle's own cycle product.
+    (the library's walk of the spanning forest, one tree per component),
+    membership in the enumerated coboundaries, and the oracle's own cycle
+    product.
 
     The judge uses only ``ring`` arithmetic and the two enumerations: it
     recomposes w1 w0 with ``ring.mul`` slot by slot, accepts w1 by
     membership in the enumerated Mult and w0 in the enumerated
     coboundaries, and multiplies c around every fundamental cycle of the
-    tree with ``ring.mul``, inverting the weight of each descending step,
+    forest with ``ring.mul``, inverting the weight of each descending step,
     so it shares no arithmetic with the library's Z/n scalars.
     """
+    tree = tree_of(poset, root)  # an unknown root is refused before the enumerations
     mult = enumerate_mult(poset, ring, force)
     inner = enumerate_inner(poset, ring, force)
     mult_keys, inner_keys = {w.values for w in mult}, {w.values for w in inner}
-    tree = tree_of(poset, root)
     graph = tree.graph
     tree_slots = [slot for _, _, slot, _ in tree.steps]
     one, mul, inverse = ring.one(), ring.mul, ring.inverse
@@ -542,7 +543,7 @@ def connected_posets(max_n: int):
         raise ValueError("poset generation supports 1 to 5 elements")
     out = []
     for n in range(1, max_n + 1):
-        out.extend(p for p in all_posets(n) if p.quotient().is_connected())
+        out.extend(p for p in all_posets(n) if len(tree_of(p.quotient()).components) == 1)
     return tuple(out)
 
 

@@ -315,29 +315,6 @@ class QuotientPoset:
         """
         return sorted(range(self.n_classes), key=lambda c: self._up[c].bit_count())
 
-    def connected_components(self):
-        """Components of the comparability graph, as sorted tuples of reps."""
-        k = self.n_classes
-        seen = [False] * k
-        comps = []
-        for start in range(k):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                a = stack.pop()
-                comp.append(a)
-                for b in _bits(self._up[a] | self._down[a]):
-                    if not seen[b]:
-                        seen[b] = True
-                        stack.append(b)
-            comps.append(tuple(sorted(self.reps[i] for i in comp)))
-        return sorted(comps)
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
-
     def __eq__(self, other):
         if self is other:
             return True

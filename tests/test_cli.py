@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from incalg import oracle
 from incalg.cli import _dump, run_command
 from incalg.coeff_rings import MatrixRing, ProductRing, ZMod, parse_ring_spec
 from incalg.mult_automorphisms import (
@@ -582,6 +583,56 @@ def test_enumeration_guards_count_units_without_listing(capsys, tmp_path, spec, 
         assert (code, err) == (0, "")
     assert json.loads(run(capsys, "enumerate", "--poset", str(files["point"]), "--ring", spec)[1]) == {
         "inner": 1, "mult": 1, "ring": spec, "tree_trivial": 1}
+
+
+def test_verify_refuses_an_unknown_root_before_enumerating(capsys, tmp_path, monkeypatch):
+    """verify --poset --root names an unknown root before any enumeration runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_mult ran before the root was checked")
+
+    monkeypatch.setattr(oracle, "enumerate_mult", refuse)
+    poset = tmp_path / "k33.txt"
+    poset.write_text("elements a b c x y z\n"
+                     + "".join(f"rel {lo} {hi}\n" for lo in "abc" for hi in "xyz"))
+    code, out, err = run(capsys, "verify", "--poset", str(poset), "--ring", "Z/5", "--root", "zzz")
+    assert (code, out, err) == (2, "", "error: unknown label 'zzz'\n")
+
+
+def _potential(out):
+    return {r["class"]: r["value"] for r in json.loads(out)["values"]}
+
+
+def test_disconnected_poset_is_inner_decompose_and_counts(capsys, tmp_path):
+    """On a<b, c<d every system is inner: the forest has one tree per
+    component, v = 1 at each tree root, and the counts of info and
+    enumerate agree."""
+    poset = tmp_path / "two_chains.txt"
+    poset.write_text("elements a b c d\nrel a b\nrel c d\n")
+    weights = write_weights(tmp_path, "w.json", "Z/5", {("a", "b"): "2", ("c", "d"): "3"})
+    base = ["--poset", str(poset), "--weights", weights]
+    code, out, _ = run(capsys, "is-inner", *base)
+    assert code == 0 and _potential(out) == {"a": "1", "b": "2", "c": "1", "d": "3"}
+    code, out, _ = run(capsys, "is-inner", *base, "--root", "d")
+    assert code == 0 and _potential(out) == {"a": "1", "b": "2", "c": "2", "d": "1"}
+    code, out, _ = run(capsys, "decompose", *base)
+    assert code == 0
+    assert {r["value"] for r in json.loads(out)["tree_trivial"]["weights"]} == {"1"}
+    code, out, _ = run(capsys, "check", *base, "--expect-inner")
+    assert code == 0 and json.loads(out)["inner"] is True
+    _, info, _ = run(capsys, "info", "--poset", str(poset), "--ring", "Z/5")
+    _, counts, _ = run(capsys, "enumerate", "--poset", str(poset), "--ring", "Z/5")
+    assert json.loads(info)["inner_count"] == json.loads(counts)["inner"] == 16
+
+
+def test_disconnected_poset_witness_stays_in_its_component(capsys, tmp_path):
+    """The crown plus an isolated point: the non-inner crown system is
+    still refused, with the crown's cycle as witness."""
+    poset = tmp_path / "crown_point.txt"
+    poset.write_text("elements a b c d e\nrel a c\nrel a d\nrel b c\nrel b d\n")
+    noninner = write_weights(tmp_path, "ni.json", "Z/5", NON_INNER)
+    code, out, _ = run(capsys, "is-inner", "--poset", str(poset), "--weights", noninner)
+    assert code == 1
+    assert json.loads(out) == {"cycle": "b-d-a-c-b", "inner": False, "weight": "3"}
 
 
 def _fence(tmp_path, n):

@@ -68,11 +68,13 @@ def test_spanning_tree_other_root(crown):
 
 
 def test_spanning_tree_disconnected():
+    """A disconnected graph gets a forest: c starts a second tree."""
     p = close_relations("abc", [("a", "b")])
     g = ComparabilityGraph(p.quotient())
-    with pytest.raises(GraphError) as err:
-        spanning_tree(g)
-    assert "c" in str(err.value)
+    t = spanning_tree(g)
+    assert t.steps == ((0, 1, 0, True),)
+    assert t.parent == [None, 0, None]
+    assert t.components == [("a", "b"), ("c",)]
 
 
 def test_fundamental_cycles_crown(crown):

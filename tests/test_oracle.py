@@ -3,9 +3,12 @@ import itertools
 import pytest
 
 from incalg import oracle
+from incalg.cli import run_command
 from incalg.coeff_rings import ZMod, parse_ring_spec
+from incalg.comparability import ComparabilityGraph
 from incalg.mult_automorphisms import WeightSystem
 from incalg.oracle import (
+    DEFAULT_SUITE_RINGS,
     GuardExceeded,
     all_posets,
     automorphism_check,
@@ -19,7 +22,7 @@ from incalg.oracle import (
     verify_inner_conjugations,
     verify_structure,
 )
-from incalg.preorder_core import close_relations
+from incalg.preorder_core import close_relations, preorder_to_text
 from reference import inflate
 
 
@@ -184,6 +187,24 @@ def test_all_posets_counts():
     assert len(connected_posets(5)) == 1 + 1 + 3 + 10 + 44
     with pytest.raises(ValueError):
         all_posets(6)
+
+
+def test_verify_poset_passes_on_every_disconnected_poset(capsys, tmp_path):
+    """Oracle agreement on all 28 disconnected posets with at most five
+    points, through verify --poset, at the default root and at the last
+    class, over the sweep rings, a matrix ring and a product ring."""
+    rings = ",".join(DEFAULT_SUITE_RINGS + ("M(2,Z/3)", "Z/2 x Z/3"))
+    posets = [p for n in range(1, 6) for p in all_posets(n)
+              if len(ComparabilityGraph(p.quotient()).components) > 1]
+    assert len(posets) == 28
+    path = tmp_path / "poset.txt"
+    for poset in posets:
+        path.write_text(preorder_to_text(poset))
+        for root in ([], ["--root", poset.quotient().reps[-1]]):
+            code = run_command(["verify", "--poset", str(path), "--ring", rings, *root])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 0 and len(lines) == 8
+            assert all(line.startswith("PASS ") for line in lines), lines
 
 
 def test_all_posets_pairwise_nonisomorphic():

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from incalg import preorder_core
+from incalg.comparability import ComparabilityGraph
 from incalg.oracle import all_posets
 from incalg.preorder_core import (
     PreorderError,
@@ -112,8 +113,7 @@ def test_height_of_long_chain(chain1100):
 def test_connected_components():
     p = close_relations("abcd", [("a", "b")])
     q = p.quotient()
-    assert q.connected_components() == [("a", "b"), ("c",), ("d",)]
-    assert not q.is_connected()
+    assert ComparabilityGraph(q).components == [("a", "b"), ("c",), ("d",)]  # not connected
 
 
 def test_load_preorder_text_round_trip(crown):
