@@ -11,11 +11,10 @@ seed.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
 
-from .coeff_rings import NonUnitError, parse_ring_spec, scalar_view, split_top_level
+from .coeff_rings import NonUnitError, parse_ring_spec, split_top_level
 from .comparability import tree_of
 from .incidence_algebra import (
     NonInvertibleError,
@@ -37,10 +36,10 @@ from .mult_automorphisms import (
 )
 from .oracle import (
     DEFAULT_SUITE_RINGS,
-    GUARD_VECTORS,
     GuardExceeded,
     enumerate_inner,
     enumerate_mult,
+    guarded_units,
     run_full_suite,
     verify_structure,
 )
@@ -97,33 +96,23 @@ def _witness(ws, found):
 def _cmd_info(args) -> int:
     preorder = load_preorder(args.poset)
     quotient = preorder.quotient()
-    graph = tree_of(quotient).graph  # one graph and one forest per quotient
+    tree = tree_of(quotient)  # one graph and one forest per quotient
     doc = {
         "elements": len(preorder.elements),
         "n": quotient.n_classes,
         "classes": [list(c) for c in quotient.classes],
-        "m": graph.m,
-        "lambda": graph.cyclomatic,
-        "components": len(graph.components),
-        "connected": len(graph.components) <= 1,
+        "m": tree.graph.m,
+        "lambda": len(tree.non_tree_slots),
+        "components": len(tree.components),
+        "connected": len(tree.components) <= 1,
         "height": quotient.height(),
     }
     if args.ring is not None:
         ring = parse_ring_spec(args.ring)
-        parts = [(n, k * k or 1) for n, k, _ in scalar_view(ring)]  # order: the product of n ** e
-        with decimal.localcontext(decimal.Context(prec=99)):  # n ** (k*k) would take seconds
-            log = sum(e * decimal.Decimal(n).ln() for n, e in parts) / decimal.Decimal(2).ln()
-            bits = int(log + log.scaleb(-90))  # floor; the nudge keeps an integral log whole
-        if bits > 255 or ring.order > GUARD_VECTORS:
-            # past ~4300 digits an int no longer converts to decimal text
-            shown = f"over 2^{bits}" if bits > 255 else ring.order
-            raise GuardExceeded(
-                f"{ring} has {shown} elements, over the guard {GUARD_VECTORS} "
-                "for listing its central units")
-        units = ring.central_units()
+        units = guarded_units(ring, 1, False, "central units")
         doc["ring"] = str(ring)
         doc["central_units"] = [ring.format_element(u) for u in units]
-        base, exp = len(units), graph.m - graph.cyclomatic
+        base, exp = len(units), len(tree.steps)
         count = base ** exp  # an int past 4300 digits has no decimal text: base^exponent
         doc["inner_count"] = count if count < 10 ** 4300 else f"{base}^{exp}"
     _emit(args, _dump(doc))

@@ -471,7 +471,9 @@ def _parse_atom(token: str) -> Ring:
 
 def parse_ring_spec(text: str) -> Ring:
     """Parse "Z/n", "M(k,Z/n)", or " x "-joined products of those."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise RingParseError(f"ring spec {_excerpt(text)} is not a string")
+    if not text.strip():
         raise RingParseError(f"empty ring spec {text!r}")
     parts = text.strip().split(" x ")
     if len(parts) == 1:

@@ -5,8 +5,9 @@ every strictly comparable pair of classes, stored oriented with the
 order-smaller class first, so edge s is the quotient's slot s.  Spanning
 forests live on class indices: breadth-first search over the bit rows
 ``_up[i] | _down[i]`` in ascending index, i.e. lexicographic, order, one
-tree per component.  That is the one walk of the graph: the components
-are read off it.  Every derived object here is deterministic.
+tree per component.  That is the one walk of the graph; the forest alone
+holds the components and the non-tree slots, whose count m - k + c is
+the cycle rank.  Every derived object here is deterministic.
 """
 
 from __future__ import annotations
@@ -22,20 +23,12 @@ class GraphError(ValueError):
 
 
 class ComparabilityGraph:
+    """Vertices and edge count; components and cycles are the forest's."""
+
     def __init__(self, poset):
         self.poset = poset
         self.vertices = poset.reps  # ascending, like the class indices
         self.m = len(poset.index_pairs)  # edge s is slot s, labelled strict_pairs()[s]
-
-    @cached_property
-    def components(self):
-        """Connected components, as sorted tuples of class representatives."""
-        return tree_of(self.poset).components
-
-    @cached_property
-    def cyclomatic(self):
-        """The cycle rank m - k + c: edges minus vertices plus components."""
-        return self.m - len(self.vertices) + len(self.components)
 
     def __repr__(self):
         return f"ComparabilityGraph({len(self.vertices)} vertices, {self.m} edges)"

@@ -10,9 +10,10 @@ these enumerations; the structure judge (:func:`verify_structure`) uses
 only ``ring`` arithmetic and the two weight-system enumerations.
 
 Enumeration sizes are guarded by module constants, read at call time:
-``GUARD_VECTORS`` for weight systems and potentials (``force=True``
-runs past it) and ``GUARD_ALGEBRA`` for the conjugation and bimodule
-sweeps.  All randomness is seeded and the seed lands in the report.
+``GUARD_VECTORS`` for weight systems, potentials and the residues of
+listed central units (``force=True`` runs past it) and ``GUARD_ALGEBRA``
+for the conjugation and bimodule sweeps.  All randomness is seeded and
+the seed lands in the report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff_rings import ZMod, count_central_units, parse_ring_spec
+from .coeff_rings import ZMod, count_central_units, parse_ring_spec, scalar_view
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
@@ -82,20 +83,26 @@ def _instance(poset, ring) -> dict:
     return {"poset": preorder_descriptor(poset.source), "ring": str(ring)}
 
 
-def _guarded_units(ring, exponent, force, what):
+def guarded_units(ring, exponent, force, what):
     """The central units U for an enumeration of |U|^exponent ``what``,
-    refused over ``GUARD_VECTORS`` after counting no more than r + 1
-    units, r = floor(GUARD_VECTORS^(1/exponent)), and stating that lower
-    bound; none are listed for a refused ring or an exponent of 0."""
+    refused over ``GUARD_VECTORS`` of those (stating the lower bound r + 1,
+    r = floor(GUARD_VECTORS^(1/exponent))) or of the residues of U, cells
+    per unit (k*k for M(k,Z/n)), after counting no more than min(r,
+    GUARD_VECTORS // cells) + 1 units; none listed when refused or for exponent 0."""
     if not exponent:
         return ()
     if not force:
         r = int(GUARD_VECTORS ** (1 / exponent))  # a float root, made exact
         r += (r + 1) ** exponent <= GUARD_VECTORS
         r -= r ** exponent > GUARD_VECTORS
-        if count_central_units(ring, r + 1) > r:
+        cells = sum(k * k or 1 for _, k, _ in scalar_view(ring))
+        count = count_central_units(ring, min(r, GUARD_VECTORS // cells) + 1)
+        if count > r:
             raise GuardExceeded(
                 f"at least {r + 1}^{exponent} {what} exceed the guard {GUARD_VECTORS}")
+        if count * cells > GUARD_VECTORS:
+            raise GuardExceeded(f"listing the central units of {ring} takes over "
+                                f"{GUARD_VECTORS} residues ({cells} per unit)")
     return ring.central_units()
 
 
@@ -111,7 +118,7 @@ def enumerate_mult(poset, ring, force=False):
     order with central units ascending.
     """
     pairs, up, position = poset.index_pairs, poset._up, poset.position
-    units = _guarded_units(ring, len(pairs), force, "candidate vectors")
+    units = guarded_units(ring, len(pairs), force, "candidate vectors")
     closing = [[] for _ in pairs]  # closing[s]: the triples whose last slot is s
     for s, (i, j) in enumerate(pairs):
         for z in range(poset.n_classes):
@@ -151,7 +158,7 @@ def enumerate_inner(poset, ring, force=False):
     structural code is used, so the count |G|^(m - lambda) that the
     structure checks assert stays independent.
     """
-    units = _guarded_units(ring, poset.n_classes - 1, force, "potentials")
+    units = guarded_units(ring, poset.n_classes - 1, force, "potentials")
     inverse, mul, one = {u: ring.inverse(u) for u in units}, ring.mul, (ring.one(),)
     seen = set()
     for combo in itertools.product(units, repeat=poset.n_classes - 1):
@@ -182,7 +189,6 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     mult = enumerate_mult(poset, ring, force)
     inner = enumerate_inner(poset, ring, force)
     mult_keys, inner_keys = {w.values for w in mult}, {w.values for w in inner}
-    graph = tree.graph
     tree_slots = [slot for _, _, slot, _ in tree.steps]
     one, mul, inverse = ring.one(), ring.mul, ring.inverse
     ones = [one] * len(tree_slots)
@@ -220,8 +226,8 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
             disagreements.append(ws.items())
 
     crossing = [w.values for w in tree_trivial if w.values in inner_keys]
-    identity_key = (one,) * graph.m
-    rank = graph.m - graph.cyclomatic  # no units listed for a one-class poset
+    identity_key = (one,) * tree.graph.m
+    rank = len(tree_slots)  # no units listed for a one-class poset
     expected_inner = len(ring.central_units()) ** rank if rank else 1
     checks = [
         CheckResult("decompose-recompose", not decompose_failures,
@@ -240,8 +246,8 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
         "mult": len(mult),
         "inner": len(inner),
         "tree_trivial": len(tree_trivial),
-        "edges": graph.m,
-        "cyclomatic": graph.cyclomatic,
+        "edges": tree.graph.m,
+        "cyclomatic": len(tree.non_tree_slots),
     }
     return VerificationReport(instance=_instance(poset, ring), counts=counts, checks=checks)
 

@@ -277,9 +277,6 @@ class QuotientPoset:
     def rep(self, x) -> str:
         return self.reps[self._c(x)]
 
-    def leq(self, x, y) -> bool:
-        return bool(self._up[self._c(x)] >> self._c(y) & 1)
-
     def lt(self, x, y) -> bool:
         ci, cj = self._c(x), self._c(y)
         return ci != cj and bool(self._up[ci] >> cj & 1)

@@ -435,6 +435,14 @@ def test_weight_file_int_value_exits_2(capsys, crown_txt, tmp_path):
     assert "string fields" in err
 
 
+@pytest.mark.parametrize("ring", [5, ["Z/5"]])
+def test_weight_file_non_string_ring_exits_2(capsys, crown_txt, tmp_path, ring):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"ring": ring, "weights": []}))
+    code, out, err = run(capsys, "is-inner", "--poset", crown_txt, "--weights", str(path))
+    assert (code, out, err) == (2, "", f"error: ring spec {ring!r} is not a string\n")
+
+
 def test_weight_file_list_label_exits_2(capsys, crown_txt, tmp_path):
     records = [{"from": x, "to": y, "value": v} for (x, y), v in sorted(INNER.items())]
     records[0]["from"] = ["a"]
@@ -518,43 +526,52 @@ def test_check_over_a_huge_modulus_lists_no_units(capsys, chain3_txt, tmp_path, 
     assert time.process_time() - start < 5
 
 
-@pytest.mark.parametrize("spec, shown", [
-    ("Z/99999999999", "99999999999"),
-    ("M(3,Z/7)", "40353607"),
-    ("Z/2 x Z/5000001", "10000002"),
-    ("M(40,Z/1000)", "over 2^15945"),
-    ("M(4000,Z/3)", "over 2^25359400"),
-    ("M(4000,Z/2)", "over 2^16000000"),
-])
-def test_info_refuses_rings_over_the_guard(capsys, crown_txt, spec, shown, monkeypatch):
-    """The refusal comes before any listing (which would exhaust memory),
-    and without forming the order n ** (k*k) of M(k,Z/n), which takes
-    seconds for M(4000,Z/3); the exponents are its bit length minus one."""
+INFO_REFUSALS = {
+    "Z/99999999999": "at least 10000001^1 central units exceed the guard 10000000",
+    **{spec: f"listing the central units of {spec} takes over 10000000 residues "
+             f"({cells} per unit)"
+       for spec, cells in (("M(4000,Z/2)", 16000000), ("M(4000,Z/3)", 16000000),
+                           ("M(2237,Z/3)", 5004169))},
+}
+
+
+@pytest.mark.parametrize("spec", INFO_REFUSALS)
+def test_info_refuses_rings_over_the_guard(capsys, crown_txt, spec, monkeypatch):
+    """info lists central units through the enumerations' guard: refused
+    before any listing (which would exhaust memory) for too many units,
+    or for units whose k x k scalar matrices hold too many residues."""
     for cls in (ZMod, ProductRing, MatrixRing):
         monkeypatch.setattr(cls, "central_units", _refuse_listing)
     start = time.process_time()
     code, out, err = run(capsys, "info", "--poset", crown_txt, "--ring", spec)
     assert time.process_time() - start < 1
-    assert (code, out) == (2, "")
-    assert err == (f"error: {spec} has {shown} elements, over the guard 10000000 "
-                   "for listing its central units\n")
+    assert (code, out, err) == (2, "", f"error: {INFO_REFUSALS[spec]}\n")
 
 
-def test_info_guard_shows_the_order_bits(capsys, crown_txt, monkeypatch):
-    """The order, or its bit length minus one past 256 bits, as the
-    order itself gives them, for matrix rings up to 40 x 40 and products."""
+@pytest.mark.parametrize("spec, units, inner", [("M(3,Z/7)", 6, 216),
+                                                ("M(40,Z/1000)", 400, 400 ** 3)])
+def test_info_counts_units_not_ring_elements(capsys, crown_txt, spec, units, inner):
+    """A matrix ring of over 10^7 elements with few central units answers:
+    M(3,Z/7) has 7^9 elements, M(40,Z/1000) 1000^1600."""
+    code, out, _ = run(capsys, "info", "--poset", crown_txt, "--ring", spec)
+    doc = json.loads(out)
+    assert code == 0 and len(doc["central_units"]) == units and doc["inner_count"] == inner
+
+
+def test_enumerations_refuse_listing_huge_scalar_matrices(capsys, tmp_path, monkeypatch):
+    """Two central units of M(4000,Z/3) pass the count, but listing them
+    would build two 4000 x 4000 matrices: enumerate and verify --poset
+    refuse before any unit is listed."""
     for cls in (ZMod, ProductRing, MatrixRing):
         monkeypatch.setattr(cls, "central_units", _refuse_listing)
-    specs = [f"M({k},Z/{n})" for k in range(2, 41, 2) for n in (2, 3, 6, 8, 10, 1000, 1024)]
-    specs += ["M(9,Z/6) x Z/5", "M(16,Z/2) x Z/3", "M(16,Z/2) x M(3,Z/4)", "Z/2 x M(20,Z/9)"]
-    for spec in specs:
-        order = parse_ring_spec(spec).order
-        if order <= 10 ** 7:
-            continue
-        shown = order if order.bit_length() <= 256 else f"over 2^{order.bit_length() - 1}"
-        code, _, err = run(capsys, "info", "--poset", crown_txt, "--ring", spec)
-        assert (code, err) == (2, f"error: {spec} has {shown} elements, over the guard "
-                                  "10000000 for listing its central units\n")
+    chain = tmp_path / "chain2.txt"
+    chain.write_text("elements a b\nrel a b\n")
+    for command in ("enumerate", "verify"):
+        start = time.process_time()
+        code, out, err = run(capsys, command, "--poset", str(chain), "--ring", "M(4000,Z/3)")
+        assert time.process_time() - start < 1
+        assert (code, out, err) == (2, "", "error: listing the central units of M(4000,Z/3) "
+                                    "takes over 10000000 residues (16000000 per unit)\n")
 
 
 @pytest.mark.parametrize("spec", ["Z/20000003", "Z/99999999999999999999999",

@@ -9,6 +9,7 @@ from incalg.comparability import (
     fundamental_cycles,
     path_weight,
     spanning_tree,
+    tree_of,
 )
 from incalg.mult_automorphisms import WeightSystem
 from incalg.preorder_core import close_relations
@@ -20,20 +21,22 @@ def test_graph_of_crown(crown):
     assert g.vertices == ("a", "b", "c", "d")
     assert g.poset.strict_pairs() == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     assert g.m == 4
-    assert g.cyclomatic == 1
+    assert len(spanning_tree(g).non_tree_slots) == 1
 
 
 def test_graph_of_chain(chain3):
     g = ComparabilityGraph(chain3.quotient())
     assert g.m == 3
-    assert g.cyclomatic == 1  # a<b<c comparability graph is a triangle
+    assert len(spanning_tree(g).non_tree_slots) == 1  # a<b<c comparability graph is a triangle
 
 
 def test_cyclomatic_counts_components():
     p = close_relations("abcd", [("a", "b")])
     g = ComparabilityGraph(p.quotient())
+    t = spanning_tree(g)
     assert g.m == 1
-    assert g.cyclomatic == 1 - 4 + 3
+    assert len(t.components) == 3
+    assert len(t.non_tree_slots) == 1 - 4 + 3
 
 
 def _tree_edges(tree):
@@ -77,11 +80,25 @@ def test_spanning_tree_disconnected():
     assert t.components == [("a", "b"), ("c",)]
 
 
+def test_graphs_hold_no_forest_and_each_quotient_one_graph(crown):
+    """A graph built directly walks nothing and counts no components:
+    its forest does, and leaves no second graph on the quotient.  tree_of
+    builds and caches one graph per quotient, shared by every root."""
+    q = crown.quotient()
+    g = ComparabilityGraph(q)
+    assert not hasattr(g, "components") and not hasattr(g, "cyclomatic")
+    t = spanning_tree(g)
+    assert (len(t.components), len(t.non_tree_slots)) == (1, 1)
+    assert q._graph is None
+    graph = tree_of(q).graph
+    assert q._graph is graph and tree_of(q, "d").graph is graph
+
+
 def test_fundamental_cycles_crown(crown):
     g = ComparabilityGraph(crown.quotient())
     t = spanning_tree(g)
     cycles = fundamental_cycles(g, t)
-    assert len(cycles) == g.cyclomatic == 1
+    assert len(cycles) == len(t.non_tree_slots) == 1
     assert str(cycles[0]) == "b-d-a-c-b"
     assert cycles[0].edge == ("b", "d")
 

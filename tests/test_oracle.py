@@ -5,7 +5,7 @@ import pytest
 from incalg import oracle
 from incalg.cli import run_command
 from incalg.coeff_rings import ZMod, parse_ring_spec
-from incalg.comparability import ComparabilityGraph
+from incalg.comparability import tree_of
 from incalg.mult_automorphisms import WeightSystem
 from incalg.oracle import (
     DEFAULT_SUITE_RINGS,
@@ -57,13 +57,11 @@ def test_enumerate_counts_diamond_and_chain(diamond, chain3):
 
 
 def test_inner_count_formula(crown, diamond, chain3):
-    from incalg.comparability import ComparabilityGraph
-
     for p, spec in ((crown, "Z/5"), (diamond, "Z/12"), (chain3, "Z/2 x Z/3")):
         q = p.quotient()
         r = parse_ring_spec(spec)
-        g = ComparabilityGraph(q)
-        expected = len(r.central_units()) ** (g.m - g.cyclomatic)
+        t = tree_of(q)
+        expected = len(r.central_units()) ** (t.graph.m - len(t.non_tree_slots))
         assert len(enumerate_inner(q, r)) == expected
 
 
@@ -195,7 +193,7 @@ def test_verify_poset_passes_on_every_disconnected_poset(capsys, tmp_path):
     class, over the sweep rings, a matrix ring and a product ring."""
     rings = ",".join(DEFAULT_SUITE_RINGS + ("M(2,Z/3)", "Z/2 x Z/3"))
     posets = [p for n in range(1, 6) for p in all_posets(n)
-              if len(ComparabilityGraph(p.quotient()).components) > 1]
+              if len(tree_of(p.quotient()).components) > 1]
     assert len(posets) == 28
     path = tmp_path / "poset.txt"
     for poset in posets:

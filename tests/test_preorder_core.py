@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from incalg import preorder_core
-from incalg.comparability import ComparabilityGraph
+from incalg.comparability import tree_of
 from incalg.oracle import all_posets
 from incalg.preorder_core import (
     PreorderError,
@@ -113,7 +113,7 @@ def test_height_of_long_chain(chain1100):
 def test_connected_components():
     p = close_relations("abcd", [("a", "b")])
     q = p.quotient()
-    assert ComparabilityGraph(q).components == [("a", "b"), ("c",), ("d",)]  # not connected
+    assert tree_of(q).components == [("a", "b"), ("c",), ("d",)]  # not connected
 
 
 def test_load_preorder_text_round_trip(crown):
