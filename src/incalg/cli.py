@@ -226,11 +226,12 @@ def _cmd_verify(args) -> int:
         specs = DEFAULT_SUITE_RINGS if args.ring is None else split_top_level(args.ring)
         rings = [parse_ring_spec(spec) for spec in specs]  # all parse before any runs
         reports = [verify_structure(quotient, ring, args.root, force=args.force) for ring in rings]
-    elif args.ring is not None or args.root is not None:
-        raise ValueError(f"--{'ring' if args.ring is not None else 'root'} needs --poset")
+    elif args.ring is not None or args.root is not None or args.force:
+        option = "ring" if args.ring is not None else "root" if args.root is not None else "force"
+        raise ValueError(f"--{option} needs --poset")
     else:
         max_classes = 5 if args.max_classes is None else args.max_classes
-        reports = run_full_suite(seed=seed, max_classes=max_classes, force=args.force)
+        reports = run_full_suite(seed=seed, max_classes=max_classes)
     lines = [_report_line(r) for r in reports]
     passed = all(r.passed for r in reports)
     lines.append(f"{'PASS' if passed else 'FAIL'} suite reports={len(reports)} seed={seed}")

@@ -12,8 +12,8 @@ encoding:
 Canonical encodings make element equality plain ``==``, which the file
 formats and the enumeration code rely on.  :func:`scalar_view` is the one
 place that splits a ring into its Z/n factors; the algebra kernel, the
-central-unit count, the CLI's order and the weight layer's scalars
-(:func:`scalar_codec`) read it.  Every matrix unit test
+central-unit count, the oracle's enumeration guard and the weight layer's
+scalars (:func:`scalar_codec`) read it.  Every matrix unit test
 and inverse over Z/n, here and for the class blocks of the incidence
 algebra, is one row reduction, :func:`det_inverse`.
 """

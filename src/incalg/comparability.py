@@ -65,7 +65,7 @@ class SpanningTree:
 
     def __init__(self, graph: ComparabilityGraph, root=None):
         poset, self.graph = graph.poset, graph
-        up, down, pos, k = poset._up, poset._down, poset.position, poset.n_classes
+        up, down, slot_of, k = poset._up, poset._down, poset.slot_of, poset.n_classes
         parent, depth, steps, components = [None] * k, [0] * k, [], []
         first = 0 if root is None else poset._c(root)
         self.root, seen = poset.reps[first], 0
@@ -80,7 +80,7 @@ class SpanningTree:
                     parent[b], depth[b] = a, depth[a] + 1
                     order.append(b)
                     ascends = bool(up[a] >> b & 1)
-                    steps.append((a, b, pos[a, b] if ascends else pos[b, a], ascends))
+                    steps.append((a, b, slot_of[a][b] if ascends else slot_of[b][a], ascends))
             components.append(tuple(poset.reps[i] for i in sorted(order)))
         self.components = sorted(components)
         self.parent, self.depth, self.steps = parent, depth, tuple(steps)

@@ -122,7 +122,7 @@ class WeightSystem:
 
     def value(self, x, y):
         poset = self.poset
-        slot = poset.position.get((poset._c(x), poset._c(y)))
+        slot = poset.slot_of[poset._c(x)].get(poset._c(y))
         if slot is None:
             raise WeightSystemError(f"no weight for pair ({x}, {y})")
         return self.values[slot]
@@ -192,12 +192,12 @@ class WeightSystem:
         """Scale each cross-class entry of f by its class-pair weight."""
         if f.ring != self.ring or f.preorder != self.poset.source:
             raise WeightSystemError("function carrier does not match the weight system")
-        cls, pos = self.poset.elem_class, self.poset.position
+        cls, slot_of = self.poset.elem_class, self.poset.slot_of
         c, mul = self.values, self.ring.mul
         out = {}
         for (s, t), v in f.entries.items():
             ci, cj = cls[s], cls[t]
-            out[(s, t)] = v if ci == cj else mul(c[pos[ci, cj]], v)
+            out[(s, t)] = v if ci == cj else mul(c[slot_of[ci][cj]], v)
         return IncidenceFunction(f.preorder, f.ring, out)
 
     def __eq__(self, other):
@@ -387,10 +387,11 @@ def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
     labels run, to name the first bad one.  The values are parsed by
     ``parse_values``, once per distinct text, and each distinct value is
     tested for a central unit once.  The rows map to slots in bulk
-    through ``class_of`` and ``position``.  When every value is a
-    central unit and the rows name every slot once, the values are laid
-    out by slot directly; otherwise :meth:`WeightSystem.from_values`
-    runs on the parsed rows and raises the error of the first faulty one.
+    through ``class_of`` and ``slot_of``, with no key tuples.  When every
+    value is a central unit and the rows name every slot once, the values
+    are laid out by slot directly; otherwise
+    :meth:`WeightSystem.from_values` runs on the parsed rows and raises
+    the error of the first faulty one.
     """
     obj, (xs, ys, texts) = read_records(text, "weight-system", "weights",
                                         ("from", "to", "value"), WeightSystemError)
@@ -409,7 +410,8 @@ def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
     values, distinct = parse_values(use, texts)
     del obj, texts  # the decoded file: freed before the slots are laid out
     cls, size = poset.class_of.__getitem__, len(poset.index_pairs)
-    slots = list(map(poset.position.get, zip(map(cls, xs), map(cls, ys))))
+    rows = map(poset.slot_of.__getitem__, map(cls, xs))
+    slots = list(map(dict.get, rows, map(cls, ys)))
     if len(slots) == size and all(map(use.is_central_unit, distinct)):
         table = dict(zip(slots, values))
         if len(table) == size and None not in table:

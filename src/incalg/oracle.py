@@ -98,8 +98,8 @@ def guarded_units(ring, exponent, force, what):
         cells = sum(k * k or 1 for _, k, _ in scalar_view(ring))
         count = count_central_units(ring, min(r, GUARD_VECTORS // cells) + 1)
         if count > r:
-            raise GuardExceeded(
-                f"at least {r + 1}^{exponent} {what} exceed the guard {GUARD_VECTORS}")
+            power = f"^{exponent}" * (exponent > 1)
+            raise GuardExceeded(f"at least {r + 1}{power} {what} exceed the guard {GUARD_VECTORS}")
         if count * cells > GUARD_VECTORS:
             raise GuardExceeded(f"listing the central units of {ring} takes over "
                                 f"{GUARD_VECTORS} residues ({cells} per unit)")
@@ -117,13 +117,13 @@ def enumerate_mult(poset, ring, force=False):
     equals the plain product-then-filter order: lexicographic in the slot
     order with central units ascending.
     """
-    pairs, up, position = poset.index_pairs, poset._up, poset.position
+    pairs, up, slot_of = poset.index_pairs, poset._up, poset.slot_of
     units = guarded_units(ring, len(pairs), force, "candidate vectors")
     closing = [[] for _ in pairs]  # closing[s]: the triples whose last slot is s
     for s, (i, j) in enumerate(pairs):
         for z in range(poset.n_classes):
             if z != i and z != j and up[i] >> z & 1 and up[z] >> j & 1:
-                spots = (position[i, z], position[z, j], s)
+                spots = (slot_of[i][z], slot_of[z][j], s)
                 closing[max(spots)].append(spots)
     out, chosen, mul = [], [None] * len(pairs), ring.mul
     stack = [iter(units)]  # stack[s]: the units still to try at slot s
@@ -192,10 +192,10 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     tree_slots = [slot for _, _, slot, _ in tree.steps]
     one, mul, inverse = ring.one(), ring.mul, ring.inverse
     ones = [one] * len(tree_slots)
-    cls, position = poset.class_of, poset.position
+    cls, slot_of = poset.class_of, poset.slot_of
     walks = [[(cls[x], cls[y]) for x, y in zip(c.sequence, c.sequence[1:])] for c in tree.cycles]
-    cycles = [[(position[p], True) if p in position else (position[p[::-1]], False)
-               for p in walk] for walk in walks]
+    cycles = [[(slot_of[a][b], True) if b in slot_of[a] else (slot_of[b][a], False)
+               for a, b in walk] for walk in walks]
 
     def by_cycles(c):
         """Whether c multiplies to one around every fundamental cycle,
@@ -556,7 +556,7 @@ def connected_posets(max_n: int):
 DEFAULT_SUITE_RINGS = ("Z/2", "Z/3", "Z/4", "Z/5", "Z/12")
 
 
-def run_structure_sweep(max_classes=5, force=False):
+def run_structure_sweep(max_classes=5):
     """Structure verification over every connected generated poset and
     every ring of ``DEFAULT_SUITE_RINGS``."""
     rings = [parse_ring_spec(s) for s in DEFAULT_SUITE_RINGS]
@@ -564,15 +564,15 @@ def run_structure_sweep(max_classes=5, force=False):
     for poset in connected_posets(max_classes):
         quotient = poset.quotient()
         for ring in rings:
-            reports.append(verify_structure(quotient, ring, force=force))
+            reports.append(verify_structure(quotient, ring))
     return reports
 
 
-def run_full_suite(seed=0, max_classes=5, force=False):
+def run_full_suite(seed=0, max_classes=5):
     """The complete oracle battery: structure sweep, conjugation sweep on
     the two chains over Z/2 and Z/3, the four bimodule instances, and
     seeded spot checks of apply and the matrix embedding."""
-    reports = run_structure_sweep(max_classes, force)
+    reports = run_structure_sweep(max_classes)
     chain2 = close_relations("ab", [("a", "b")])
     chain3 = close_relations("abc", [("a", "b"), ("b", "c")])
     for preorder in (chain2, chain3):

@@ -11,13 +11,13 @@ edge (:func:`close_relations`).
 The quotient keeps one integer-indexed view, built once: element e is
 in class ``elem_class[e]``, class i has the up and down rows
 ``_up[i]``/``_down[i]`` (bitmasks of class indices), ``index_pairs``
-lists the strict pairs (i, j) in ``strict_pairs()`` order,
-``position`` maps each pair to its slot, and the slots of row i run from
-``_starts[i]`` up to ``_starts[i + 1]``.  ``triples(i, middles)`` lays
-out the triples i < z < j through given middle classes z as three slot
-lists.  Weight systems and potentials are tuples over those slots and
-class indices, incidence functions are keyed by element index pairs;
-labels are resolved only at the edges.
+lists the strict pairs (i, j) in ``strict_pairs()`` order, and
+``slot_of[i]`` maps each class j strictly above i to the slot of (i, j),
+in ascending j: one map, read both ways with ``index_pairs``.
+``triples(i, middles)`` lays out the triples i < z < j through given
+middle classes z as three slot lists.  Weight systems and potentials are
+tuples over those slots and class indices, incidence functions are keyed
+by element index pairs; labels are resolved only at the edges.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ class QuotientPoset:
     The index view: ``elem_class[e]`` is the class of element e (an
     index into ``source.elements``), ``_up[i]`` and ``_down[i]`` are the
     bitmasks of the classes above and below class i (i included),
-    ``index_pairs`` the strict pairs in ``strict_pairs()`` order with
-    ``position`` mapping each to its slot, ``_starts[i]`` the first slot
-    of row i (and ``_starts[k]`` their count), and, built on first use,
+    ``index_pairs`` the strict pairs in ``strict_pairs()`` order,
+    ``slot_of[i]`` the dict {j: slot of (i, j)} over the classes j
+    strictly above i, ascending, and, built on first use,
     ``_covers[i]``, the bitmask of the classes covering i.
     """
 
@@ -202,21 +202,18 @@ class QuotientPoset:
         self.class_of = {lab: ci for ci, c in enumerate(self.classes) for lab in c}
         k = len(self.classes)
         self.elem_class = elem_class = [self.class_of[x] for x in source.elements]
-        self._up, self._down, pairs, starts = [], [0] * k, [], []
+        self._up, self._down, pairs, self.slot_of = [], [0] * k, [], []
         for ci, r in enumerate(self.reps):
-            starts.append(len(pairs))
             row = 0
             for e in _bits(up[source._index[r]]):
                 row |= 1 << elem_class[e]
             self._up.append(row)
             for cj in _bits(row):
                 self._down[cj] |= 1 << ci
-                if cj != ci:
-                    pairs.append((ci, cj))
-        starts.append(len(pairs))
-        self._starts = starts
+            above = _bits(row & ~(1 << ci))
+            self.slot_of.append(dict(zip(above, range(len(pairs), len(pairs) + len(above)))))
+            pairs += zip(repeat(ci), above)
         self.index_pairs = tuple(pairs)
-        self.position = {p: s for s, p in enumerate(pairs)}
         self._strict_pairs = None
         self._height = None
         self._graph, self._trees = None, {}  # filled by comparability.tree_of
@@ -237,23 +234,17 @@ class QuotientPoset:
     def triples(self, i, middles):
         """The triples i < z < j with z in the bitmask ``middles`` (above
         i), by z then j, as slot lists S of (i, j), T of (i, z), U of (z, j):
-        U slices row z's slots, S maps their classes through a dict of row
-        i; the lists share the int objects of one slot range."""
-        starts, (to, ids) = self._starts, self._slot_lists
-        a, b = starts[i], starts[i + 1]
-        slot = dict(zip(to[a:b], ids[a:b])).__getitem__  # j -> slot of (i, j)
+        U lists the slots of row z, and S maps their classes through row
+        i; the lists share the int objects of ``slot_of``."""
+        slot_of = self.slot_of
+        slot = slot_of[i].__getitem__  # j -> slot of (i, j)
         S, T, U = [], [], []
         for z in _bits(middles):
-            za, zb = starts[z], starts[z + 1]
-            S += map(slot, to[za:zb])
-            T += repeat(slot(z), zb - za)
-            U += ids[za:zb]
+            row = slot_of[z]
+            S += map(slot, row)
+            T += repeat(slot(z), len(row))
+            U += row.values()
         return S, T, U
-
-    @cached_property
-    def _slot_lists(self):
-        """The class j of each slot (i, j), and the slots themselves."""
-        return [j for _, j in self.index_pairs], list(range(len(self.index_pairs)))
 
     @cached_property
     def _cover_triples(self):

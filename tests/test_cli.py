@@ -337,10 +337,12 @@ def test_verify_refuses_max_classes_below_one(capsys, bound):
 
 
 @pytest.mark.parametrize("options", [["--ring", "Z/7"], ["--root", "a"],
-                                     ["--ring", "Z/7", "--root", "a"], ["--ring", ""]])
+                                     ["--ring", "Z/7", "--root", "a"], ["--ring", ""],
+                                     ["--force"]])
 def test_verify_refuses_instance_options_without_poset(capsys, options):
-    """--ring and --root choose the rings and the tree of the --poset
-    instance; without one they are refused, not ignored by the suite."""
+    """--ring, --root and --force choose the rings, the tree and the guard
+    of the --poset instance; without one they are refused, not ignored by
+    the suite."""
     code, out, err = run(capsys, "verify", "--max-classes", "1", *options)
     assert (code, out) == (2, "")
     assert err == f"error: {options[0]} needs --poset\n"
@@ -527,7 +529,7 @@ def test_check_over_a_huge_modulus_lists_no_units(capsys, chain3_txt, tmp_path, 
 
 
 INFO_REFUSALS = {
-    "Z/99999999999": "at least 10000001^1 central units exceed the guard 10000000",
+    "Z/99999999999": "at least 10000001 central units exceed the guard 10000000",
     **{spec: f"listing the central units of {spec} takes over 10000000 residues "
              f"({cells} per unit)"
        for spec, cells in (("M(4000,Z/2)", 16000000), ("M(4000,Z/3)", 16000000),
@@ -561,17 +563,21 @@ def test_info_counts_units_not_ring_elements(capsys, crown_txt, spec, units, inn
 def test_enumerations_refuse_listing_huge_scalar_matrices(capsys, tmp_path, monkeypatch):
     """Two central units of M(4000,Z/3) pass the count, but listing them
     would build two 4000 x 4000 matrices: enumerate and verify --poset
-    refuse before any unit is listed."""
+    refuse before any unit is listed.  Z/99999999999 is refused by the
+    count, one candidate per unit, with no exponent in the bound."""
     for cls in (ZMod, ProductRing, MatrixRing):
         monkeypatch.setattr(cls, "central_units", _refuse_listing)
     chain = tmp_path / "chain2.txt"
     chain.write_text("elements a b\nrel a b\n")
+    refusals = {"M(4000,Z/3)": "listing the central units of M(4000,Z/3) takes over 10000000 "
+                               "residues (16000000 per unit)",
+                "Z/99999999999": "at least 10000001 candidate vectors exceed the guard 10000000"}
     for command in ("enumerate", "verify"):
-        start = time.process_time()
-        code, out, err = run(capsys, command, "--poset", str(chain), "--ring", "M(4000,Z/3)")
-        assert time.process_time() - start < 1
-        assert (code, out, err) == (2, "", "error: listing the central units of M(4000,Z/3) "
-                                    "takes over 10000000 residues (16000000 per unit)\n")
+        for spec, refusal in refusals.items():
+            start = time.process_time()
+            code, out, err = run(capsys, command, "--poset", str(chain), "--ring", spec)
+            assert time.process_time() - start < 1
+            assert (code, out, err) == (2, "", f"error: {refusal}\n")
 
 
 @pytest.mark.parametrize("spec", ["Z/20000003", "Z/99999999999999999999999",

@@ -132,6 +132,9 @@ def _mutants(rng, records, labels, fields, ring, members, unknown):
     def swapped(rec):  # (y, x) for (x, y): not a strict pair, or not comparable
         rec[labels[0]], rec[labels[-1]] = rec[labels[-1]], rec[labels[0]]
 
+    def diagonal(rec):  # (x, x): no weight has it; a function entry may
+        rec[labels[-1]] = rec[labels[0]]
+
     def non_central(rec):
         rec["value"] = _non_central(ring)
 
@@ -144,7 +147,7 @@ def _mutants(rng, records, labels, fields, ring, members, unknown):
     faults = {"alias label": alias, "non-representative label": non_representative,
               "unknown label": unknown_label, "non-central value": non_central,
               "unparsable value": unparsable, "non-string field": non_string,
-              "non-comparable pair": swapped}
+              "non-comparable pair": swapped, "diagonal pair": diagonal}
 
     def copy():
         return [dict(r) for r in records]

@@ -62,7 +62,7 @@ def from_tree(tree, ring, tree_values) -> WeightSystem:
                        frozenset(_tree_edges(tree)), "a tree edge")
     c = [None] * len(q.index_pairs)
     for (x, y), u in weights.items():
-        c[q.position[q.class_of[x], q.class_of[y]]] = u
+        c[q.slot_of[q.class_of[x]][q.class_of[y]]] = u
     return from_potential(_ref_propagate(c, tree, ring))
 
 
@@ -351,7 +351,7 @@ def test_cover_triples_are_the_chain_triples_through_a_cover(gate_posets):
     ascending and then j ascending."""
     for poset in gate_posets:
         q = poset.quotient()
-        k, pos = q.n_classes, q.position
+        k, pos = q.n_classes, {p: s for s, p in enumerate(q.index_pairs)}
         lt = [[q.lt(x, y) for y in q.reps] for x in q.reps]
         covers = [[z for z in range(k) if lt[i][z]
                    and not any(lt[i][w] and lt[w][z] for w in range(k))] for i in range(k)]

@@ -15,7 +15,7 @@ from incalg.preorder_core import (
     preorder_descriptor,
     preorder_to_text,
 )
-from reference import as_preorder, interval
+from reference import as_preorder, inflate, interval
 
 
 def test_close_relations_transitivity(chain3):
@@ -187,6 +187,23 @@ def test_covers_are_the_hasse_diagram(gate_posets):
     for poset in gate_posets:
         q = poset.quotient()
         assert q._covers == _hasse_by_definition(q)
+
+
+def test_slot_of_inverts_index_pairs(seed=37):
+    """slot_of[i] lists the classes strictly above i, ascending, and
+    slot_of[i][j] == s exactly when index_pairs[s] == (i, j): on every
+    poset of at most 5 points and on preorders inflated over them."""
+    rng = random.Random(seed)
+    posets = [p for n in range(1, 6) for p in all_posets(n)]
+    posets += [inflate(p, [rng.randint(1, 3) for _ in p.elements]) for p in posets[::7]]
+    for poset in posets:
+        q = poset.quotient()
+        k, pairs = q.n_classes, q.index_pairs
+        assert len(q.slot_of) == k and sum(map(len, q.slot_of)) == len(pairs)
+        for i, row in enumerate(q.slot_of):
+            assert list(row) == [j for j in range(k) if j != i and q._up[i] >> j & 1]
+            assert all(pairs[s] == (i, j) for j, s in row.items())
+        assert all(q.slot_of[i][j] == s for s, (i, j) in enumerate(pairs))
 
 
 def test_bits_match_binary_digits(seed=11):
