@@ -2,10 +2,10 @@
 
 Exit codes are stable for CI use: 0 on success, 1 when a verification
 fails (invalid weight system, system not inner, non-invertible function,
-failed oracle suite), 2 when an input does not parse or an enumeration
-guard refuses to run.  All output is deterministic: JSON with sorted
-keys and a trailing newline, identical bytes for identical inputs and
-seed.
+failed oracle suite), 2 when an input does not parse or a guard refuses
+an enumeration or an incidence function too large to build.  All output
+is deterministic: JSON with sorted keys and a trailing newline,
+identical bytes for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .oracle import (
     GuardExceeded,
     enumerate_inner,
     enumerate_mult,
+    guard_functions,
     guarded_units,
     run_full_suite,
     verify_structure,
@@ -249,6 +250,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_apply(args) -> int:
     ws = _load_weights(args)
+    guard_functions(ws.poset.source, ws.ring)
     f = _function_arg(args.function, ws.poset.source, ws.ring)
     _emit(args, function_to_json(ws.apply(f)))
     return 0
@@ -257,6 +259,7 @@ def _cmd_apply(args) -> int:
 def _cmd_convolve(args) -> int:
     preorder = load_preorder(args.poset)
     ring = parse_ring_spec(args.ring)
+    guard_functions(preorder, ring)
     f = _function_arg(args.left, preorder, ring)
     g = _function_arg(args.right, preorder, ring)
     _emit(args, function_to_json(convolve(f, g)))
@@ -266,6 +269,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_invert(args) -> int:
     preorder = load_preorder(args.poset)
     ring = parse_ring_spec(args.ring)
+    guard_functions(preorder, ring)
     f = _function_arg(args.function, preorder, ring)
     try:
         _emit(args, function_to_json(invert(f)))

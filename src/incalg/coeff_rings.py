@@ -61,12 +61,21 @@ class Ring:
     inversion, the central units and a test for one canonical element
     (``is_central_unit``, which never lists them), and text encoding of
     elements.  ``scalars`` is the ring's :func:`scalar_codec`, built on
-    first use.
+    first use.  A ring is identified by its spec, the text ``str`` gives.
     """
 
     @functools.cached_property
     def scalars(self):
         return scalar_codec(self)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Ring) and str(other) == str(self))
+
+    def __hash__(self):
+        return hash(str(self))
+
+    def __repr__(self):
+        return str(self)
 
 
 class ZMod(Ring):
@@ -132,14 +141,6 @@ class ZMod(Ring):
 
     def __str__(self):
         return f"Z/{self.n}"
-
-    __repr__ = __str__
-
-    def __eq__(self, other):
-        return isinstance(other, ZMod) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("ZMod", self.n))
 
 
 class ProductRing(Ring):
@@ -211,14 +212,6 @@ class ProductRing(Ring):
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
-
-    __repr__ = __str__
-
-    def __eq__(self, other):
-        return isinstance(other, ProductRing) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("Product", self.factors))
 
 
 class MatrixRing(Ring):
@@ -300,18 +293,6 @@ class MatrixRing(Ring):
     def __str__(self):
         return f"M({self.size},{self.base})"
 
-    __repr__ = __str__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixRing)
-            and other.size == self.size
-            and other.base == self.base
-        )
-
-    def __hash__(self):
-        return hash(("Matrix", self.size, self.base.n))
-
 
 def _square(a, k, kind):
     """Whether a is k rows of k ints (no bools), rows and a of type kind."""
@@ -329,6 +310,11 @@ def scalar_view(ring):
     if isinstance(ring, MatrixRing):
         return [(ring.base.n, ring.size, None)]
     return [(ring.n, 0, None)]
+
+
+def element_residues(ring) -> int:
+    """The residues that encode one element: k*k per factor M(k,Z/n), one per Z/n."""
+    return sum(k * k or 1 for _, k, _ in scalar_view(ring))
 
 
 def scalar_matrix(k, u):

@@ -5,25 +5,28 @@ filtering all central-unit assignments against the chain condition,
 coboundaries by running through every vertex potential that is one at
 the least class, automorphisms by conjugating with every unit of the
 algebra, bimodule endomorphisms by enumerating additive maps on the
-matrix-unit basis.  The fast structural code is then compared against
-these enumerations; the structure judge (:func:`verify_structure`) uses
-only ``ring`` arithmetic and the two weight-system enumerations.
+matrix-unit basis, convolution as a dense matrix product in the
+preorder's own element order (no linear extension).  The fast structural
+code is then compared against these enumerations; the structure judge
+(:func:`verify_structure`) uses only ``ring`` arithmetic and the two
+weight-system enumerations.
 
-Enumeration sizes are guarded by module constants, read at call time:
-``GUARD_VECTORS`` for weight systems, potentials and the residues of
-listed central units (``force=True`` runs past it) and ``GUARD_ALGEBRA``
-for the conjugation and bimodule sweeps.  All randomness is seeded and
-the seed lands in the report.
+Sizes are guarded by module constants, read at call time and tested
+before anything is built: ``GUARD_VECTORS`` for weight systems,
+potentials, the residues of listed central units (``force=True`` runs
+past it) and those of one incidence function (:func:`guard_functions`),
+and ``GUARD_ALGEBRA`` for the conjugation and bimodule sweeps.  All
+randomness is seeded and the seed lands in the report.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, reduce
 
-from .coeff_rings import ZMod, count_central_units, parse_ring_spec, scalar_view
+from .coeff_rings import ZMod, count_central_units, element_residues, parse_ring_spec
 from .comparability import tree_of
 from .incidence_algebra import (
     IncidenceFunction,
@@ -67,20 +70,20 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "counts": self.counts,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details}
-                for c in self.checks
-            ],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _instance(poset, ring) -> dict:
     return {"poset": preorder_descriptor(poset.source), "ring": str(ring)}
+
+
+def guard_functions(preorder, ring):
+    """Refuse, before any is built, incidence functions of over ``GUARD_VECTORS``
+    residues: a ring element's residues for each comparable pair."""
+    pairs, cells = sum(map(int.bit_count, preorder._up)), element_residues(ring)
+    if pairs * cells > GUARD_VECTORS:
+        raise GuardExceeded(f"a function on {pairs} comparable pairs over {ring} takes "
+                            f"{pairs * cells} residues, over the guard {GUARD_VECTORS}")
 
 
 def guarded_units(ring, exponent, force, what):
@@ -95,7 +98,7 @@ def guarded_units(ring, exponent, force, what):
         r = int(GUARD_VECTORS ** (1 / exponent))  # a float root, made exact
         r += (r + 1) ** exponent <= GUARD_VECTORS
         r -= r ** exponent > GUARD_VECTORS
-        cells = sum(k * k or 1 for _, k, _ in scalar_view(ring))
+        cells = element_residues(ring)
         count = count_central_units(ring, min(r, GUARD_VECTORS // cells) + 1)
         if count > r:
             power = f"^{exponent}" * (exponent > 1)
@@ -279,7 +282,7 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
 
     units = 0
     multiplicative = 0
-    induced = {}
+    induced = set()
     for combo in itertools.product(ring.elements(), repeat=len(pairs)):
         entries = {p: v for p, v in zip(pairs, combo) if v != zero}
         u = IncidenceFunction(preorder, ring, entries)
@@ -308,14 +311,13 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
             weights.append((class_pair, c))
         else:
             multiplicative += 1
-            ws = WeightSystem.from_values(quotient, ring, weights)
-            induced.setdefault(ws.values, ws)
+            induced.add(WeightSystem.from_values(quotient, ring, weights).values)
 
     expected = {w.values for w in enumerate_inner(quotient, ring)}
     checks = [
         CheckResult(
             "induced-equals-coboundaries",
-            set(induced) == expected,
+            induced == expected,
             {"induced": len(induced), "coboundaries": len(expected)},
         )
     ]
@@ -323,12 +325,15 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
     return VerificationReport(instance=_instance(quotient, ring), counts=counts, checks=checks)
 
 
+def _matrices(rows, cols, n):
+    """Every rows x cols matrix over Z/n, row tuples of residues, in
+    lexicographic order of the row-major entries."""
+    return [tuple(zip(*[iter(flat)] * cols))
+            for flat in itertools.product(range(n), repeat=rows * cols)]
+
+
 def _matmul_mod(a, b, n):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(mid)) % n for j in range(cols))
-        for i in range(rows)
-    )
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % n for col in zip(*b)) for row in a)
 
 
 def verify_bimodule_scalars(nrows, ncols, ring) -> VerificationReport:
@@ -338,117 +343,58 @@ def verify_bimodule_scalars(nrows, ncols, ring) -> VerificationReport:
     the matrix-unit basis, keeps those commuting with the left and right
     matrix actions, and compares the survivors with the central
     multiplications v -> c v.  Bijective survivors must match the units.
+    The guard is tested before any matrix is built.
     """
     if not isinstance(ring, ZMod):
         raise NotImplementedError("bimodule sweep is implemented for Z/n bases")
-    n = ring.n
-    dim = nrows * ncols
-    space = tuple(
-        tuple(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
-        for flat in itertools.product(range(n), repeat=dim)
-    )
-    if len(space) ** dim > GUARD_ALGEBRA:
-        raise GuardExceeded(f"{len(space)}^{dim} additive maps exceed the guard {GUARD_ALGEBRA}")
-    left = tuple(
-        tuple(flat[i * nrows:(i + 1) * nrows] for i in range(nrows))
-        for flat in itertools.product(range(n), repeat=nrows * nrows)
-    )
-    right = tuple(
-        tuple(flat[i * ncols:(i + 1) * ncols] for i in range(ncols))
-        for flat in itertools.product(range(n), repeat=ncols * ncols)
-    )
+    n, dim = ring.n, nrows * ncols
+    if n ** (dim * dim) > GUARD_ALGEBRA:
+        raise GuardExceeded(f"{n ** dim}^{dim} additive maps exceed the guard {GUARD_ALGEBRA}")
+    space, left, right = (_matrices(nrows, ncols, n), _matrices(nrows, nrows, n),
+                          _matrices(ncols, ncols, n))
 
     def apply_map(images, v):
-        acc = [[0] * ncols for _ in range(nrows)]
-        for i in range(nrows):
-            for j in range(ncols):
-                coeff = v[i][j]
-                if coeff:
-                    img = images[i * ncols + j]
-                    for a in range(nrows):
-                        for b in range(ncols):
-                            acc[a][b] += coeff * img[a][b]
-        return tuple(tuple(x % n for x in row) for row in acc)
+        coeffs = [c for row in v for c in row]  # images[k] is the image of the k-th matrix unit
+        return tuple(tuple(sum(c * img[a][b] for c, img in zip(coeffs, images)) % n
+                           for b in range(ncols)) for a in range(nrows))
 
-    survivors = []
-    for images in itertools.product(space, repeat=dim):
-        ok = all(
-            apply_map(images, _matmul_mod(p, v, n)) == _matmul_mod(p, apply_map(images, v), n)
-            for p in left
-            for v in space
-        ) and all(
-            apply_map(images, _matmul_mod(v, q, n)) == _matmul_mod(apply_map(images, v), q, n)
-            for q in right
-            for v in space
-        )
-        if ok:
-            survivors.append(images)
-
-    def scalar_images(c):
-        return tuple(
-            tuple(
-                tuple((c if (a, b) == (i, j) else 0) for b in range(ncols))
-                for a in range(nrows)
-            )
-            for i in range(nrows)
-            for j in range(ncols)
-        )
-
-    expected = {scalar_images(c) for c in range(n)}
-    expected_autos = {scalar_images(c) for c in range(n) if ring.is_unit(c)}
-    bijective = {
-        images for images in survivors if len({apply_map(images, v) for v in space}) == len(space)
-    }
-    checks = [
-        CheckResult(
-            "endomorphisms-are-central-multiplications",
-            set(survivors) == expected,
-            {"survivors": len(survivors), "expected": len(expected)},
-        ),
-        CheckResult(
-            "automorphisms-are-central-unit-multiplications",
-            bijective == expected_autos,
-            {"bijective": len(bijective), "expected": len(expected_autos)},
-        ),
+    survivors = [
+        images for images in itertools.product(space, repeat=dim)
+        if all(apply_map(images, _matmul_mod(p, v, n)) == _matmul_mod(p, apply_map(images, v), n)
+               for p in left for v in space)
+        and all(apply_map(images, _matmul_mod(v, q, n)) == _matmul_mod(apply_map(images, v), q, n)
+                for q in right for v in space)
     ]
-    counts = {
-        "additive_maps": len(space) ** dim,
-        "endomorphisms": len(survivors),
-        "automorphisms": len(bijective),
-    }
+    # c id sends the k-th matrix unit to c times it: space[c * n^(dim - 1 - k)]
+    scaled = [tuple(space[c * n ** (dim - 1 - k)] for k in range(dim)) for c in range(n)]
+    bijective = {images for images in survivors
+                 if len({apply_map(images, v) for v in space}) == len(space)}
+    expected_autos = {scaled[c] for c in range(n) if ring.is_unit(c)}
+    checks = [
+        CheckResult("endomorphisms-are-central-multiplications", set(survivors) == set(scaled),
+                    {"survivors": len(survivors), "expected": len(scaled)}),
+        CheckResult("automorphisms-are-central-unit-multiplications", bijective == expected_autos,
+                    {"bijective": len(bijective), "expected": len(expected_autos)}),
+    ]
+    counts = {"additive_maps": n ** (dim * dim), "endomorphisms": len(survivors),
+              "automorphisms": len(bijective)}
     instance = {"bimodule": f"M({nrows}x{ncols},{ring})", "ring": str(ring)}
     return VerificationReport(instance=instance, counts=counts, checks=checks)
 
 
-def linear_extension(preorder):
-    """Element order compatible with the preorder: classes topologically
-    sorted with lexicographic tie-break, members in label order."""
-    quotient = preorder.quotient()
-    down, placed, order = quotient._down, 0, []
-    for _ in quotient.classes:  # the least unplaced class with every class below it placed
-        pick = next(c for c, row in enumerate(down) if row & ~placed == 1 << c)
-        placed |= 1 << pick
-        order.extend(quotient.classes[pick])
-    return order
-
-
 def matrix_oracle(f: IncidenceFunction, g: IncidenceFunction) -> bool:
-    """Convolution against plain matrix multiplication under a linear extension."""
-    order = linear_extension(f.preorder)
-    ring = f.ring
-    size = len(order)
-    fm = [[f.value(order[i], order[j]) for j in range(size)] for i in range(size)]
-    gm = [[g.value(order[i], order[j]) for j in range(size)] for i in range(size)]
+    """Convolution against plain matrix multiplication, rows and columns
+    in the preorder's element order.  The dense product sums f(x,t) g(t,y)
+    over every element t, and that term is zero unless x <= t <= y, so no
+    linear extension is needed: any simultaneous order of rows and columns
+    gives the same verdict."""
+    elements, ring = f.preorder.elements, f.ring
+    rows = [[f.value(x, t) for t in elements] for x in elements]
+    cols = [[g.value(t, y) for t in elements] for y in elements]
     conv = convolve(f, g)
-    zero = ring.zero()
-    for i in range(size):
-        for j in range(size):
-            acc = zero
-            for t in range(size):
-                acc = ring.add(acc, ring.mul(fm[i][t], gm[t][j]))
-            if acc != conv.value(order[i], order[j]):
-                return False
-    return True
+    return all(
+        reduce(ring.add, map(ring.mul, row, col), ring.zero()) == conv.value(x, y)
+        for x, row in zip(elements, rows) for y, col in zip(elements, cols))
 
 
 def random_function(preorder, ring, rng) -> IncidenceFunction:

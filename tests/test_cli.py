@@ -225,6 +225,32 @@ def test_convolve_and_invert(capsys, chain3_txt):
     assert ("a", "c") not in entries
 
 
+@pytest.mark.parametrize("command", ["convolve", "invert", "apply"])
+def test_algebra_commands_refuse_functions_over_the_guard(capsys, tmp_path, monkeypatch, command):
+    """A function on a 60-chain over Z/2 has 1,830 comparable pairs, over
+    a guard of 1,000 residues; one point over M(30000,Z/2) holds 9 * 10^8
+    residues.  Both are refused before any function is built."""
+    chain = tmp_path / "chain60.txt"
+    chain.write_text("elements " + " ".join(f"x{i}" for i in range(60)) + "\n"
+                     + "".join(f"rel x{i} x{i + 1}\n" for i in range(59)))
+    point = tmp_path / "point.txt"
+    point.write_text("elements a\n")
+    weights = write_weights(tmp_path, "w.json", "M(30000,Z/2)", {})
+    huge = {"convolve": ["--ring", "M(30000,Z/2)", "zeta", "zeta"],
+            "invert": ["--ring", "M(30000,Z/2)", "zeta"], "apply": ["--weights", weights, "zeta"]}
+    code, out, err = run(capsys, command, "--poset", str(point), *huge[command])
+    assert (code, out, err) == (2, "", "error: a function on 1 comparable pairs over M(30000,Z/2) "
+                                "takes 900000000 residues, over the guard 10000000\n")
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
+    weights = write_weights(tmp_path, "w.json", "Z/2", {(f"x{i}", f"x{j}"): "1"
+                                                       for i in range(60) for j in range(i + 1, 60)})
+    small = {"convolve": ["--ring", "Z/2", "zeta", "zeta"], "invert": ["--ring", "Z/2", "zeta"],
+             "apply": ["--weights", weights, "zeta"]}
+    code, out, err = run(capsys, command, "--poset", str(chain), *small[command])
+    assert (code, out, err) == (2, "", "error: a function on 1830 comparable pairs over Z/2 "
+                                "takes 1830 residues, over the guard 1000\n")
+
+
 def test_invert_non_unit(capsys, chain3_txt, tmp_path):
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"entries": [{"from": "a", "to": "a", "value": "2"}]}))

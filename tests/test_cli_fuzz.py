@@ -2,7 +2,9 @@
 
 Random poset texts (some malformed), ring specs (some malformed, some
 with far too many central units to list) and weight and function files
-(valid ones, mutated ones and noise) go through every subcommand.
+(valid ones, mutated ones and noise) go through every subcommand, some
+commands with one stray flag: another subcommand's, a repeat of their
+own, one without its value, or an unknown one.
 Whatever the input, the exit code is 0, 1 or 2, stderr holds no
 traceback, and an error is reported on one short line.
 """
@@ -25,6 +27,19 @@ HUGE_RINGS = ("Z/20000003", "Z/99999999999999999999999", "Z/2 x Z/99999999999999
               "M(2,Z/20000003)")
 BAD_RINGS = ("", " ", "Z/1", "Z/0", "Z/", "Z/-3", "M(0,Z/3)", "M(2,Z/1)", "M(2,M(2,Z/3))", "Q",
              "Z/2 x", "x Z/2", "z/5", "Z/5 x x Z/3", "Z/2,Z/3", "Z/" + "9" * 5000)
+
+# every flag, with a value for those that take one, and the flags each subcommand owns
+FLAG_VALUES = {"--poset": "p0.txt", "--ring": "Z/2", "--weights": "w0.json", "--root": "p0",
+               "--out": "out", "--list": "mult", "--max-classes": "2", "--seed": "1",
+               "--expect-inner": None, "--force": None}
+_WEIGHTED = ("--poset", "--ring", "--weights", "--root", "--out")
+OWN_FLAGS = {"info": ("--poset", "--ring", "--out"), "check": _WEIGHTED + ("--expect-inner",),
+             "is-inner": _WEIGHTED, "decompose": _WEIGHTED,
+             "enumerate": ("--poset", "--ring", "--out", "--list", "--force"),
+             "verify": ("--poset", "--ring", "--root", "--max-classes", "--seed", "--force",
+                        "--out"),
+             "apply": ("--poset", "--ring", "--weights", "--out"),
+             "convolve": ("--poset", "--ring", "--out"), "invert": ("--poset", "--ring", "--out")}
 
 
 def _ring_spec(rng):
@@ -139,13 +154,30 @@ def _argv(rng, tmp_path, n):
                        ["verify", "--max-classes", "x"], ["--help-me"]])
 
 
+def _stray_flag(rng, argv):
+    """argv with one more flag: another subcommand's (with its value), a
+    repeat of one already given, one without its value, or an unknown one."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        flag = rng.choice([f for f in FLAG_VALUES if f not in OWN_FLAGS[argv[0]]])
+        return argv + [flag] + [FLAG_VALUES[flag]] * (FLAG_VALUES[flag] is not None)
+    if kind == 1:
+        i = rng.choice([i for i, a in enumerate(argv) if a in FLAG_VALUES])
+        return argv + argv[i:i + 1 + (FLAG_VALUES[argv[i]] is not None)]
+    if kind == 2:
+        return argv + [rng.choice([f for f, v in FLAG_VALUES.items() if v is not None])]
+    return argv + [rng.choice(["--bogus", "-z", "--verbose", "--ring-spec"])]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_command_line_fuzz(capsys, tmp_path, seed):
-    rng = random.Random(seed)
+    rng, stray = random.Random(seed), random.Random(-seed)  # strays leave the commands' draws alone
     codes = set()
     start = time.process_time()
     for n in range(200):
         argv = _argv(rng, tmp_path, n)
+        if argv and argv[0] in OWN_FLAGS and stray.random() < 0.25:
+            argv = _stray_flag(stray, argv)
         code = run_command(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv

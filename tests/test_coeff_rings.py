@@ -253,6 +253,10 @@ def test_ring_equality_and_str_round_trip():
     for spec in ("Z/2", "Z/12", "M(2,Z/3)", "Z/2 x Z/3", "Z/2 x M(2,Z/2) x Z/5"):
         r = parse_ring_spec(spec)
         assert parse_ring_spec(str(r)) == r
+        assert hash(parse_ring_spec(str(r))) == hash(r)
+        assert repr(r) == str(r) == spec
+    for a, b in (("Z/6", "Z/2 x Z/3"), ("M(1,Z/5)", "Z/5"), ("Z/2 x Z/3", "Z/3 x Z/2")):
+        assert parse_ring_spec(a) != parse_ring_spec(b)
 
 
 def _laplace_determinant(ring, rows):

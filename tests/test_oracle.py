@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,6 @@ from incalg.oracle import (
     connected_posets,
     enumerate_inner,
     enumerate_mult,
-    linear_extension,
     matrix_embedding_check,
     run_full_suite,
     verify_bimodule_scalars,
@@ -144,6 +144,9 @@ def test_verify_bimodule_scalars():
         (1, 1, 3, 3, 2),
         (2, 1, 2, 2, 1),
         (1, 2, 2, 2, 1),
+        (1, 1, 4, 4, 2),
+        (1, 1, 6, 6, 2),
+        (2, 1, 3, 3, 2),
     ):
         report = verify_bimodule_scalars(nrows, ncols, ZMod(n))
         assert report.passed
@@ -151,13 +154,18 @@ def test_verify_bimodule_scalars():
         assert report.counts["automorphisms"] == autos
 
 
-def test_linear_extension_respects_order(crown, preorder_21):
-    order = linear_extension(crown)
-    pos = {x: i for i, x in enumerate(order)}
-    for x, y in crown.quotient().strict_pairs():
-        assert pos[x] < pos[y]
-    order = linear_extension(preorder_21)
-    assert order == ["a1", "a2", "b1"]
+def test_bimodule_guard_runs_before_any_matrix_is_built():
+    """M(3x4,Z/3) has 3^12 = 531,441 matrices; the guard refuses its
+    531441^12 additive maps before listing one."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded) as refused:
+            verify_bimodule_scalars(3, 4, ZMod(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "531441^12 additive maps exceed the guard 1000000"
+    assert peak < 10 ** 6
 
 
 def test_automorphism_check_detects_corruption(crown):
