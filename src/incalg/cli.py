@@ -75,8 +75,9 @@ def _function_arg(name, preorder, ring):
 
 
 def _load_weights(args):
-    quotient = load_preorder(args.poset).quotient()
-    return load_weight_system(args.weights, quotient, _ring_of(args))
+    ws = load_weight_system(args.weights, load_preorder(args.poset).quotient(), _ring_of(args))
+    guard_functions(ws.poset.source, ws.ring)  # before any command computes with it
+    return ws
 
 
 def _valid_weights(args):
@@ -250,7 +251,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_apply(args) -> int:
     ws = _load_weights(args)
-    guard_functions(ws.poset.source, ws.ring)
     f = _function_arg(args.function, ws.poset.source, ws.ring)
     _emit(args, function_to_json(ws.apply(f)))
     return 0
@@ -287,10 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, poset=True, ring=False, ring_required=False, weights=False,
-               root=False, out=True):
-        if poset:
-            p.add_argument("--poset", required=True, help="poset/preorder text file")
+    def common(p, ring=False, ring_required=False, weights=False, root=False, out=True):
+        p.add_argument("--poset", required=True, help="poset/preorder text file")
         if ring or ring_required:
             p.add_argument(
                 "--ring",

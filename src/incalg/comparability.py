@@ -2,10 +2,12 @@
 
 Vertices are the class representatives; there is one undirected edge for
 every strictly comparable pair of classes, stored oriented with the
-order-smaller class first, so edge s is the quotient's slot s.  Spanning
-forests live on class indices: breadth-first search over the bit rows
-``_up[i] | _down[i]`` in ascending index, i.e. lexicographic, order, one
-tree per component.  That is the one walk of the graph; the forest alone
+order-smaller class first, so edge s is the quotient's slot s.  The
+graph builds its neighbour rows ``rows[i]``, the bitmask of the classes
+strictly comparable to class i, from the quotient's up rows and strict
+pairs.  Spanning forests live on class indices: breadth-first search
+over those rows in ascending index, i.e. lexicographic, order, one tree
+per component.  That is the one walk of the graph; the forest alone
 holds the components and the non-tree slots, whose count m - k + c is
 the cycle rank.  Every derived object here is deterministic.
 """
@@ -23,12 +25,15 @@ class GraphError(ValueError):
 
 
 class ComparabilityGraph:
-    """Vertices and edge count; components and cycles are the forest's."""
+    """Vertices, edge count and neighbour rows; the forest has the rest."""
 
     def __init__(self, poset):
         self.poset = poset
         self.vertices = poset.reps  # ascending, like the class indices
         self.m = len(poset.index_pairs)  # edge s is slot s, labelled strict_pairs()[s]
+        self.rows = rows = [row & ~(1 << i) for i, row in enumerate(poset._up)]
+        for i, j in poset.index_pairs:  # the down half of each row
+            rows[j] |= 1 << i
 
     def __repr__(self):
         return f"ComparabilityGraph({len(self.vertices)} vertices, {self.m} edges)"
@@ -65,7 +70,7 @@ class SpanningTree:
 
     def __init__(self, graph: ComparabilityGraph, root=None):
         poset, self.graph = graph.poset, graph
-        up, down, slot_of, k = poset._up, poset._down, poset.slot_of, poset.n_classes
+        up, rows, slot_of, k = poset._up, graph.rows, poset.slot_of, poset.n_classes
         parent, depth, steps, components = [None] * k, [0] * k, [], []
         first = 0 if root is None else poset._c(root)
         self.root, seen = poset.reps[first], 0
@@ -75,7 +80,7 @@ class SpanningTree:
             seen |= 1 << start
             order = [start]
             for a in order:  # grows while it is read: the BFS queue
-                for b in _bits((up[a] | down[a]) & ~seen):
+                for b in _bits(rows[a] & ~seen):
                     seen |= 1 << b
                     parent[b], depth[b] = a, depth[a] + 1
                     order.append(b)

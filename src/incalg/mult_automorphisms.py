@@ -252,9 +252,6 @@ class NotInnerWitness:
     cycle: FundamentalCycle
     weight: object
 
-    def __str__(self):
-        return f"cycle {self.cycle} has non-unit weight"
-
 
 def from_potential(potential: Potential) -> WeightSystem:
     """Coboundary weights c[x,y] = v[x]^-1 v[y]."""

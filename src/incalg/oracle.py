@@ -12,9 +12,9 @@ code is then compared against these enumerations; the structure judge
 weight-system enumerations.
 
 Sizes are guarded by module constants, read at call time and tested
-before anything is built: ``GUARD_VECTORS`` for weight systems,
-potentials, the residues of listed central units (``force=True`` runs
-past it) and those of one incidence function (:func:`guard_functions`),
+before anything is built: ``GUARD_VECTORS`` for the count of weight
+systems and potentials (``force=True`` lifts only this), the residues of
+their central units and of one incidence function (:func:`guard_functions`),
 and ``GUARD_ALGEBRA`` for the conjugation and bimodule sweeps.  All
 randomness is seeded and the seed lands in the report.
 """
@@ -87,26 +87,29 @@ def guard_functions(preorder, ring):
 
 
 def guarded_units(ring, exponent, force, what):
-    """The central units U for an enumeration of |U|^exponent ``what``,
-    refused over ``GUARD_VECTORS`` of those (stating the lower bound r + 1,
-    r = floor(GUARD_VECTORS^(1/exponent))) or of the residues of U, cells
-    per unit (k*k for M(k,Z/n)), after counting no more than min(r,
-    GUARD_VECTORS // cells) + 1 units; none listed when refused or for exponent 0."""
-    if not exponent:
-        return ()
-    if not force:
-        r = int(GUARD_VECTORS ** (1 / exponent))  # a float root, made exact
-        r += (r + 1) ** exponent <= GUARD_VECTORS
-        r -= r ** exponent > GUARD_VECTORS
-        cells = element_residues(ring)
-        count = count_central_units(ring, min(r, GUARD_VECTORS // cells) + 1)
-        if count > r:
+    """The central units U for an enumeration of |U|^exponent ``what``.
+
+    Refused over ``GUARD_VECTORS`` of those unless ``force``, stating the
+    lower bound r + 1, r = floor(GUARD_VECTORS^(1/exponent)); and always
+    over ``GUARD_VECTORS`` residues of U, cells per unit (k*k for
+    M(k,Z/n)), after counting at most min(r, GUARD_VECTORS // cells) + 1
+    units (no r under ``force``).  At exponent 0 none are listed, but each
+    system still holds one unit, so one unit's residues are guarded."""
+    cells, count = element_residues(ring), 1
+    if exponent:
+        r = cap = GUARD_VECTORS // cells
+        if not force:
+            r = int(GUARD_VECTORS ** (1 / exponent))  # a float root, made exact
+            r += (r + 1) ** exponent <= GUARD_VECTORS
+            r -= r ** exponent > GUARD_VECTORS
+        count = count_central_units(ring, min(r, cap) + 1)
+        if count > r and not force:
             power = f"^{exponent}" * (exponent > 1)
             raise GuardExceeded(f"at least {r + 1}{power} {what} exceed the guard {GUARD_VECTORS}")
-        if count * cells > GUARD_VECTORS:
-            raise GuardExceeded(f"listing the central units of {ring} takes over "
-                                f"{GUARD_VECTORS} residues ({cells} per unit)")
-    return ring.central_units()
+    if count * cells > GUARD_VECTORS:
+        raise GuardExceeded(f"listing the central units of {ring} takes over "
+                            f"{GUARD_VECTORS} residues ({cells} per unit)")
+    return ring.central_units() if exponent else ()
 
 
 def enumerate_mult(poset, ring, force=False):

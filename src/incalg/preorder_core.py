@@ -8,10 +8,10 @@ scale.  The closure is built per strongly connected component of the
 generators, in reverse topological order, with one row OR per generator
 edge (:func:`close_relations`).
 
-The quotient keeps one integer-indexed view, built once: element e is
-in class ``elem_class[e]``, class i has the up and down rows
-``_up[i]``/``_down[i]`` (bitmasks of class indices), ``index_pairs``
-lists the strict pairs (i, j) in ``strict_pairs()`` order, and
+The quotient keeps one integer-indexed view of order data, built once:
+element e is in class ``elem_class[e]``, class i has the up row
+``_up[i]`` (a bitmask of class indices), ``index_pairs`` lists the
+strict pairs (i, j) in ``strict_pairs()`` order, and
 ``slot_of[i]`` maps each class j strictly above i to the slot of (i, j),
 in ascending j: one map, read both ways with ``index_pairs``.
 ``triples(i, middles)`` lays out the triples i < z < j through given
@@ -179,12 +179,11 @@ class QuotientPoset:
     answer for its class.
 
     The index view: ``elem_class[e]`` is the class of element e (an
-    index into ``source.elements``), ``_up[i]`` and ``_down[i]`` are the
-    bitmasks of the classes above and below class i (i included),
-    ``index_pairs`` the strict pairs in ``strict_pairs()`` order,
-    ``slot_of[i]`` the dict {j: slot of (i, j)} over the classes j
-    strictly above i, ascending, and, built on first use,
-    ``_covers[i]``, the bitmask of the classes covering i.
+    index into ``source.elements``), ``_up[i]`` is the bitmask of the
+    classes above class i (i included), ``index_pairs`` the strict pairs
+    in ``strict_pairs()`` order, ``slot_of[i]`` the dict {j: slot of
+    (i, j)} over the classes j strictly above i, ascending, and, built
+    on first use, ``_covers[i]``, the bitmask of the classes covering i.
     """
 
     def __init__(self, source: Preorder):
@@ -200,16 +199,13 @@ class QuotientPoset:
         self.classes = tuple(classes)
         self.reps = tuple(c[0] for c in self.classes)
         self.class_of = {lab: ci for ci, c in enumerate(self.classes) for lab in c}
-        k = len(self.classes)
         self.elem_class = elem_class = [self.class_of[x] for x in source.elements]
-        self._up, self._down, pairs, self.slot_of = [], [0] * k, [], []
+        self._up, pairs, self.slot_of = [], [], []
         for ci, r in enumerate(self.reps):
             row = 0
             for e in _bits(up[source._index[r]]):
                 row |= 1 << elem_class[e]
             self._up.append(row)
-            for cj in _bits(row):
-                self._down[cj] |= 1 << ci
             above = _bits(row & ~(1 << ci))
             self.slot_of.append(dict(zip(above, range(len(pairs), len(pairs) + len(above)))))
             pairs += zip(repeat(ci), above)

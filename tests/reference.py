@@ -37,7 +37,11 @@ def simple_semi_paths(graph: ComparabilityGraph, x, y):
     """All simple semi-paths from x to y, in lexicographic vertex order."""
     poset = graph.poset
     x, y = poset._c(x), poset._c(y)
-    up, down, reps = poset._up, poset._down, poset.reps
+    up, reps = poset._up, poset.reps
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in _bits(row):
+            down[j] |= 1 << i
     out = []
 
     def extend(path, seen):

@@ -251,6 +251,23 @@ def test_algebra_commands_refuse_functions_over_the_guard(capsys, tmp_path, monk
                                 "takes 1830 residues, over the guard 1000\n")
 
 
+@pytest.mark.parametrize("command", [["is-inner"], ["decompose"], ["check"],
+                                     ["check", "--expect-inner"]], ids=" ".join)
+def test_weight_commands_refuse_functions_over_the_guard(capsys, tmp_path, monkeypatch, command):
+    """The weight commands test the function guard once the weight file is
+    read, as apply does: an all-ones system on a 60-chain over Z/2 spans
+    1,830 comparable pairs, over a guard of 1,000 residues."""
+    chain = tmp_path / "chain60.txt"
+    chain.write_text("elements " + " ".join(f"x{i}" for i in range(60)) + "\n"
+                     + "".join(f"rel x{i} x{i + 1}\n" for i in range(59)))
+    weights = write_weights(tmp_path, "w.json", "Z/2", {(f"x{i}", f"x{j}"): "1"
+                                                       for i in range(60) for j in range(i + 1, 60)})
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
+    code, out, err = run(capsys, *command, "--poset", str(chain), "--weights", weights)
+    assert (code, out, err) == (2, "", "error: a function on 1830 comparable pairs over Z/2 "
+                                "takes 1830 residues, over the guard 1000\n")
+
+
 def test_invert_non_unit(capsys, chain3_txt, tmp_path):
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"entries": [{"from": "a", "to": "a", "value": "2"}]}))
@@ -632,6 +649,30 @@ def test_enumeration_guards_count_units_without_listing(capsys, tmp_path, spec, 
         assert (code, err) == (0, "")
     assert json.loads(run(capsys, "enumerate", "--poset", str(files["point"]), "--ring", spec)[1]) == {
         "inner": 1, "mult": 1, "ring": spec, "tree_trivial": 1}
+
+
+def test_enumerations_refuse_unit_residues_under_force_and_at_exponent_0(capsys, tmp_path,
+                                                                         monkeypatch):
+    """--force lifts only the count of systems: the residues of the listed
+    central units stay guarded, four per unit of M(2,Z/5).  A one-class
+    poset lists no unit, but each system holds one, refused when one
+    unit's residues pass the guard."""
+    chain, point, chain6 = (tmp_path / f"{name}.txt" for name in ("chain2", "point", "chain6"))
+    chain.write_text("elements a b\nrel a b\n")
+    point.write_text("elements a\n")
+    chain6.write_text("elements a b c d e f\nrel a b\nrel b c\nrel c d\nrel d e\nrel e f\n")
+    code, out, _ = run(capsys, "enumerate", "--poset", str(chain6), "--ring", "Z/5", "--force")
+    assert code == 0 and json.loads(out)["mult"] == json.loads(out)["inner"] == 4 ** 5
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 10)
+    code, out, err = run(capsys, "enumerate", "--poset", str(chain), "--ring", "M(2,Z/5)",
+                         "--force")
+    assert (code, out, err) == (2, "", "error: listing the central units of M(2,Z/5) takes "
+                                "over 10 residues (4 per unit)\n")
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 3)
+    for command in ("enumerate", "verify"):
+        code, out, err = run(capsys, command, "--poset", str(point), "--ring", "M(2,Z/3)")
+        assert (code, out, err) == (2, "", "error: listing the central units of M(2,Z/3) "
+                                    "takes over 3 residues (4 per unit)\n")
 
 
 def test_verify_refuses_an_unknown_root_before_enumerating(capsys, tmp_path, monkeypatch):

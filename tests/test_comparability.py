@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -12,8 +13,9 @@ from incalg.comparability import (
     tree_of,
 )
 from incalg.mult_automorphisms import WeightSystem
+from incalg.oracle import all_posets
 from incalg.preorder_core import close_relations
-from reference import cycle_weight, simple_semi_paths
+from reference import cycle_weight, inflate, simple_semi_paths
 
 
 def test_graph_of_crown(crown):
@@ -130,6 +132,19 @@ def test_cycle_weight_crown_witness(crown):
         q, ZMod(5), {("a", "c"): 2, ("a", "d"): 1, ("b", "c"): 1, ("b", "d"): 3}
     )
     assert cycle_weight(inner, cyc) == 1
+
+
+def test_graph_rows_are_strict_comparability(seed=41):
+    """rows[i] holds exactly the classes j != i comparable to class i, on
+    every poset of at most 5 points and on preorders inflated over them."""
+    rng = random.Random(seed)
+    posets = [p for n in range(1, 6) for p in all_posets(n)]
+    posets += [inflate(p, [rng.randint(1, 3) for _ in p.elements]) for p in posets[::7]]
+    for poset in posets:
+        q = poset.quotient()
+        reps = q.reps
+        assert ComparabilityGraph(q).rows == [
+            sum(1 << j for j, y in enumerate(reps) if q.lt(x, y) or q.lt(y, x)) for x in reps]
 
 
 def test_simple_semi_paths(crown):

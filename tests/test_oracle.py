@@ -72,11 +72,11 @@ def test_guard_refuses_large_instances(monkeypatch):
         enumerate_mult(q, ZMod(1009))
     with pytest.raises(GuardExceeded):
         enumerate_inner(q, ZMod(1009))
-    # the guards are read at call time; force runs past the enumeration guard
-    monkeypatch.setattr(oracle, "GUARD_VECTORS", 0)
+    # the guards are read at call time; force runs past the count of 2^5 potentials
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 10)
     with pytest.raises(GuardExceeded):
-        enumerate_inner(q, ZMod(2))
-    assert len(enumerate_inner(q, ZMod(2), force=True)) == 1
+        enumerate_inner(q, ZMod(3))
+    assert len(enumerate_inner(q, ZMod(3), force=True)) == 32
     monkeypatch.setattr(oracle, "GUARD_ALGEBRA", 1)
     with pytest.raises(GuardExceeded, match="exceed the guard 1$"):
         verify_inner_conjugations(close_relations("ab", [("a", "b")]), ZMod(2))
