@@ -11,6 +11,7 @@ identical bytes for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,6 +29,7 @@ from .incidence_algebra import (
 )
 from .mult_automorphisms import (
     NotInnerWitness,
+    WeightSystemError,
     decompose,
     find_potential,
     load_weight_system,
@@ -80,15 +82,19 @@ def _load_weights(args):
     return ws
 
 
-def _valid_weights(args):
-    """The --weights system, or None once its first chain-condition
-    failure has been reported on stderr."""
+def _walked(args, walk):
+    """The --weights system and walk(ws, --root), None without a walk or when
+    the walk's gate fails (it runs only where w1 is not one) and it raises."""
     ws = _load_weights(args)
-    bad = ws.violations(1)
-    if bad:
-        print(f"not a weight system: chain condition fails at {bad[0]}", file=sys.stderr)
-        return None
-    return ws
+    try:
+        return ws, walk(ws, args.root) if walk else None
+    except WeightSystemError:
+        return ws, None
+
+
+def _invalid(ws) -> int:
+    print(f"not a weight system: chain condition fails at {ws.violations(1)[0]}", file=sys.stderr)
+    return 1
 
 
 def _witness(ws, found):
@@ -124,8 +130,8 @@ def _cmd_info(args) -> int:
 def _cmd_check(args) -> int:
     if args.root is not None and not args.expect_inner:
         raise ValueError("--root needs --expect-inner")
-    ws = _load_weights(args)
-    bad = ws.violations(10)
+    ws, found = _walked(args, find_potential if args.expect_inner else None)
+    bad = ws.violations(10)  # at once when the walk showed ws a coboundary
     doc = {
         "ring": str(ws.ring),
         "pairs": len(ws.values),
@@ -134,7 +140,6 @@ def _cmd_check(args) -> int:
     }
     ok = not bad
     if args.expect_inner and ok:
-        found = find_potential(ws, args.root)
         inner = not isinstance(found, NotInnerWitness)
         doc["inner"] = inner
         if not inner:
@@ -145,10 +150,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_is_inner(args) -> int:
-    ws = _valid_weights(args)
-    if ws is None:
-        return 1
-    found = find_potential(ws, args.root)
+    ws, found = _walked(args, find_potential)
+    if found is None:
+        return _invalid(ws)
     if isinstance(found, NotInnerWitness):
         _emit(args, _dump({"inner": False, **_witness(ws, found)}))
         return 1
@@ -157,10 +161,10 @@ def _cmd_is_inner(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    ws = _valid_weights(args)
-    if ws is None:
-        return 1
-    w1, w0, potential = decompose(ws, args.root)
+    ws, found = _walked(args, decompose)
+    if found is None:
+        return _invalid(ws)
+    w1, w0, potential = found
     texts = {
         "w1": weight_system_to_json(w1),
         "w0": weight_system_to_json(w0),
@@ -360,10 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on first use, once per process
+
+
 def run_command(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

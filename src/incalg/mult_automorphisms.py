@@ -12,12 +12,15 @@ pointwise multiplication of weights.
 
 Coboundary systems c[x,y] = v[x]^-1 v[y] for a vertex potential v are the
 ones induced by conjugation with a unit.  Whether a system is a coboundary
-is decided on the comparability graph by one walk: propagate a potential v
-along a spanning forest, one tree per component with v = 1 at its root,
-and form w1[x,y] = c[x,y] v[x] v[y]^-1, one on the tree edges.  Each
+is decided on the comparability graph by one walk per call: propagate a
+potential v along a spanning forest, one tree per component with v = 1 at
+its root; w1[x,y] = c[x,y] v[x] v[y]^-1 is one on the tree edges.  Each
 fundamental cycle weighs w1 on its non-tree edge (inverted when the
 cycle crosses it upwards), so c is inner iff w1 = 1, and
 c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
+w1 = 1 also proves c valid, as a coboundary satisfies the chain condition
+(v[x]^-1 v[z] v[z]^-1 v[y] = v[x]^-1 v[y]); so the walks run the chain
+gate only by exception, where w1 is not one, to tell invalid from outer.
 
 The tree walk, the chain check (the gate and the violation scan),
 coboundaries, products and inverses compute on plain ints:
@@ -53,6 +56,7 @@ from .incidence_algebra import (
     write_records,
     zeta,
 )
+from .preorder_core import PreorderError
 
 
 class WeightSystemError(ValueError):
@@ -162,12 +166,13 @@ class WeightSystem:
 
     def is_valid(self) -> bool:
         """Whether the chain condition holds: no factor has a mismatch over
-        ``poset._cover_triples``, the map chains stopping at the first one.
-        Why the covers suffice is in :meth:`violations`.  Cached per instance.
-        """
+        ``poset._cover_triples`` (none at height <= 1), the map chains
+        stopping at the first one; why covers suffice is in :meth:`violations`.
+        Cached per instance; a walk that shows ws a coboundary sets it."""
         if self._valid is None:
-            cols = self.ring.scalars[0](self.values)
-            self._valid = not any(map(any, _mismatches(cols, *self.poset._cover_triples)))
+            S, T, U = self.poset._cover_triples
+            self._valid = not S or not any(map(any, _mismatches(
+                self.ring.scalars[0](self.values), S, T, U)))
         return self._valid
 
     @classmethod
@@ -264,60 +269,52 @@ def from_potential(potential: Potential) -> WeightSystem:
 
 
 def _require_valid(ws: WeightSystem):
-    bad = ws.violations(5)
-    if bad:
-        raise WeightSystemError(f"chain condition fails at triples {bad}")
-
-
-def _propagate(c, tree, n):
-    """Scalar potential mod n, one at each tree root of the forest (a class
-    that is no step's child), pushed along the steps; reads only tree slots."""
-    v = [1] * tree.graph.poset.n_classes
-    for i, j, slot, up in tree.steps:
-        v[j] = v[i] * (c[slot] if up else pow(c[slot], -1, n)) % n
-    return tuple(v)
-
-
-def _tree_split(ws: WeightSystem, root):
-    """The one forest walk of a valid ws: (tree, v, w1), v propagated from
-    one at each tree root and w1[x,y] = c[x,y] v[x] v[y]^-1 in one pass over
-    the slots, per factor of the scalar view."""
     if not ws.is_valid():
+        raise WeightSystemError(f"chain condition fails at triples {ws.violations(5)}")
+
+
+def _walk(ws: WeightSystem, root):
+    """The forest for root, the scalar columns (n, c) of ws and per column
+    v mod n, one at each tree root, pushed along the steps.  An invalid ws
+    is refused before an unknown root, as if the gate ran first."""
+    try:
+        tree = tree_of(ws.poset, root)
+    except PreorderError:
         _require_valid(ws)
-    poset, ring, (split, join) = ws.poset, ws.ring, ws.ring.scalars
-    tree, pairs = tree_of(poset, root), poset.index_pairs
-    vs, w1s = [], []
-    for n, c in split(ws.values):
-        v = _propagate(c, tree, n)
-        inv = [pow(x, -1, n) for x in v]
-        vs.append(v)
-        w1s.append(tuple([x * v[i] * inv[j] % n for x, (i, j) in zip(c, pairs)]))
-    return tree, Potential(poset, ring, join(vs)), WeightSystem(poset, ring, join(w1s))
+        raise
+    cols, vs = ws.ring.scalars[0](ws.values), []
+    for n, c in cols:
+        v = [1] * len(ws.poset.reps)
+        for i, j, slot, up in tree.steps:
+            v[j] = v[i] * (c[slot] if up else pow(c[slot], -1, n)) % n
+        vs.append(tuple(v))
+    return tree, cols, vs
 
 
-def _cycle_value(ring, w1, slot):
-    """The weight of the cycle of a non-tree slot (i, j), tree path first:
-    w1 there, inverted when i < j, where the cycle starts at i, the
-    lexicographically smaller endpoint, and crosses the edge upwards."""
-    i, j = w1.poset.index_pairs[slot]
-    w = w1.values[slot]
-    return w if j < i else ring.inverse(w)
+def _cycle_value(ring, pair, w):
+    """The cycle weight, tree path first, of a non-tree slot (i, j) whose w1 is
+    w: inverted when i < j, as the cycle then starts at i and crosses upwards."""
+    return w if pair[1] < pair[0] else ring.inverse(w)
 
 
 def find_potential(ws: WeightSystem, root=None):
     """Reconstruct a vertex potential, or witness that none exists.
 
-    Propagates from one at each tree root of the BFS spanning forest; the
-    potential is the answer iff the tree-trivial factor w1 is one on every
-    non-tree edge.  Returns a :class:`Potential`, or a :class:`NotInnerWitness`
-    holding the first fundamental cycle with non-unit weight.
+    One walk tests c[i,j] v[i] = v[j] (w1 = 1) per factor on each non-tree
+    slot (i, j), taking no inverse.  Returns a :class:`Potential`, or, when
+    the gate passes, a :class:`NotInnerWitness`: the first fundamental
+    cycle of weight not one.
     """
-    tree, potential, w1 = _tree_split(ws, root)
-    one = ws.ring.one()
+    tree, cols, vs = _walk(ws, root)
+    pairs, join = ws.poset.index_pairs, ws.ring.scalars[1]
     for slot in tree.non_tree_slots:
-        if w1.values[slot] != one:
-            return NotInnerWitness(cycle=tree.cycle(slot), weight=_cycle_value(ws.ring, w1, slot))
-    return potential
+        i, j = pairs[slot]
+        if any(c[slot] * v[i] % n != v[j] for (n, c), v in zip(cols, vs)):
+            _require_valid(ws)
+            w = join([(c[slot] * v[i] * pow(v[j], -1, n) % n,) for (n, c), v in zip(cols, vs)])
+            return NotInnerWitness(tree.cycle(slot), _cycle_value(ws.ring, (i, j), w[0]))
+    ws._valid = True
+    return Potential(ws.poset, ws.ring, join(vs))
 
 
 def is_inner_cycles(ws: WeightSystem, root=None):
@@ -328,9 +325,9 @@ def is_inner_cycles(ws: WeightSystem, root=None):
     cycles with its own arithmetic, and the CLI's witness comes from
     :func:`find_potential`.
     """
-    tree, _, w1 = _tree_split(ws, root)
+    w1, tree, pairs = decompose(ws, root)[0], tree_of(ws.poset, root), ws.poset.index_pairs
     one = ws.ring.one()
-    report = tuple((c, _cycle_value(ws.ring, w1, s))
+    report = tuple((c, _cycle_value(ws.ring, pairs[s], w1.values[s]))
                    for s, c in zip(tree.non_tree_slots, fundamental_cycles(tree.graph, tree)))
     return all(w == one for _, w in report), report
 
@@ -338,11 +335,21 @@ def is_inner_cycles(ws: WeightSystem, root=None):
 def decompose(ws: WeightSystem, root=None):
     """Split ws = w1 * w0 with w1 trivial on the tree edges and w0 a coboundary.
 
-    Returns (w1, w0, potential) where w0 = from_potential(potential) and
-    the potential is the forest propagation of ws, one at each tree root.
+    Returns (w1, w0, potential): one walk gives v, and one v^-1 per factor
+    gives w1[x,y] = c[x,y] v[x] v[y]^-1 and w0[x,y] = v[x]^-1 v[y].  The
+    gate runs only when w1 is not one.
     """
-    _, potential, w1 = _tree_split(ws, root)
-    return w1, from_potential(potential), potential
+    _, cols, vs = _walk(ws, root)
+    pairs, w1s, w0s = ws.poset.index_pairs, [], []
+    for (n, c), v in zip(cols, vs):
+        inv = [pow(x, -1, n) for x in v]
+        w1s.append(tuple([x * v[i] * inv[j] % n for x, (i, j) in zip(c, pairs)]))
+        w0s.append(tuple([inv[i] * v[j] % n for i, j in pairs]))
+    if any(w.count(1) < len(w) for w in w1s):
+        _require_valid(ws)
+    ws._valid, poset, ring, join = True, ws.poset, ws.ring, ws.ring.scalars[1]
+    return (WeightSystem(poset, ring, join(w1s)), WeightSystem(poset, ring, join(w0s)),
+            Potential(poset, ring, join(vs)))
 
 
 def to_mult_function(ws: WeightSystem) -> IncidenceFunction:

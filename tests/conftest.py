@@ -78,6 +78,12 @@ def _crown_tower(half, height):
 
 
 @pytest.fixture(scope="session")
+def boolean6():
+    """The boolean lattice B_6: 64 classes, 665 strict pairs."""
+    return _boolean_lattice(6)
+
+
+@pytest.fixture(scope="session")
 def gate_posets():
     """Posets for the cover-only chain check: every connected poset with
     at most 5 points and its dual, B_4, a 10-chain with classes of 1 to 3

@@ -11,6 +11,7 @@ from incalg.coeff_rings import MatrixRing, ProductRing, ZMod, parse_ring_spec
 from incalg.mult_automorphisms import (
     WeightSystemError,
     decompose,
+    find_potential,
     load_weight_system,
     potential_to_json,
     weight_system_to_json,
@@ -228,19 +229,22 @@ def test_convolve_and_invert(capsys, chain3_txt):
 @pytest.mark.parametrize("command", ["convolve", "invert", "apply"])
 def test_algebra_commands_refuse_functions_over_the_guard(capsys, tmp_path, monkeypatch, command):
     """A function on a 60-chain over Z/2 has 1,830 comparable pairs, over
-    a guard of 1,000 residues; one point over M(30000,Z/2) holds 9 * 10^8
-    residues.  Both are refused before any function is built."""
+    a guard of 1,000 residues; one point over M(20,Z/2) holds 400
+    residues, over a guard of 100.  Both are refused before any function
+    is built, and either input is small enough that a command which
+    skips the guard finishes at once and fails the test."""
     chain = tmp_path / "chain60.txt"
     chain.write_text("elements " + " ".join(f"x{i}" for i in range(60)) + "\n"
                      + "".join(f"rel x{i} x{i + 1}\n" for i in range(59)))
     point = tmp_path / "point.txt"
     point.write_text("elements a\n")
-    weights = write_weights(tmp_path, "w.json", "M(30000,Z/2)", {})
-    huge = {"convolve": ["--ring", "M(30000,Z/2)", "zeta", "zeta"],
-            "invert": ["--ring", "M(30000,Z/2)", "zeta"], "apply": ["--weights", weights, "zeta"]}
+    weights = write_weights(tmp_path, "w.json", "M(20,Z/2)", {})
+    huge = {"convolve": ["--ring", "M(20,Z/2)", "zeta", "zeta"],
+            "invert": ["--ring", "M(20,Z/2)", "zeta"], "apply": ["--weights", weights, "zeta"]}
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 100)
     code, out, err = run(capsys, command, "--poset", str(point), *huge[command])
-    assert (code, out, err) == (2, "", "error: a function on 1 comparable pairs over M(30000,Z/2) "
-                                "takes 900000000 residues, over the guard 10000000\n")
+    assert (code, out, err) == (2, "", "error: a function on 1 comparable pairs over M(20,Z/2) "
+                                "takes 400 residues, over the guard 100\n")
     monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
     weights = write_weights(tmp_path, "w.json", "Z/2", {(f"x{i}", f"x{j}"): "1"
                                                        for i in range(60) for j in range(i + 1, 60)})
@@ -768,6 +772,50 @@ def test_invalid_system_is_inner_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "is-inner", "--poset", str(chain), "--weights", bad)
     assert code == 1
     assert "chain condition" in err
+
+
+def test_invalid_system_is_refused_before_an_unknown_root(capsys, tmp_path, chain3):
+    """An invalid system is reported as such before --root is resolved:
+    the walks refuse an unknown root only for a system the gate accepts."""
+    chain = tmp_path / "chain3.txt"
+    chain.write_text("elements a b c\nrel a b\nrel b c\n")
+    weights = {("a", "b"): "2", ("b", "c"): "3", ("a", "c"): "2"}
+    bad = write_weights(tmp_path, "bad.json", "Z/5", weights)
+    base = ["--poset", str(chain), "--weights", bad, "--root", "zz"]
+    for command in ("is-inner", "decompose"):
+        assert run(capsys, command, *base) == (
+            1, "", "not a weight system: chain condition fails at ('a', 'b', 'c')\n")
+    code, out, err = run(capsys, "check", *base, "--expect-inner")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"pairs": 3, "ring": "Z/5", "valid": False,
+                               "violations": [["a", "b", "c"]]}
+    ws = load_weight_system(bad, chain3.quotient())
+    for walk in (find_potential, decompose):
+        with pytest.raises(WeightSystemError):
+            walk(ws, "zz")
+    weights[("a", "c")] = "1"  # 2 * 3 mod 5: valid, so the root is refused
+    good = write_weights(tmp_path, "good.json", "Z/5", weights)
+    for command in (["is-inner"], ["decompose"], ["check", "--expect-inner"]):
+        assert run(capsys, *command, "--poset", str(chain), "--weights", good, "--root", "zz") == (
+            2, "", "error: unknown label 'zz'\n")
+
+
+def test_run_command_calls_share_no_state(capsys, crown_txt, tmp_path):
+    """One parser serves every call in a process: options of one call do
+    not leak into the next, and a parse error leaves it as it was."""
+    from incalg import cli
+
+    noninner = write_weights(tmp_path, "ni.json", "Z/5", NON_INNER)
+    base = ["check", "--poset", crown_txt, "--weights", noninner]
+    code, out, _ = run(capsys, *base, "--expect-inner", "--root", "b")
+    assert code == 1 and json.loads(out)["inner"] is False
+    plain = run(capsys, *base)
+    assert plain == (0, _dump({"pairs": 4, "ring": "Z/5", "valid": True, "violations": []}), "")
+    error = run(capsys, *base, "--bogus")
+    assert error[:2] == (2, "") and "unrecognized arguments: --bogus" in error[2]
+    assert run(capsys, *base) == plain
+    assert run(capsys, *base, "--bogus") == error
+    assert cli._parser() is cli._parser()
 
 
 def test_usage_errors(capsys):

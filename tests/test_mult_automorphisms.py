@@ -36,6 +36,7 @@ from incalg.mult_automorphisms import (
     weight_system_to_json,
 )
 from incalg.oracle import (
+    DEFAULT_SUITE_RINGS,
     connected_posets,
     enumerate_inner,
     enumerate_mult,
@@ -598,6 +599,78 @@ def test_scalar_weight_layer_matches_ring_arithmetic(spec, seed=31):
             mutants += 1
             broken += not bad.is_valid()
     assert mutants > 100 and 0 < broken < mutants
+
+
+def _check_walks(ws, root):
+    """find_potential and decompose, each on a fresh copy of ws: a walk
+    sets ``_valid`` exactly where the full cover-triple gate accepts (it
+    raises WeightSystemError where the gate rejects), its result equals
+    the reference walk, and violations(limit) then reads as on a copy no
+    walk touched.  Returns "invalid", "outer" or "inner"."""
+    q, ring = ws.poset, ws.ring
+    gate = WeightSystem(q, ring, ws.values).is_valid()
+    expected = WeightSystem(q, ring, ws.values).violations()
+    tree = tree_of(q, root)
+    v, w1 = _ref_tree_split(ws, root)
+    outer = [s for s in tree.non_tree_slots if w1.values[s] != ring.one()]
+    for walk in (find_potential, decompose):
+        copy = WeightSystem(q, ring, ws.values)
+        try:
+            got = walk(copy, root)
+        except WeightSystemError:
+            got = None
+        assert copy._valid is gate is (got is not None)
+        for limit in (1, 5, None):
+            assert copy.violations(limit) == expected[:limit]
+        if got is None:
+            continue
+        if walk is decompose:
+            assert got == (w1, _ref_coboundary(v), v)
+        elif outer:
+            i, j = q.index_pairs[outer[0]]
+            w = w1.values[outer[0]]
+            assert got.cycle == tree.cycle(outer[0])
+            assert got.weight == (w if j < i else ring.inverse(w)) == cycle_weight(copy, got.cycle)
+        else:
+            assert got == v
+    return "invalid" if not gate else "outer" if outer else "inner"
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SUITE_RINGS)
+def test_walk_certificate_on_every_enumerated_system(spec):
+    """Every system enumerate_mult lists on the connected posets of at
+    most 4 points, from the least and the greatest class."""
+    ring = parse_ring_spec(spec)
+    seen = Counter()
+    for poset in connected_posets(4):
+        q = poset.quotient()
+        for ws in enumerate_mult(q, ring):
+            for root in (None, q.reps[-1]):
+                seen[_check_walks(ws, root)] += 1
+    assert seen["invalid"] == 0 and seen["inner"] >= 30
+    assert (seen["outer"] > 0) == (len(ring.central_units()) > 1)
+
+
+@pytest.mark.parametrize("spec", ["Z/7", "Z/2 x Z/3", "M(2,Z/3)"])
+def test_walk_certificate_on_corrupted_coboundaries(gate_posets, boolean6, spec, seed=41):
+    """Seeded coboundaries on the gate posets and B_6, and copies with 1,
+    2 and 3 slots changed: the walks certify only what the gate accepts."""
+    rng = random.Random(seed)
+    ring = parse_ring_spec(spec)
+    units = ring.central_units()
+    seen = Counter()
+    for poset in [*gate_posets, boolean6]:
+        q = poset.quotient()
+        if not q.index_pairs:
+            continue
+        ws = from_potential(Potential(q, ring, tuple(rng.choice(units) for _ in q.reps)))
+        assert _check_walks(ws, None) == "inner"
+        for k in (1, 2, 3):
+            values = list(ws.values)
+            for slot in rng.sample(range(len(values)), min(k, len(values))):
+                values[slot] = rng.choice([u for u in units if u != values[slot]])
+            seen[_check_walks(WeightSystem(q, ring, tuple(values)), rng.choice(q.reps))] += 1
+    assert seen["invalid"] > 150 and seen["outer"] > 20
 
 
 def _dumps(obj):
