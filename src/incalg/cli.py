@@ -3,9 +3,9 @@
 Exit codes are stable for CI use: 0 on success, 1 when a verification
 fails (invalid weight system, system not inner, non-invertible function,
 failed oracle suite), 2 when an input does not parse or a guard refuses
-an enumeration or an incidence function too large to build.  All output
-is deterministic: JSON with sorted keys and a trailing newline,
-identical bytes for identical inputs and seed.
+an enumeration, a quotient or an incidence function too large to build.
+All output is deterministic: JSON with sorted keys and a trailing
+newline, identical bytes for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 
+from . import oracle
 from .coeff_rings import NonUnitError, parse_ring_spec, split_top_level
 from .comparability import tree_of
 from .incidence_algebra import (
@@ -76,8 +77,18 @@ def _function_arg(name, preorder, ring):
     return load_function(name, preorder, ring)
 
 
+def _quotient(path):
+    """The quotient of the preorder file at path, refused before it is built
+    over ``GUARD_VECTORS`` comparable pairs, the count ``guard_functions`` takes."""
+    preorder = load_preorder(path)
+    if (pairs := sum(map(int.bit_count, preorder._up))) > oracle.GUARD_VECTORS:
+        raise GuardExceeded(f"a preorder with {pairs} comparable pairs is over the guard "
+                            f"{oracle.GUARD_VECTORS}")
+    return preorder.quotient()
+
+
 def _load_weights(args):
-    ws = load_weight_system(args.weights, load_preorder(args.poset).quotient(), _ring_of(args))
+    ws = load_weight_system(args.weights, _quotient(args.poset), _ring_of(args))
     guard_functions(ws.poset.source, ws.ring)  # before any command computes with it
     return ws
 
@@ -102,11 +113,10 @@ def _witness(ws, found):
 
 
 def _cmd_info(args) -> int:
-    preorder = load_preorder(args.poset)
-    quotient = preorder.quotient()
+    quotient = _quotient(args.poset)
     tree = tree_of(quotient)  # one graph and one forest per quotient
     doc = {
-        "elements": len(preorder.elements),
+        "elements": len(quotient.source.elements),
         "n": quotient.n_classes,
         "classes": [list(c) for c in quotient.classes],
         "m": tree.graph.m,
@@ -188,8 +198,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    preorder = load_preorder(args.poset)
-    quotient = preorder.quotient()
+    quotient = _quotient(args.poset)
     ring = parse_ring_spec(args.ring)
     mult = enumerate_mult(quotient, ring, force=args.force)
     inner = enumerate_inner(quotient, ring, force=args.force)
@@ -228,7 +237,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(
                 f"--{'max-classes' if args.max_classes is not None else 'seed'} is for the "
                 "sweep, not --poset")
-        quotient = load_preorder(args.poset).quotient()
+        quotient = _quotient(args.poset)
         specs = DEFAULT_SUITE_RINGS if args.ring is None else split_top_level(args.ring)
         rings = [parse_ring_spec(spec) for spec in specs]  # all parse before any runs
         reports = [verify_structure(quotient, ring, args.root, force=args.force) for ring in rings]

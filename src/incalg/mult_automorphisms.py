@@ -377,10 +377,10 @@ def from_mult_function(m: IncidenceFunction) -> WeightSystem:
 
 
 def weight_system_to_json(ws: WeightSystem) -> str:
-    pairs = ws.poset.strict_pairs()
-    values = format_values(ws.ring, ws.values)
+    rep, pairs = ws.poset.reps.__getitem__, ws.poset.index_pairs
+    ends = [map(rep, map(itemgetter(k), pairs)) for k in (0, 1)]
     return write_records({"ring": str(ws.ring)}, "weights", ("from", "to", "value"),
-                         (map(itemgetter(0), pairs), map(itemgetter(1), pairs), values))
+                         (*ends, format_values(ws.ring, ws.values)))
 
 
 def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
@@ -391,11 +391,11 @@ def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
     labels run, to name the first bad one.  The values are parsed by
     ``parse_values``, once per distinct text, and each distinct value is
     tested for a central unit once.  The rows map to slots in bulk
-    through ``class_of`` and ``slot_of``, with no key tuples.  When every
-    value is a central unit and the rows name every slot once, the values
-    are laid out by slot directly; otherwise
-    :meth:`WeightSystem.from_values` runs on the parsed rows and raises
-    the error of the first faulty one.
+    through the label map ``source._index``, then ``elem_class`` and
+    ``slot_of``, with no key tuples.  When every value is a central unit
+    and the rows name every slot once, the values are laid out by slot
+    directly; otherwise :meth:`WeightSystem.from_values` runs on the
+    parsed rows and raises the error of the first faulty one.
     """
     obj, (xs, ys, texts) = read_records(text, "weight-system", "weights",
                                         ("from", "to", "value"), WeightSystemError)
@@ -413,9 +413,9 @@ def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
     use = file_ring if ring is None else ring
     values, distinct = parse_values(use, texts)
     del obj, texts  # the decoded file: freed before the slots are laid out
-    cls, size = poset.class_of.__getitem__, len(poset.index_pairs)
-    rows = map(poset.slot_of.__getitem__, map(cls, xs))
-    slots = list(map(dict.get, rows, map(cls, ys)))
+    cls, index = poset.elem_class.__getitem__, poset.source._index.__getitem__
+    rows = map(poset.slot_of.__getitem__, map(cls, map(index, xs)))
+    slots, size = list(map(dict.get, rows, map(cls, map(index, ys)))), len(poset.index_pairs)
     if len(slots) == size and all(map(use.is_central_unit, distinct)):
         table = dict(zip(slots, values))
         if len(table) == size and None not in table:

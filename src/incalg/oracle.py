@@ -15,8 +15,9 @@ Sizes are guarded by module constants, read at call time and tested
 before anything is built: ``GUARD_VECTORS`` for the count of weight
 systems and potentials (``force=True`` lifts only this), the residues of
 their central units and of one incidence function (:func:`guard_functions`),
-and ``GUARD_ALGEBRA`` for the conjugation and bimodule sweeps.  All
-randomness is seeded and the seed lands in the report.
+and the comparable pairs of a preorder before the CLI builds its quotient
+(the pair guard); ``GUARD_ALGEBRA`` for the conjugation and bimodule
+sweeps.  All randomness is seeded and the seed lands in the report.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     tree_slots = [slot for _, _, slot, _ in tree.steps]
     one, mul, inverse = ring.one(), ring.mul, ring.inverse
     ones = [one] * len(tree_slots)
-    cls, slot_of = poset.class_of, poset.slot_of
-    walks = [[(cls[x], cls[y]) for x, y in zip(c.sequence, c.sequence[1:])] for c in tree.cycles]
+    cls, slot_of = poset._c, poset.slot_of
+    walks = [[(cls(x), cls(y)) for x, y in zip(c.sequence, c.sequence[1:])] for c in tree.cycles]
     cycles = [[(slot_of[a][b], True) if b in slot_of[a] else (slot_of[b][a], False)
                for a, b in walk] for walk in walks]
 

@@ -17,7 +17,8 @@ in ascending j: one map, read both ways with ``index_pairs``.
 ``triples(i, middles)`` lays out the triples i < z < j through given
 middle classes z as three slot lists.  Weight systems and potentials are
 tuples over those slots and class indices, incidence functions are keyed
-by element index pairs; labels are resolved only at the edges.
+by element index pairs.  Labels are resolved only at the edges, through
+the one label map ``source._index``; label-pair lists are built on demand.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ class Preorder:
         self._index = {x: i for i, x in enumerate(self.elements)}
         self._up = list(up_masks)
         self._quotient = None
-        self._pairs = None
         self._layout = None  # filled by incidence_algebra._layout
 
     def _i(self, x) -> int:
@@ -145,12 +145,10 @@ class Preorder:
         return bool(self._up[i] >> j & 1) and not self._up[j] >> i & 1
 
     def comparable_pairs(self):
-        """Sorted list of ordered pairs (x, y) with x <= y, diagonal included."""
-        if self._pairs is None:
-            labels = self.elements
-            self._pairs = sorted(
-                [(x, labels[j]) for x, row in zip(labels, self._up) for j in _bits(row)])
-        return self._pairs
+        """Sorted list of ordered pairs (x, y) with x <= y, diagonal included,
+        a new list on each call."""
+        labels = self.elements
+        return sorted([(x, labels[j]) for x, row in zip(labels, self._up) for j in _bits(row)])
 
     def quotient(self) -> "QuotientPoset":
         if self._quotient is None:
@@ -176,7 +174,8 @@ class QuotientPoset:
     Classes are sorted-label tuples ordered by representative; the
     representative is the lexicographically least member, so reps ascend
     with the class index.  Order queries accept any member label and
-    answer for its class.
+    answer for its class, read through ``source._index``: the quotient
+    keeps no label map of its own.
 
     The index view: ``elem_class[e]`` is the class of element e (an
     index into ``source.elements``), ``_up[i]`` is the bitmask of the
@@ -187,30 +186,29 @@ class QuotientPoset:
     """
 
     def __init__(self, source: Preorder):
-        up = source._up
+        up, labels = source._up, source.elements
         groups = {}  # equivalent elements are exactly those with equal up rows
-        for i, row in enumerate(up):
-            groups.setdefault(row, []).append(i)
-        classes = sorted(
-            (tuple(sorted(source.elements[i] for i in members)) for members in groups.values()),
-            key=lambda c: c[0],
-        )
+        for e, row in enumerate(up):
+            groups.setdefault(row, []).append(e)
+        members = sorted((sorted(g, key=labels.__getitem__) for g in groups.values()),
+                         key=lambda g: labels[g[0]])  # labels serve only as sort keys
         self.source = source
-        self.classes = tuple(classes)
+        self.classes = tuple(tuple(map(labels.__getitem__, g)) for g in members)
         self.reps = tuple(c[0] for c in self.classes)
-        self.class_of = {lab: ci for ci, c in enumerate(self.classes) for lab in c}
-        self.elem_class = elem_class = [self.class_of[x] for x in source.elements]
+        self.elem_class = elem_class = [0] * len(labels)
+        for ci, g in enumerate(members):
+            for e in g:
+                elem_class[e] = ci
         self._up, pairs, self.slot_of = [], [], []
-        for ci, r in enumerate(self.reps):
+        for ci, g in enumerate(members):
             row = 0
-            for e in _bits(up[source._index[r]]):
+            for e in _bits(up[g[0]]):
                 row |= 1 << elem_class[e]
             self._up.append(row)
             above = _bits(row & ~(1 << ci))
             self.slot_of.append(dict(zip(above, range(len(pairs), len(pairs) + len(above)))))
             pairs += zip(repeat(ci), above)
         self.index_pairs = tuple(pairs)
-        self._strict_pairs = None
         self._height = None
         self._graph, self._trees = None, {}  # filled by comparability.tree_of
 
@@ -256,10 +254,7 @@ class QuotientPoset:
         return len(self.classes)
 
     def _c(self, x) -> int:
-        try:
-            return self.class_of[x]
-        except KeyError:
-            raise PreorderError(f"unknown label {x!r}") from None
+        return self.elem_class[self.source._i(x)]
 
     def rep(self, x) -> str:
         return self.reps[self._c(x)]
@@ -272,12 +267,11 @@ class QuotientPoset:
         """All ordered pairs of representatives (x, y) with [x] < [y], sorted.
 
         Slot s holds the labels of ``index_pairs[s]``; reps ascend with
-        the class index, so this order is the sorted order.
+        the class index, so this order is the sorted order.  A new list
+        on each call.
         """
-        if self._strict_pairs is None:
-            reps = self.reps
-            self._strict_pairs = [(reps[i], reps[j]) for i, j in self.index_pairs]
-        return self._strict_pairs
+        reps = self.reps
+        return [(reps[i], reps[j]) for i, j in self.index_pairs]
 
     def height(self) -> int:
         """Longest strict chain length anywhere in the quotient: the
@@ -300,14 +294,8 @@ class QuotientPoset:
         return sorted(range(self.n_classes), key=lambda c: self._up[c].bit_count())
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, QuotientPoset)
-            and other.classes == self.classes
-            and other._up == self._up
-            and other.source == self.source
-        )
+        """Equal sources: the quotient is a function of its source."""
+        return self is other or (isinstance(other, QuotientPoset) and other.source == self.source)
 
     def __repr__(self):
         return f"QuotientPoset({self.n_classes} classes)"

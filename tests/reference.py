@@ -105,9 +105,9 @@ def random_unit(preorder, ring, rng, density=0.6) -> IncidenceFunction:
             for j, t in enumerate(members):
                 entries.append((s, t, mat[i][j]))
     zero = ring.zero()
-    cls = quotient.class_of
+    cls = quotient._c
     for x, y in preorder.comparable_pairs():
-        if cls[x] != cls[y] and rng.random() < density:
+        if cls(x) != cls(y) and rng.random() < density:
             entries.append((x, y, elements[rng.randrange(len(elements))]))
     return IncidenceFunction.from_entries(
         preorder, ring, [(x, y, v) for x, y, v in entries if v != zero]

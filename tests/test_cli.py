@@ -17,7 +17,13 @@ from incalg.mult_automorphisms import (
     weight_system_to_json,
 )
 from incalg.oracle import enumerate_inner, enumerate_mult
-from incalg.preorder_core import close_relations, preorder_to_text
+from incalg.preorder_core import (
+    Preorder,
+    close_relations,
+    load_preorder,
+    preorder_descriptor,
+    preorder_to_text,
+)
 
 
 def run(capsys, *argv):
@@ -226,16 +232,33 @@ def test_convolve_and_invert(capsys, chain3_txt):
     assert ("a", "c") not in entries
 
 
+def _chain_file(tmp_path, n):
+    chain = tmp_path / f"chain{n}.txt"
+    chain.write_text("elements " + " ".join(f"x{i}" for i in range(n)) + "\n"
+                     + "".join(f"rel x{i} x{i + 1}\n" for i in range(n - 1)))
+    return str(chain)
+
+
+def _identity_weights(tmp_path, n, spec):
+    """A weight file of ones over ``spec`` on every pair of the n-chain."""
+    ring = parse_ring_spec(spec)
+    one = ring.format_element(ring.one())
+    return write_weights(tmp_path, "w.json", spec, {(f"x{i}", f"x{j}"): one
+                                                    for i in range(n) for j in range(i + 1, n)})
+
+
+M5_REFUSAL = ("error: a function on 55 comparable pairs over M(5,Z/2) takes 1375 residues, "
+              "over the guard 1000\n")
+
+
 @pytest.mark.parametrize("command", ["convolve", "invert", "apply"])
 def test_algebra_commands_refuse_functions_over_the_guard(capsys, tmp_path, monkeypatch, command):
-    """A function on a 60-chain over Z/2 has 1,830 comparable pairs, over
-    a guard of 1,000 residues; one point over M(20,Z/2) holds 400
-    residues, over a guard of 100.  Both are refused before any function
-    is built, and either input is small enough that a command which
-    skips the guard finishes at once and fails the test."""
-    chain = tmp_path / "chain60.txt"
-    chain.write_text("elements " + " ".join(f"x{i}" for i in range(60)) + "\n"
-                     + "".join(f"rel x{i} x{i + 1}\n" for i in range(59)))
+    """A function on a 10-chain over M(5,Z/2) holds 55 * 25 = 1,375
+    residues, over a guard of 1,000 that its 55 comparable pairs are
+    under; one point over M(20,Z/2) holds 400 residues, over a guard of
+    100.  Both are refused before any function is built, and either input
+    is small enough that a command which skips the guard finishes at once
+    and fails the test."""
     point = tmp_path / "point.txt"
     point.write_text("elements a\n")
     weights = write_weights(tmp_path, "w.json", "M(20,Z/2)", {})
@@ -246,30 +269,44 @@ def test_algebra_commands_refuse_functions_over_the_guard(capsys, tmp_path, monk
     assert (code, out, err) == (2, "", "error: a function on 1 comparable pairs over M(20,Z/2) "
                                 "takes 400 residues, over the guard 100\n")
     monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
-    weights = write_weights(tmp_path, "w.json", "Z/2", {(f"x{i}", f"x{j}"): "1"
-                                                       for i in range(60) for j in range(i + 1, 60)})
-    small = {"convolve": ["--ring", "Z/2", "zeta", "zeta"], "invert": ["--ring", "Z/2", "zeta"],
-             "apply": ["--weights", weights, "zeta"]}
-    code, out, err = run(capsys, command, "--poset", str(chain), *small[command])
-    assert (code, out, err) == (2, "", "error: a function on 1830 comparable pairs over Z/2 "
-                                "takes 1830 residues, over the guard 1000\n")
+    small = {"convolve": ["--ring", "M(5,Z/2)", "zeta", "zeta"],
+             "invert": ["--ring", "M(5,Z/2)", "zeta"],
+             "apply": ["--weights", _identity_weights(tmp_path, 10, "M(5,Z/2)"), "zeta"]}
+    code, out, err = run(capsys, command, "--poset", _chain_file(tmp_path, 10), *small[command])
+    assert (code, out, err) == (2, "", M5_REFUSAL)
 
 
 @pytest.mark.parametrize("command", [["is-inner"], ["decompose"], ["check"],
                                      ["check", "--expect-inner"]], ids=" ".join)
 def test_weight_commands_refuse_functions_over_the_guard(capsys, tmp_path, monkeypatch, command):
     """The weight commands test the function guard once the weight file is
-    read, as apply does: an all-ones system on a 60-chain over Z/2 spans
-    1,830 comparable pairs, over a guard of 1,000 residues."""
-    chain = tmp_path / "chain60.txt"
-    chain.write_text("elements " + " ".join(f"x{i}" for i in range(60)) + "\n"
-                     + "".join(f"rel x{i} x{i + 1}\n" for i in range(59)))
-    weights = write_weights(tmp_path, "w.json", "Z/2", {(f"x{i}", f"x{j}"): "1"
-                                                       for i in range(60) for j in range(i + 1, 60)})
+    read, as apply does: a system of ones on a 10-chain over M(5,Z/2)
+    spans 55 comparable pairs, under a guard of 1,000, and 1,375
+    residues, over it."""
+    weights = _identity_weights(tmp_path, 10, "M(5,Z/2)")
     monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
-    code, out, err = run(capsys, *command, "--poset", str(chain), "--weights", weights)
-    assert (code, out, err) == (2, "", "error: a function on 1830 comparable pairs over Z/2 "
-                                "takes 1830 residues, over the guard 1000\n")
+    code, out, err = run(capsys, *command, "--poset", _chain_file(tmp_path, 10),
+                         "--weights", weights)
+    assert (code, out, err) == (2, "", M5_REFUSAL)
+
+
+@pytest.mark.parametrize("command", [["info"], ["check"], ["is-inner"], ["decompose"],
+                                     ["apply"], ["enumerate"], ["verify"]], ids=" ".join)
+def test_quotient_commands_refuse_preorders_over_the_pair_guard(capsys, tmp_path, monkeypatch,
+                                                                command):
+    """Every command that builds a quotient refuses, before it is built, a
+    preorder of more comparable pairs than ``GUARD_VECTORS``: a 60-chain
+    has 1,830, over a guard of 1,000."""
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
+    monkeypatch.setattr(Preorder, "quotient", lambda self: pytest.fail("a quotient was built"))
+    weights = write_weights(tmp_path, "w.json", "Z/2", {})
+    extra = {"check": ["--weights", weights], "is-inner": ["--weights", weights],
+             "decompose": ["--weights", weights], "apply": ["--weights", weights, "zeta"],
+             "enumerate": ["--ring", "Z/2"], "verify": ["--ring", "Z/2"]}
+    code, out, err = run(capsys, *command, "--poset", _chain_file(tmp_path, 60),
+                         *extra.get(command[0], []))
+    assert (code, out, err) == (2, "", "error: a preorder with 1830 comparable pairs is over "
+                                "the guard 1000\n")
 
 
 def test_invert_non_unit(capsys, chain3_txt, tmp_path):
@@ -294,9 +331,20 @@ def test_duplicate_function_pair_exits_2(capsys, tmp_path, values):
     assert err == "error: duplicate entry for pair (a, b)\n"
 
 
+# the crown with a tail: d ~ e, and f covering c only; reps a b c d f
+TAILED = "rel a c\nrel a d\nrel b c\nrel b d\nrel c f\nrel d e\nrel e d\n"
+TAILED_INNER = {("a", "c"): "3", ("a", "d"): "4", ("a", "f"): "2", ("b", "c"): "4",
+                ("b", "d"): "2", ("b", "f"): "1", ("c", "f"): "4"}
+
+
 def test_output_order_does_not_depend_on_declaration_order(capsys, crown_txt, tmp_path):
-    """The same crown declared as d c b a gives byte-identical stdout:
-    records are written in label order, not in element order."""
+    """The same preorder declared with its labels backwards gives
+    byte-identical output: records are written in label order, classes
+    listed by least member, witnesses and roots found in class order, not
+    in element order.  The function commands run on the crown declared
+    as d c b a; every command that builds a quotient also runs on a
+    crown with a tail whose two-element class {d, e} is declared e d
+    (verify's poset= field, which replays the declaration, aside)."""
     backwards = tmp_path / "backwards.txt"
     backwards.write_text("elements d c b a\nrel a c\nrel a d\nrel b c\nrel b d\n")
     f = _write_function(tmp_path / "f.json", {
@@ -312,6 +360,29 @@ def test_output_order_does_not_depend_on_declaration_order(capsys, crown_txt, tm
                                                                              str(backwards))]
         assert outs[0][0] == 0 and outs[0][1].count('"from"') >= 6
         assert outs[1] == outs[0], args[0]
+    tailed = [tmp_path / "tailed.txt", tmp_path / "tailed_backwards.txt"]
+    tailed[0].write_text("elements a b c d e f\n" + TAILED)
+    tailed[1].write_text("elements f e d c b a\n" + TAILED)
+    cases = {
+        "crown": ([crown_txt, str(backwards)], INNER, NON_INNER, NON_INNER),
+        "tailed": (list(map(str, tailed)), TAILED_INNER, {**TAILED_INNER, ("a", "d"): "3"},
+                   {**TAILED_INNER, ("a", "f"): "3"}),
+    }
+    for name, (paths, inner, outer, bad) in cases.items():
+        inner, outer, bad = (write_weights(tmp_path, f"{name}_{kind}.json", "Z/5", w)
+                             for kind, w in (("inner", inner), ("outer", outer), ("bad", bad)))
+        for args, code in ((["info", "--ring", "Z/5"], 0), (["is-inner", "--weights", inner], 0),
+                           (["is-inner", "--weights", outer], 1),
+                           (["decompose", "--weights", outer], 0),
+                           (["check", "--weights", bad], int(name == "tailed")),
+                           (["check", "--expect-inner", "--weights", outer], 1),
+                           (["enumerate", "--ring", "Z/3", "--list", "mult"], 0),
+                           (["verify", "--ring", "Z/3"], 0)):
+            outs = [run(capsys, args[0], "--poset", path, *args[1:]) for path in paths]
+            outs = [(c, out.replace(preorder_descriptor(load_preorder(path)), "P"), err)
+                    for (c, out, err), path in zip(outs, paths)]
+            assert outs[0][0] == code and outs[0][1], (name, args)
+            assert outs[1] == outs[0], (name, args)
 
 
 def test_apply_builtin_function(capsys, crown_txt, tmp_path):

@@ -428,8 +428,8 @@ def _ref_invert(f):
             for b, t in enumerate(members):
                 if inv[a][b] != zero:
                     v_inv[s, t] = inv[a][b]
-    cls = quotient.class_of
-    strict = _ref_rows((p, a) for p, a in f.items() if cls[p[0]] != cls[p[1]])
+    cls = quotient._c
+    strict = _ref_rows((p, a) for p, a in f.items() if cls(p[0]) != cls(p[1]))
     rows = {}
     for ci in quotient.top_down():
         members = quotient.classes[ci]

@@ -43,7 +43,7 @@ from incalg.oracle import (
     random_function,
     verify_structure,
 )
-from incalg.preorder_core import close_relations
+from incalg.preorder_core import close_relations, load_preorder_text
 from reference import class_members, cycle_weight, inflate
 
 
@@ -63,7 +63,7 @@ def from_tree(tree, ring, tree_values) -> WeightSystem:
                        frozenset(_tree_edges(tree)), "a tree edge")
     c = [None] * len(q.index_pairs)
     for (x, y), u in weights.items():
-        c[q.slot_of[q.class_of[x]][q.class_of[y]]] = u
+        c[q.slot_of[q._c(x)][q._c(y)]] = u
     return from_potential(_ref_propagate(c, tree, ring))
 
 
@@ -116,6 +116,27 @@ def test_group_structure(crown):
     assert ws * ws.inverse() == ident
     prod = ws * ws
     assert prod.value("a", "c") == 4
+
+
+def test_systems_on_separately_loaded_equal_preorders_compare_by_value():
+    """A quotient equals the quotient of an equal preorder loaded apart, so
+    systems on the two multiply, compare and hash by value; a different
+    preorder's quotient is another carrier."""
+    text = "elements a b c d\nrel a c\nrel a d\nrel b c\nrel b d\n"
+    q1, q2 = (load_preorder_text(text).quotient() for _ in range(2))
+    other = load_preorder_text(text + "rel c d\n").quotient()
+    assert q1 is not q2 and q1 == q2 and q1 != other
+    ring = ZMod(5)
+    w1 = WeightSystem.from_values(q1, ring, {p: 2 for p in q1.strict_pairs()})
+    w2 = WeightSystem.from_values(q2, ring, {p: 3 for p in q2.strict_pairs()})
+    assert w1 * w2 == WeightSystem.identity(q2, ring)
+    twin = WeightSystem.from_values(q2, ring, w1.items())
+    assert twin == w1 and hash(twin) == hash(w1) and len({w1, twin}) == 1
+    with pytest.raises(WeightSystemError, match="different carriers"):
+        w1 * WeightSystem.identity(other, ring)
+    for x, y in (("a", "a"), ("a", "b"), ("c", "a")):
+        with pytest.raises(WeightSystemError, match=f"no weight for pair \\({x}, {y}\\)"):
+            w1.value(x, y)
 
 
 def test_identity_is_valid_everywhere(diamond):
@@ -207,7 +228,7 @@ def _tree_path(tree, x, y):
             chain.append(tree.parent[chain[-1]])
         return chain
 
-    left, right = to_root(q.class_of[x]), to_root(q.class_of[y])
+    left, right = to_root(q._c(x)), to_root(q._c(y))
     while len(left) > 1 and len(right) > 1 and left[-2] == right[-2]:
         left.pop()
         right.pop()

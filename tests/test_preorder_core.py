@@ -59,6 +59,28 @@ def test_equivalence_and_quotient(preorder_21):
     assert q.strict_pairs() == [("a1", "b1")]
 
 
+def test_label_pair_lists_are_new_on_each_call(crown):
+    """The label-pair lists are built on demand: a caller that reorders
+    one changes neither the quotient nor the next list."""
+    q = crown.quotient()
+    for get in (crown.comparable_pairs, q.strict_pairs):
+        first = get()
+        first.reverse()
+        assert get() == sorted(first) and get() is not get()
+    assert q.strict_pairs() == [(q.reps[i], q.reps[j]) for i, j in q.index_pairs]
+
+
+def test_classes_and_reps_follow_labels_not_declaration_order():
+    """Members and classes are ordered by label, whatever the order the
+    elements are declared in; the element-to-class index follows."""
+    p = load_preorder_text("elements y x c\nrel x y\nrel y x\nrel c x\n")
+    q = p.quotient()
+    assert q.classes == (("c",), ("x", "y")) and q.reps == ("c", "x")
+    assert q.elem_class == [1, 1, 0] and [q._c(x) for x in "cxy"] == [0, 1, 1]
+    with pytest.raises(PreorderError, match="unknown label 'z'"):
+        q.rep("z")
+
+
 def test_quotient_of_poset_is_identity(crown):
     q = crown.quotient()
     assert q.n_classes == len(crown.elements)
