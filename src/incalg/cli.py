@@ -3,7 +3,8 @@
 Exit codes are stable for CI use: 0 on success, 1 when a verification
 fails (invalid weight system, system not inner, non-invertible function,
 failed oracle suite), 2 when an input does not parse or a guard refuses
-an enumeration, a quotient or an incidence function too large to build.
+a preorder file too large to close, an enumeration, a quotient or an
+incidence function too large to build.
 All output is deterministic: JSON with sorted keys and a trailing
 newline, identical bytes for identical inputs and seed.
 """

@@ -15,12 +15,13 @@ int with a fixed-width field per column (Kronecker substitution), so a
 row of fg is the sum of f(x, z) times the packed rows z of g, one big-int
 multiply-add per term, and every field is reduced mod n once.  One field
 map places each pair's entry, for packing and reading back alike
-(``_Kernel.at``).  Functions split into a class-diagonal part (pairs
-inside one equivalence class) and a strict part (pairs across classes).
-:func:`invert` inverts the diagonal blocks, each by one row reduction
-over Z/n (``det_inverse``), and then solves f g = 1 row by row, top
-class first (Rota's Moebius recursion), for the cost of about one
-convolution.
+(``_Kernel.at``), one kernel per preorder and scalar ring; the pairs are
+the preorder's one pair list, ``index_pairs``, which also keys :func:`zeta`.
+Functions split into a class-diagonal part (pairs inside one class) and
+a strict part (pairs across classes).  :func:`invert` inverts the
+diagonal blocks, each by one row reduction over Z/n (``det_inverse``),
+and then solves f g = 1 row by row, top class first (Rota's Moebius
+recursion), for the cost of about one convolution.
 
 ``IncidenceFunction(...)`` trusts its arguments and is what the algebra
 uses internally.  Labels appear only at the boundary: ``from_entries``
@@ -39,7 +40,6 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .coeff_rings import RingMismatchError, det_inverse, scalar_view
-from .preorder_core import _bits
 
 
 class SupportError(ValueError):
@@ -147,65 +147,42 @@ def _same_carrier(f, g):
         raise RingMismatchError("functions live on different carriers")
 
 
-class _Layout:
-    """The integer view of a preorder that the kernel reads, built once
-    per preorder (``Preorder._layout``).
-
-    Row x (an element index) spans the columns from ``lo[x]``, the least
-    index in its up-set, to the greatest, ``width[x]`` of them.
-    ``pairs`` lists the comparable index pairs row by row, columns
-    ascending: the keys of a function's entries, in the order a result
-    is read back.  ``most``, the size of the largest up-set, bounds the
-    number of terms of one entry of a product.  The :class:`_Kernel` of
-    each scalar ring is built on first use.
-    """
-
-    def __init__(self, preorder):
-        ups = list(map(_bits, preorder._up))
-        self.lo = [up[0] for up in ups]
-        self.width = [up[-1] - up[0] + 1 for up in ups]
-        self.pairs = [(x, y) for x, up in enumerate(ups) for y in up]
-        self.most = max(map(len, ups))
-        self.kernels = {}
-
-    def kernel(self, n, k):
-        kernel = self.kernels.get((n, k))
-        if kernel is None:
-            kernel = self.kernels[n, k] = _Kernel(n, k, self)
-        return kernel
-
-
-def _layout(preorder):
-    if preorder._layout is None:
-        preorder._layout = _Layout(preorder)
-    return preorder._layout
+def _kernel(preorder, n, k):
+    """The :class:`_Kernel` of a preorder over Z/n, k x k blocks per pair, built once."""
+    kernel = preorder._kernels.get((n, k))
+    if kernel is None:
+        kernel = preorder._kernels[n, k] = _Kernel(preorder, n, k)
+    return kernel
 
 
 _FORMATS = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
 
 
 class _Kernel:
-    """Rows over Z/n (one factor of the scalar view), each packed into
-    one int with one fixed-width field per column.
+    """Rows of one preorder over Z/n (one factor of the scalar view), each
+    packed into one int with one fixed-width field per column.
 
-    Scalar row r spans ``width[r]`` columns from ``lo[r]``; column c
+    Element row x spans the columns from the least index in its up-set to
+    the greatest, k scalar rows of k times as many columns over M(k,Z/n):
+    scalar row r spans ``width[r]`` columns from ``lo[r]``.  Column c
     sits at bit ``bits * (c - lo[r])`` of its int, so a row z whose
     columns start later moves into row r's frame by a left shift of
     ``shift[z] - shift[r]``, with ``shift[r] = bits * lo[r]``.  Every
-    field has room for the largest unreduced sum it can take, the
-    terms of one entry of a product (at most ``most * k``) times
+    field has room for the largest unreduced sum it can take, the terms
+    of one entry of a product (at most k times the largest up-set) times
     (n - 1)^2, so a sum of multiples of packed rows adds every field at
     once with no carry between them.  Fields of 1, 2, 4 or 8 bytes are
     packed and read through ``array`` and ``memoryview`` casts; wider
     ones (large moduli) one at a time.
 
-    Pair (x, y)'s entry is packed into and read back from one field,
-    ``at[x] + y``, or over M(k,Z/n) block entry (i, j) from ``at[x*k+i]
-    + y*k + j``; ``cells`` lists these per (i, j), row-major.
+    Pair (x, y)'s entry is packed into and read from one field, ``at[x]
+    + y``, or over M(k,Z/n) block entry (i, j) from ``at[x*k+i] + y*k +
+    j``; ``cells`` lists these per (i, j), row-major, in ``index_pairs`` order.
     """
 
-    def __init__(self, n, k, lay):
-        need = -(-(lay.most * max(k, 1) * (n - 1) ** 2).bit_length() // 8)
+    def __init__(self, preorder, n, k):
+        up, per = preorder._up, k or 1  # scalar rows (and columns) per element
+        need = -(-(max(map(int.bit_count, up)) * per * (n - 1) ** 2).bit_length() // 8)
         size = min((s for s in _FORMATS if s >= need), default=need)
         fmt = _FORMATS.get(size)
         if fmt:
@@ -217,20 +194,17 @@ class _Kernel:
             self.data = lambda fields: b"".join(
                 map(int.to_bytes, fields, repeat(size), repeat("little")))
         self.n, self.bits = n, 8 * size
-        if k:
-            self.lo = [lo * k for lo in lay.lo for _ in range(k)]
-            self.width = [w * k for w in lay.width for _ in range(k)]
-        else:
-            self.lo, self.width = lay.lo, lay.width
+        lo = [(row & -row).bit_length() - 1 for row in up]
+        self.lo = [x * per for x in lo for _ in range(per)]
+        self.width = [(row.bit_length() - x) * per for row, x in zip(up, lo) for _ in range(per)]
         self.shift = [self.bits * lo for lo in self.lo]
         self.length = [w * size for w in self.width]  # bytes of a row
         self.bounds = list(pairwise(accumulate(self.length, initial=0)))
         # field of row r's column 0 when the rows are laid end to end; then their field count
         self.at = [s - lo for s, lo in zip(accumulate(self.width, initial=0), self.lo)]
         self.at.append(sum(self.width))
-        s = k or 1  # scalar rows (and columns) per element
-        self.cells = [[self.at[x * s + i] + y * s + j for x, y in lay.pairs]
-                      for i in range(s) for j in range(s)]
+        self.cells = [[self.at[x * per + i] + y * per + j for x, y in preorder.index_pairs]
+                      for i in range(per) for j in range(per)]
 
     def pack_rows(self, entries):
         """One packed int per row, from ((row, column), residue) items."""
@@ -240,10 +214,6 @@ class _Kernel:
             fields[at[r] + c] = v
         data = bytes(self.data(fields))
         return [int.from_bytes(data[a:b], "little") for a, b in self.bounds]
-
-    def pack(self, fields):
-        """One row's fields as a packed int."""
-        return int.from_bytes(self.data(fields), "little")
 
     def reduce(self, accs, lengths):
         """The fields of the packed rows ``accs``, of ``lengths`` bytes,
@@ -265,20 +235,20 @@ def _scalar_entries(items, k, part):
             for (x, y), a in items for i, row in enumerate(a) for j, v in enumerate(row) if v]
 
 
-def _function(lay, f, view, parts):
+def _function(f, view, parts):
     """The function over f's carrier whose scalar rows per factor are
     ``parts``, laid end to end: each factor's values are read at the
     fields of the pairs (``_Kernel.cells``), over M(k,Z/n) grouped into
     a k x k tuple per pair; a product ring zips its factors, and the
     nonzero values are the entries."""
-    cols = []
+    pairs, cols = f.preorder.index_pairs, []
     for (n, k, _), flat in zip(view, parts):
-        got = [list(map(flat.__getitem__, cells)) for cells in lay.kernel(n, k).cells]
+        got = [list(map(flat.__getitem__, cells)) for cells in _kernel(f.preorder, n, k).cells]
         cols.append(list(zip(*[zip(*got[i:i + k]) for i in range(0, k * k, k)])) if k else got[0])
     vals = cols[0] if len(cols) == 1 else list(zip(*cols))
     zero = f.ring.zero()  # 0 over Z/n, where a value is its own truth; a tuple otherwise
     keep = map(zero.__ne__, vals) if zero else vals
-    return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(lay.pairs, vals), keep)))
+    return IncidenceFunction(f.preorder, f.ring, dict(compress(zip(pairs, vals), keep)))
 
 
 def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
@@ -290,17 +260,16 @@ def convolve(f: IncidenceFunction, g: IncidenceFunction) -> IncidenceFunction:
     of f, then one reduction mod n per field.
     """
     _same_carrier(f, g)
-    lay = _layout(f.preorder)
     view = scalar_view(f.ring)
     parts = []
     for n, k, part in view:
-        kernel = lay.kernel(n, k)
+        kernel = _kernel(f.preorder, n, k)
         packed, shift = kernel.pack_rows(_scalar_entries(g.entries.items(), k, part)), kernel.shift
         accs = [0] * len(shift)
         for (r, c), a in _scalar_entries(f.entries.items(), k, part):
             accs[r] += a * packed[c] << shift[c] - shift[r]
         parts.append(kernel.reduce(accs, kernel.length))
-    return _function(lay, f, view, parts)
+    return _function(f, view, parts)
 
 
 def delta(preorder, ring) -> IncidenceFunction:
@@ -311,9 +280,7 @@ def delta(preorder, ring) -> IncidenceFunction:
 
 def zeta(preorder, ring) -> IncidenceFunction:
     """One on every comparable pair."""
-    one = ring.one()
-    return IncidenceFunction(
-        preorder, ring, {(i, j): one for i, row in enumerate(preorder._up) for j in _bits(row)})
+    return IncidenceFunction(preorder, ring, dict.fromkeys(preorder.index_pairs, ring.one()))
 
 
 def _flatten(k, rows):
@@ -380,7 +347,6 @@ def invert(f: IncidenceFunction) -> IncidenceFunction:
     plus v^-1 on the columns of X, reduced once per field and packed for
     the rows below.  The whole pass costs about one convolution.
     """
-    lay = _layout(f.preorder)
     view = scalar_view(f.ring)
     inverses = _class_inverses(f, view)
     quotient = f.preorder.quotient()
@@ -388,7 +354,7 @@ def invert(f: IncidenceFunction) -> IncidenceFunction:
     strict = [t for t in f.entries.items() if cls[t[0][0]] != cls[t[0][1]]]
     parts = []
     for fi, (n, k, part) in enumerate(view):
-        kernel = lay.kernel(n, k)
+        kernel = _kernel(f.preorder, n, k)
         lo, shift, length, bits = kernel.lo, kernel.shift, kernel.length, kernel.bits
         s_packed = kernel.pack_rows(_scalar_entries(strict, k, part))
         packed, rows = [0] * len(lo), [None] * len(lo)
@@ -409,9 +375,9 @@ def invert(f: IncidenceFunction) -> IncidenceFunction:
                     if v:
                         acc += v << bits * (s - lo[r])
                 rows[r] = row = kernel.reduce((acc,), (length[r],))
-                packed[r] = kernel.pack(row)
+                packed[r] = int.from_bytes(kernel.data(row), "little")
         parts.append(list(chain.from_iterable(rows)))
-    return _function(lay, f, view, parts)
+    return _function(f, view, parts)
 
 
 def unit_decompose(u: IncidenceFunction):

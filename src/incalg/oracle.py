@@ -267,22 +267,20 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
     unit.  The weight systems collected that way must coincide exactly
     with the coboundary enumeration.
     """
-    index = preorder._index
-    pairs = [(index[x], index[y]) for x, y in preorder.comparable_pairs()]
+    pairs = preorder.index_pairs
     if ring.order ** len(pairs) > GUARD_ALGEBRA:
         raise GuardExceeded(
             f"{ring.order}^{len(pairs)} algebra elements exceed the guard {GUARD_ALGEBRA}"
         )
     quotient = preorder.quotient()
-    zero = ring.zero()
-    one = ring.one()
+    zero, one = ring.zero(), ring.one()
     nonzero = [r for r in ring.elements() if r != zero]
-    cls = quotient.elem_class
+    cls, slot_of = quotient.elem_class, quotient.slot_of
     within = [(s, t) for s, t in pairs if cls[s] == cls[t]]
-    cross = {}
+    cross = {}  # slot of a class pair -> its element pairs
     for s, t in pairs:
         if cls[s] != cls[t]:
-            cross.setdefault((quotient.reps[cls[s]], quotient.reps[cls[t]]), []).append((s, t))
+            cross.setdefault(slot_of[cls[s]][cls[t]], []).append((s, t))
 
     units = 0
     multiplicative = 0
@@ -303,7 +301,7 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
                != IncidenceFunction(preorder, ring, {p: r}) for p in within for r in nonzero):
             continue
         weights = []
-        for class_pair, block_pairs in sorted(cross.items()):
+        for _, block_pairs in sorted(cross.items()):  # slot order: a weight system's values
             base = block_pairs[0]
             image = conj(IncidenceFunction(preorder, ring, {base: one}))
             c = image.entries.get(base, zero)
@@ -312,10 +310,10 @@ def verify_inner_conjugations(preorder, ring) -> VerificationReport:
                     != IncidenceFunction(preorder, ring, {p: ring.mul(c, r)})
                     for p in block_pairs for r in nonzero):
                 break
-            weights.append((class_pair, c))
+            weights.append(c)
         else:
             multiplicative += 1
-            induced.add(WeightSystem.from_values(quotient, ring, weights).values)
+            induced.add(tuple(weights))
 
     expected = {w.values for w in enumerate_inner(quotient, ring)}
     checks = [

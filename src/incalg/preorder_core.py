@@ -6,14 +6,17 @@ equivalence inherit a partial order.  Relations are stored as one bitmask
 row per element, which keeps closure and order queries cheap at desk
 scale.  The closure is built per strongly connected component of the
 generators, in reverse topological order, with one row OR per generator
-edge (:func:`close_relations`).
+edge (:func:`close_relations`); a file of over ``GUARD_ELEMENTS``
+elements is refused before it.  A preorder keeps one pair list,
+``index_pairs``, which keys every incidence function, and the algebra
+keeps one kernel per preorder and scalar ring in ``_kernels``.
 
 The quotient keeps one integer-indexed view of order data, built once:
 element e is in class ``elem_class[e]``, class i has the up row
-``_up[i]`` (a bitmask of class indices), ``index_pairs`` lists the
-strict pairs (i, j) in ``strict_pairs()`` order, and
-``slot_of[i]`` maps each class j strictly above i to the slot of (i, j),
-in ascending j: one map, read both ways with ``index_pairs``.
+``_up[i]`` (a bitmask of class indices), its ``index_pairs`` lists the
+strict pairs (i, j) in ``strict_pairs()`` order, and ``slot_of[i]``
+maps each class j strictly above i to the slot of (i, j), in ascending
+j: one map, read both ways with ``index_pairs``.
 ``triples(i, middles)`` lays out the triples i < z < j through given
 middle classes z as three slot lists.  Weight systems and potentials are
 tuples over those slots and class indices, incidence functions are keyed
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress, repeat
+
+GUARD_ELEMENTS = 1 << 15  # a preorder file's elements, refused above this before the closure
 
 
 class PreorderError(ValueError):
@@ -129,7 +134,7 @@ class Preorder:
         self._index = {x: i for i, x in enumerate(self.elements)}
         self._up = list(up_masks)
         self._quotient = None
-        self._layout = None  # filled by incidence_algebra._layout
+        self._kernels = {}  # filled by incidence_algebra._kernel
 
     def _i(self, x) -> int:
         try:
@@ -144,11 +149,16 @@ class Preorder:
         i, j = self._i(x), self._i(y)
         return bool(self._up[i] >> j & 1) and not self._up[j] >> i & 1
 
+    @cached_property
+    def index_pairs(self):
+        """Comparable index pairs (i, j), reflexive pairs included, by row, columns ascending."""
+        return tuple((i, j) for i, row in enumerate(self._up) for j in _bits(row))
+
     def comparable_pairs(self):
         """Sorted list of ordered pairs (x, y) with x <= y, diagonal included,
         a new list on each call."""
         labels = self.elements
-        return sorted([(x, labels[j]) for x, row in zip(labels, self._up) for j in _bits(row)])
+        return sorted([(labels[i], labels[j]) for i, j in self.index_pairs])
 
     def quotient(self) -> "QuotientPoset":
         if self._quotient is None:
@@ -335,7 +345,9 @@ def load_preorder_text(text: str) -> Preorder:
     """Parse the preorder file format.
 
     One ``elements`` line lists the labels; each ``rel x y`` line adds a
-    generating relation x <= y.  ``#`` starts a comment.
+    generating relation x <= y.  ``#`` starts a comment.  A file of over
+    ``GUARD_ELEMENTS`` elements is refused before the closure, whose row
+    i holds bit i: N rows take N^2 / 16 bytes or more, whatever the relation.
     """
     elements = None
     gens = []
@@ -363,6 +375,9 @@ def load_preorder_text(text: str) -> Preorder:
         for lab in (x, y):
             if lab not in declared:
                 raise PreorderError(f"line {lineno}: undeclared label {lab!r}")
+    if len(elements) > GUARD_ELEMENTS:
+        raise PreorderError(
+            f"a preorder with {len(elements)} elements is over the guard {GUARD_ELEMENTS}")
     return close_relations(elements, [(x, y) for _, x, y in gens])
 
 

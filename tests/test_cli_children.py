@@ -3,11 +3,14 @@
 Each case runs ``python -m incalg`` in a child of its own, one at a
 time, with ``RLIMIT_AS`` = 1 GiB and ``RLIMIT_CPU`` = 20 s set on the
 child only, on an input that is large, deep or malformed: a 20,000-element
-chain (200,010,000 comparable pairs), rings with far too many residues or
+chain (200,010,000 comparable pairs), a 120,000-element chain and
+antichain (over the element guard), rings with far too many residues or
 units to list, a weight value nested 200,000 brackets deep, bad weight
-records and a root in another component.  Whatever the input, the child
+records, a root in another component and an ``--out`` that names a
+directory or lies under a missing one.  Whatever the input, the child
 exits 0, 1 or 2 (not by a signal), stderr holds no traceback, and a
-refusal is reported on one ``error:`` line.
+refusal is reported on one ``error:`` line.  The cases in ``REFUSED``
+must be refused so: exit 2 and one line of stderr.
 """
 
 import json
@@ -26,6 +29,7 @@ LIMIT_AS = 1 << 30
 LIMIT_CPU = 20
 DEEP = 200_000
 CHAIN = 20_000
+HUGE = 120_000  # elements, over preorder_core.GUARD_ELEMENTS
 
 
 def _limits():
@@ -41,12 +45,16 @@ def _weights(ring, records):
 FILES = {
     "chain.txt": "elements " + " ".join(f"x{i}" for i in range(CHAIN)) + "\n"
                  + "".join(f"rel x{i} x{i + 1}\n" for i in range(CHAIN - 1)),
+    "chain120k.txt": "elements " + " ".join(f"x{i}" for i in range(HUGE)) + "\n"
+                     + "".join(f"rel x{i} x{i + 1}\n" for i in range(HUGE - 1)),
+    "antichain120k.txt": "elements " + " ".join(f"x{i}" for i in range(HUGE)) + "\n",
     "point.txt": "elements a\n",
     "crown.txt": "elements a b c d\nrel a c\nrel a d\nrel b c\nrel b d\n",
     "pair.txt": "elements a b\nrel a b\n",
     "class.txt": "elements a1 a2 b\nrel a1 a2\nrel a2 a1\nrel a2 b\n",
     "apart.txt": "elements a b c d\nrel a b\nrel c d\n",
     "z2.json": _weights("Z/2", []),
+    "pair.json": _weights("Z/2", [("a", "b", "1")]),
     "huge.json": _weights("M(30000,Z/2)", []),
     "deep_matrix.json": _weights("M(2,Z/3)", [("a", "b", "[" * DEEP + "]" * DEEP)]),
     "deep_product.json": _weights("Z/2 x Z/3", [("a", "b", "(" * DEEP + ")" * DEEP)]),
@@ -61,6 +69,21 @@ WEIGHT_COMMANDS = (["is-inner"], ["decompose"], ["check"], ["check", "--expect-i
 _QUOTIENT = [*WEIGHT_COMMANDS, ["info"], ["enumerate", "--ring", "Z/2"],
              ["verify", "--ring", "Z/2"]]
 _M30000 = ["--ring", "M(30000,Z/2)"]
+_M4000 = ["--ring", "M(4000,Z/3)"]
+_TO_DIR = ["--out", "outdir"]  # a directory the fixture makes
+
+REFUSED = (
+    [("chain120k.txt", ["info"]), ("chain120k.txt", ["convolve", "--ring", "Z/2", "zeta", "zeta"]),
+     ("antichain120k.txt", ["info"])]
+    + [("pair.txt", argv) for argv in (["info", *_M4000], ["enumerate", *_M4000],
+                                       ["convolve", *_M4000, "zeta", "zeta"])]
+    + [("pair.txt", [*argv, *_TO_DIR]) for argv in (
+        ["info"], ["is-inner", "--weights", "pair.json"],
+        ["enumerate", "--ring", "Z/2", "--list", "mult"], ["verify", "--ring", "Z/2"],
+        ["convolve", "--ring", "Z/2", "zeta", "zeta"], ["invert", "--ring", "Z/2", "zeta"],
+        ["apply", "--weights", "pair.json", "zeta"])]
+    + [("pair.txt", ["decompose", "--weights", "pair.json", "--out", "missing/prefix"])]
+)
 
 CASES = (
     [("chain.txt", [*c, "--weights", "z2.json"] if c in WEIGHT_COMMANDS else c) for c in _QUOTIENT]
@@ -91,17 +114,32 @@ def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("children")
     for name, text in FILES.items():
         (folder / name).write_text(text)
+    (folder / "outdir").mkdir()
     return folder
 
 
-@pytest.mark.parametrize("poset, argv", CASES,
-                         ids=[f"{p[:-4]}:{' '.join(a)}" for p, a in CASES])
-def test_child_exits_cleanly(inputs, poset, argv):
+def _child(folder, poset, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(incalg.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "incalg", argv[0], "--poset", poset, *argv[1:]],
-                          cwd=inputs, env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", "incalg", argv[0], "--poset", poset, *argv[1:]],
+                          cwd=folder, env=env, capture_output=True, text=True,
                           preexec_fn=_limits, timeout=120)
+
+
+def _ids(cases):
+    return [f"{p[:-4]}:{' '.join(a)}" for p, a in cases]
+
+
+@pytest.mark.parametrize("poset, argv", CASES, ids=_ids(CASES))
+def test_child_exits_cleanly(inputs, poset, argv):
+    done = _child(inputs, poset, argv)
     assert done.returncode in (0, 1, 2), (done.returncode, done.stderr[-500:])
     assert "Traceback" not in done.stderr, done.stderr[-2000:]
     if done.returncode == 2:
         assert sum(line.startswith("error:") for line in done.stderr.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("poset, argv", REFUSED, ids=_ids(REFUSED))
+def test_child_refuses_on_one_error_line(inputs, poset, argv):
+    done = _child(inputs, poset, argv)
+    assert done.returncode == 2, (done.returncode, done.stderr[-500:])
+    assert [line.startswith("error:") for line in done.stderr.splitlines()] == [True]

@@ -27,7 +27,7 @@ from incalg.incidence_algebra import (
     zeta,
 )
 from incalg.oracle import matrix_oracle, random_function
-from incalg.preorder_core import close_relations
+from incalg.preorder_core import _bits, close_relations
 from reference import class_members, inflate, matrix_is_invertible, random_unit
 
 
@@ -305,6 +305,20 @@ def test_invert_class_blocks_match_series(spec, preorder_21, seed=72):
     for _ in range(30):
         u = random_unit(preorder_21, r, rng)
         assert invert(u) == _series_inverse(u)
+
+
+def test_index_pairs_are_the_one_pair_list(gate_posets):
+    """Preorder.index_pairs is the tuple of the comparable index pairs, row
+    by row with columns ascending, reflexive pairs included, and zeta lists
+    its keys in that order: on the gate posets (every sweep poset among
+    them) and on a preorder declared out of label order, with a class of
+    two elements."""
+    shuffled = close_relations(["d", "b", "a", "c"], [("d", "b"), ("b", "d"), ("c", "b"),
+                                                      ("a", "c")])
+    for p in [*gate_posets, shuffled]:
+        pairs = [(i, j) for i, row in enumerate(p._up) for j in _bits(row)]
+        assert type(p.index_pairs) is tuple and list(p.index_pairs) == pairs
+        assert list(zeta(p, ZMod(2)).entries) == pairs
 
 
 def test_mobius_of_long_chain(chain1100):

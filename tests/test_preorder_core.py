@@ -162,6 +162,20 @@ def test_load_preorder_text_comments_and_errors():
         load_preorder_text("elements a b\nfoo a b\n")
 
 
+def test_element_guard_refuses_before_the_closure(monkeypatch):
+    """A file over GUARD_ELEMENTS elements is refused, naming its size,
+    before close_relations runs; one at the bound loads."""
+    monkeypatch.setattr(preorder_core, "GUARD_ELEMENTS", 4)
+    assert len(load_preorder_text("elements a b c d\nrel a b\n").elements) == 4
+
+    def closure(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(preorder_core, "close_relations", closure)
+    with pytest.raises(PreorderError, match="^a preorder with 5 elements is over the guard 4$"):
+        load_preorder_text("elements a b c d e\nrel a b\n")
+
+
 def test_descriptor_is_one_line(crown, preorder_21):
     for p in (crown, preorder_21):
         d = preorder_descriptor(p)
