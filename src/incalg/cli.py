@@ -4,7 +4,8 @@ Exit codes are stable for CI use: 0 on success, 1 when a verification
 fails (invalid weight system, system not inner, non-invertible function,
 failed oracle suite), 2 when an input does not parse or a guard refuses
 a preorder file too large to close, an enumeration, a quotient or an
-incidence function too large to build.
+incidence function too large to build, or an ``enumerate --list`` too
+large to print.
 All output is deterministic: JSON with sorted keys and a trailing
 newline, identical bytes for identical inputs and seed.
 """
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import oracle
-from .coeff_rings import NonUnitError, parse_ring_spec, split_top_level
+from .coeff_rings import NonUnitError, element_residues, parse_ring_spec, split_top_level
 from .comparability import tree_of
 from .incidence_algebra import (
     NonInvertibleError,
@@ -207,12 +208,14 @@ def _cmd_enumerate(args) -> int:
         "ring": str(ring),
         "mult": len(mult),
         "inner": len(inner),
+        "tree_trivial": len(mult) // len(inner),  # inner holds the all-ones system
     }
-    if len(inner):
-        doc["tree_trivial"] = len(mult) // len(inner)
     if args.list:
         listed = mult if args.list == "mult" else inner
-        pairs = quotient.strict_pairs()
+        pairs, bound = quotient.strict_pairs(), oracle.GUARD_VECTORS // 100  # ~1.2 KB a record
+        if (size := len(listed) * len(pairs) * element_residues(ring)) > bound:
+            raise GuardExceeded(f"listing {len(listed)} systems on {len(pairs)} strict pairs over "
+                                f"{ring} takes {size} residues, over the guard {bound}")
         doc["systems"] = [[{"from": x, "to": y, "value": v}
                            for (x, y), v in zip(pairs, format_values(ring, w.values))]
                           for w in listed]

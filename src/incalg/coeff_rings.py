@@ -60,8 +60,9 @@ class Ring:
     ``elements()`` enumeration and its size ``order``, unit testing and
     inversion, the central units and a test for one canonical element
     (``is_central_unit``, which never lists them), and text encoding of
-    elements.  ``scalars`` is the ring's :func:`scalar_codec`, built on
-    first use.  A ring is identified by its spec, the text ``str`` gives.
+    elements (``parse_element`` returns only what ``check`` accepts).
+    ``scalars`` is the ring's :func:`scalar_codec`, built on first use.
+    A ring is identified by its spec, the text ``str`` gives.
     """
 
     @functools.cached_property

@@ -426,15 +426,13 @@ def format_values(ring, values):
 def parse_values(ring, texts):
     """The elements of a column of value texts, and the set of them.
 
-    Each distinct text is parsed and checked once, in first-occurrence
-    order, so the first row whose text does not parse raises, as a
-    row-by-row parse would.
+    Each distinct text is parsed once, in first-occurrence order, so the
+    first row whose text does not parse raises, as a row-by-row parse
+    would.  ``parse_element`` returns canonical elements only (it reduces
+    every residue mod n), so nothing it returns is checked again.
     """
     parsed = {t: ring.parse_element(t) for t in dict.fromkeys(texts)}
-    distinct = set(parsed.values())
-    for v in distinct:
-        ring.check(v)
-    return list(map(parsed.__getitem__, texts)), distinct
+    return list(map(parsed.__getitem__, texts)), set(parsed.values())
 
 
 def write_records(header, list_key, fields, columns) -> str:

@@ -63,16 +63,16 @@ class WeightSystemError(ValueError):
     """Totality, centrality, carrier, or chain-condition violations."""
 
 
-def _checked(ring, values, canon, allowed, what):
-    """Validated central-unit assignment, keyed canonically.
+def _checked(ring, values, canon, keys, what):
+    """Validated central units, a tuple aligned to ``keys``.
 
     ``values`` is a mapping or an iterable of (key, value) items.  Each
-    key, mapped through ``canon``, must lie in ``allowed`` and occur once;
-    every value must be a central unit of the ring; all of ``allowed``
-    must be covered.
+    key, mapped through ``canon``, must be one of ``keys`` and occur once;
+    every value must be a central unit of the ring; all of ``keys`` must
+    be covered.
     """
     items = values.items() if isinstance(values, dict) else values
-    norm = {}
+    allowed, norm = frozenset(keys), {}
     for key, v in items:
         c = canon(key)
         if c not in allowed:
@@ -87,7 +87,7 @@ def _checked(ring, values, canon, allowed, what):
         norm[c] = v
     if len(norm) < len(allowed):
         raise WeightSystemError(f"missing values for {sorted(allowed - norm.keys())}")
-    return norm
+    return tuple(map(norm.__getitem__, keys))
 
 
 def _mismatches(cols, S, T, U):
@@ -119,10 +119,8 @@ class WeightSystem:
         Labels may name any class member; every strictly comparable class
         pair needs exactly one central-unit value.
         """
-        pairs = poset.strict_pairs()
-        norm = _checked(ring, values, lambda p: (poset.rep(p[0]), poset.rep(p[1])),
-                        frozenset(pairs), "a strictly comparable pair")
-        return cls(poset, ring, tuple(norm[p] for p in pairs))
+        return cls(poset, ring, _checked(ring, values, lambda p: (poset.rep(p[0]), poset.rep(p[1])),
+                                         poset.strict_pairs(), "a strictly comparable pair"))
 
     def value(self, x, y):
         poset = self.poset
@@ -235,8 +233,7 @@ class Potential:
         Labels may name any class member; every class needs exactly one
         central-unit value.
         """
-        norm = _checked(ring, values, poset.rep, frozenset(poset.reps), "a class")
-        return cls(poset, ring, tuple(norm[x] for x in poset.reps))
+        return cls(poset, ring, _checked(ring, values, poset.rep, poset.reps, "a class"))
 
     def items(self):
         """(representative, value) in sorted order."""

@@ -142,13 +142,6 @@ class Preorder:
         except KeyError:
             raise PreorderError(f"unknown label {x!r}") from None
 
-    def leq(self, x, y) -> bool:
-        return bool(self._up[self._i(x)] >> self._i(y) & 1)
-
-    def lt(self, x, y) -> bool:
-        i, j = self._i(x), self._i(y)
-        return bool(self._up[i] >> j & 1) and not self._up[j] >> i & 1
-
     @cached_property
     def index_pairs(self):
         """Comparable index pairs (i, j), reflexive pairs included, by row, columns ascending."""

@@ -3,8 +3,10 @@
 - ``cycle_weight`` and ``simple_semi_paths``: the step-by-step cycle
   weight and the list of all simple semi-paths, against which the tree
   walk and the innerness tests are checked.
-- ``interval``, ``as_preorder`` and ``class_members``: plain queries on a
-  preorder and its quotient, for the quotient properties.
+- ``leq``, ``lt``, ``interval``, ``as_preorder`` and ``class_members``:
+  plain queries on a preorder and its quotient, for the preorder and
+  quotient properties.  No library code asks a ``Preorder`` whether two
+  labels compare; ``QuotientPoset.lt`` stays, as ``path_weight`` calls it.
 - ``matrix_is_invertible`` and ``random_unit``: random invertible
   functions for the inversion tests.
 - ``inflate``: a preorder with given class sizes over a poset.
@@ -56,6 +58,15 @@ def simple_semi_paths(graph: ComparabilityGraph, x, y):
 
     extend([x], 1 << x)
     return out
+
+
+def leq(preorder, x, y) -> bool:
+    return bool(preorder._up[preorder._i(x)] >> preorder._i(y) & 1)
+
+
+def lt(preorder, x, y) -> bool:
+    i, j = preorder._i(x), preorder._i(y)
+    return bool(preorder._up[i] >> j & 1) and not preorder._up[j] >> i & 1
 
 
 def interval(preorder, x, y):

@@ -18,7 +18,8 @@ from incalg.mult_automorphisms import to_mult_function
 from incalg.incidence_algebra import hadamard
 from incalg import oracle
 from incalg.preorder_core import close_relations
-from reference import as_preorder, class_members, inflate, interval, random_unit, simple_semi_paths
+from reference import (as_preorder, class_members, inflate, interval, leq, lt, random_unit,
+                       simple_semi_paths)
 
 _CACHE = {}
 
@@ -264,7 +265,7 @@ def _strictness_property(preorder):
     for x, y in quotient.strict_pairs():
         for s in class_members(quotient, x):
             for t in class_members(quotient, y):
-                if not (preorder.lt(s, t) and not preorder.leq(t, s)):
+                if not (lt(preorder, s, t) and not leq(preorder, t, s)):
                     return False
     return True
 

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from incalg import oracle
+from incalg import cli, oracle
 from incalg.cli import _dump, run_command
-from incalg.coeff_rings import MatrixRing, ProductRing, ZMod, parse_ring_spec
+from incalg.coeff_rings import MatrixRing, NonUnitError, ProductRing, ZMod, parse_ring_spec
+from incalg.incidence_algebra import NonInvertibleError
 from incalg.mult_automorphisms import (
     WeightSystemError,
     decompose,
@@ -214,6 +215,42 @@ def test_enumerate_guard(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--poset", str(chain), "--ring", "Z/1009")
     assert code == 2
     assert "guard" in err
+
+
+def test_enumerate_list_is_refused_over_its_output_bound(capsys, crown_txt, monkeypatch):
+    """--list is refused (exit 2, one error line, nothing on stdout) when
+    the listed systems x strict pairs x residues per element pass
+    GUARD_VECTORS // 100; a listing at that bound is printed, and the
+    counts alone are printed either way."""
+    argv = ("enumerate", "--poset", crown_txt, "--ring")
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 25600)
+    assert run(capsys, *argv, "Z/5", "--list", "mult") == (
+        2, "", "error: listing 256 systems on 4 strict pairs over Z/5 takes 1024 residues, "
+        "over the guard 256\n")
+    code, out, _ = run(capsys, *argv, "Z/5", "--list", "inner")  # 64 x 4 x 1, at the bound
+    assert code == 0 and len(json.loads(out)["systems"]) == 64
+    code, out, _ = run(capsys, *argv, "M(2,Z/3)", "--list", "mult")  # 16 x 4 x 4
+    assert code == 0 and len(json.loads(out)["systems"]) == 16
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 12799)
+    assert run(capsys, *argv, "M(2,Z/3)", "--list", "inner") == (
+        2, "", "error: listing 8 systems on 4 strict pairs over M(2,Z/3) takes 128 residues, "
+        "over the guard 127\n")
+    code, out, _ = run(capsys, *argv, "M(2,Z/3)")
+    assert code == 0 and json.loads(out) == {"inner": 8, "mult": 16, "ring": "M(2,Z/3)",
+                                             "tree_trivial": 2}
+    assert run(capsys, *argv, "Z/5")[0] == 0
+
+
+@pytest.mark.parametrize("error", [NonUnitError, NonInvertibleError])
+def test_arithmetic_errors_exit_1_on_one_error_line(capsys, crown_txt, monkeypatch, error):
+    """An arithmetic error that escapes a handler exits 1 with one error
+    line on stderr, nothing on stdout and no traceback."""
+    def fail(args):
+        raise error("no inverse here")
+
+    monkeypatch.setattr(cli, "_cmd_info", fail)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a parser that binds the patched handler
+    assert run(capsys, "info", "--poset", crown_txt) == (1, "", "error: no inverse here\n")
 
 
 def test_convolve_and_invert(capsys, chain3_txt):

@@ -8,6 +8,7 @@ from incalg.coeff_rings import (
     MatrixRing,
     NonUnitError,
     ProductRing,
+    RingMismatchError,
     RingParseError,
     ZMod,
     count_central_units,
@@ -15,6 +16,9 @@ from incalg.coeff_rings import (
     parse_ring_spec,
     scalar_view,
 )
+from incalg.incidence_algebra import IncidenceFunction
+from incalg.mult_automorphisms import WeightSystem
+from incalg.preorder_core import close_relations
 
 
 def test_zmod_basics():
@@ -247,6 +251,54 @@ def test_mixed_spec_product_with_matrix():
     one = r.one()
     assert one == (1, ((1, 0), (0, 1)))
     assert len(r.central_units()) == 2  # 1 x {I, 2I}
+
+
+def _element_texts(ring, rng):
+    """Element texts the grammar accepts: signed, +-prefixed, zero-padded
+    and 30-digit integers; matrices with negative and 30-digit entries;
+    tuples of those."""
+    if isinstance(ring, ZMod):
+        big = rng.randrange(10 ** 29, 10 ** 30)
+        return [str(rng.randrange(-10 ** 6, 10 ** 6)), f"+{rng.randrange(10 ** 6)}", str(big),
+                f"-{big}", f" {rng.choice('+-')}{rng.randrange(1000):07d} ", "-0"]
+    if isinstance(ring, MatrixRing):
+        k = ring.size
+        return [json.dumps([[rng.choice((rng.randrange(-9, 9), rng.randrange(-10 ** 30, 10 ** 30)))
+                             for _ in range(k)] for _ in range(k)]) for _ in range(4)]
+    return ["(" + ", ".join(rng.choice(_element_texts(f, rng)) for f in ring.factors) + ")"
+            for _ in range(4)]
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/12", "Z/99999999999", "M(2,Z/3)", "M(3,Z/4)",
+                                  "Z/2 x Z/3", "Z/4 x M(2,Z/3)", "M(1,Z/5) x Z/7 x Z/9"])
+def test_parse_element_returns_canonical_elements(spec, seed=45):
+    """Every element parse_element returns passes ring.check: the parsers
+    reduce every residue mod n, so parse_values checks nothing again."""
+    ring, rng = parse_ring_spec(spec), random.Random(f"{seed}:{spec}")
+    for _ in range(60):
+        for text in _element_texts(ring, rng):
+            ring.check(ring.parse_element(text))
+
+
+def test_check_refuses_non_canonical_values():
+    """check refuses any value that is not a ring's own encoding, and the
+    validating constructors surface that refusal."""
+    cases = {
+        "Z/5": [True, 5, -1, 2.0, "2"],
+        "Z/2 x Z/3": [(1,), [1, 2], (1, 3), (1, True)],
+        "M(2,Z/3)": [[[1, 0], [0, 1]], ((1, 0, 0), (0, 1, 0)), ((3, 0), (0, 1)),
+                     ((True, 0), (0, 1))],
+    }
+    pair = close_relations("ab", [("a", "b")])
+    for spec, values in cases.items():
+        ring = parse_ring_spec(spec)
+        for v in values:
+            with pytest.raises(RingMismatchError, match="is not a canonical element of"):
+                ring.check(v)
+            with pytest.raises(RingMismatchError):
+                IncidenceFunction.from_entries(pair, ring, [("a", "b", v)])
+            with pytest.raises(RingMismatchError):
+                WeightSystem.from_values(pair.quotient(), ring, {("a", "b"): v})
 
 
 def test_ring_equality_and_str_round_trip():

@@ -58,11 +58,11 @@ def from_tree(tree, ring, tree_values) -> WeightSystem:
     spanning-tree edges to a full system.  Each pair gets the product of
     the step weights along its tree semi-path, which is the coboundary of
     the tree propagation."""
-    q = tree.graph.poset
+    q, edges = tree.graph.poset, sorted(_tree_edges(tree))
     weights = _checked(ring, tree_values, lambda p: (q.rep(p[0]), q.rep(p[1])),
-                       frozenset(_tree_edges(tree)), "a tree edge")
+                       edges, "a tree edge")
     c = [None] * len(q.index_pairs)
-    for (x, y), u in weights.items():
+    for (x, y), u in zip(edges, weights):
         c[q.slot_of[q._c(x)][q._c(y)]] = u
     return from_potential(_ref_propagate(c, tree, ring))
 
