@@ -4,8 +4,8 @@ Exit codes are stable for CI use: 0 on success, 1 when a verification
 fails (invalid weight system, system not inner, non-invertible function,
 failed oracle suite), 2 when an input does not parse or a guard refuses
 a preorder file too large to close, an enumeration, a quotient or an
-incidence function too large to build, or an ``enumerate --list`` too
-large to print.
+incidence function too large to build, or an ``enumerate --list`` or
+``info --ring`` listing too large to print.
 All output is deterministic: JSON with sorted keys and a trailing
 newline, identical bytes for identical inputs and seed.
 """
@@ -45,7 +45,7 @@ from .oracle import (
     enumerate_inner,
     enumerate_mult,
     guard_functions,
-    guarded_units,
+    guard_units,
     run_full_suite,
     verify_structure,
 )
@@ -128,8 +128,13 @@ def _cmd_info(args) -> int:
         "height": quotient.height(),
     }
     if args.ring is not None:
-        ring = parse_ring_spec(args.ring)
-        units = guarded_units(ring, 1, False, "central units")
+        # a unit of Z/n listed below holds ~200 B: its int, its text and two list slots
+        ring, bound = parse_ring_spec(args.ring), oracle.GUARD_VECTORS // 10
+        count = guard_units(ring, 1, False, "central units")
+        if (size := count * element_residues(ring)) > bound:
+            raise GuardExceeded(f"listing {count} central units of {ring} takes {size} residues, "
+                                f"over the guard {bound}")
+        units = ring.central_units()
         doc["ring"] = str(ring)
         doc["central_units"] = [ring.format_element(u) for u in units]
         base, exp = len(units), len(tree.steps)

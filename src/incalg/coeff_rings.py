@@ -10,12 +10,13 @@ encoding:
 * ``M(k,Z/n)``  tuple of k row tuples of residues, row major
 
 Canonical encodings make element equality plain ``==``, which the file
-formats and the enumeration code rely on.  :func:`scalar_view` is the one
-place that splits a ring into its Z/n factors; the algebra kernel, the
-central-unit count, the oracle's enumeration guard and the weight layer's
-scalars (:func:`scalar_codec`) read it.  Every matrix unit test
-and inverse over Z/n, here and for the class blocks of the incidence
-algebra, is one row reduction, :func:`det_inverse`.
+formats and the enumeration code rely on.  A ring keeps only its scalar
+codec.  :func:`scalar_view` is the one place that splits a ring into its
+Z/n factors; the algebra kernel, the central-unit count, the oracle's
+enumeration guard and the weight layer's scalars (:func:`scalar_codec`)
+read it.  Every matrix unit test and inverse over Z/n, here and for the
+class blocks of the incidence algebra, is one row reduction,
+:func:`det_inverse`.
 """
 
 from __future__ import annotations
@@ -40,19 +41,6 @@ class RingMismatchError(ValueError):
     """Carriers or encodings from different rings were mixed."""
 
 
-def _kept(method):
-    """A method without arguments whose result is kept on the ring after
-    its first call."""
-    name = "_" + method.__name__
-
-    @functools.wraps(method)
-    def kept(self):
-        if name not in self.__dict__:
-            self.__dict__[name] = method(self)
-        return self.__dict__[name]
-    return kept
-
-
 class Ring:
     """Interface shared by all coefficient rings.
 
@@ -61,8 +49,9 @@ class Ring:
     inversion, the central units and a test for one canonical element
     (``is_central_unit``, which never lists them), and text encoding of
     elements (``parse_element`` returns only what ``check`` accepts).
-    ``scalars`` is the ring's :func:`scalar_codec`, built on first use.
-    A ring is identified by its spec, the text ``str`` gives.
+    ``scalars`` is the ring's :func:`scalar_codec`, built on first use
+    and the one thing a ring keeps.  A ring is identified by its spec,
+    the text ``str`` gives.
     """
 
     @functools.cached_property
@@ -124,7 +113,6 @@ class ZMod(Ring):
         except ValueError:  # what pow raises on a non-unit
             raise NonUnitError(f"{a} is not invertible in {self}") from None
 
-    @_kept
     def central_units(self):
         return tuple(a for a in range(self.n) if math.gcd(a, self.n) == 1)
 
@@ -174,7 +162,6 @@ class ProductRing(Ring):
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
-    @_kept
     def elements(self):
         return tuple(itertools.product(*(f.elements() for f in self.factors)))
 
@@ -193,7 +180,6 @@ class ProductRing(Ring):
             raise NonUnitError(f"{self.format_element(a)} is not invertible in {self}")
         return tuple(f.inverse(x) for f, x in zip(self.factors, a))
 
-    @_kept
     def central_units(self):
         return tuple(itertools.product(*(f.central_units() for f in self.factors)))
 
@@ -249,7 +235,6 @@ class MatrixRing(Ring):
         n, cols = self.base.n, tuple(zip(*b))
         return tuple(tuple(sum(map(operator.mul, row, col)) % n for col in cols) for row in a)
 
-    @_kept
     def elements(self):
         k, n = self.size, self.base.n
         return tuple(tuple(flat[i * k:(i + 1) * k] for i in range(k))
@@ -273,7 +258,6 @@ class MatrixRing(Ring):
                 f"{self.format_element(a)} has non-unit determinant {det} in {self}")
         return tuple(map(tuple, inv))
 
-    @_kept
     def central_units(self):
         # center of a full matrix ring over a commutative base: scalar matrices
         return tuple(scalar_matrix(self.size, u) for u in self.base.central_units())

@@ -8,14 +8,13 @@ strictly comparable to class i, from the quotient's up rows and strict
 pairs.  Spanning forests live on class indices: breadth-first search
 over those rows in ascending index, i.e. lexicographic, order, one tree
 per component.  That is the one walk of the graph; the forest alone
-holds the components and the non-tree slots, whose count m - k + c is
-the cycle rank.  Every derived object here is deterministic.
+holds the components, the non-tree slots (m - k + c, the cycle rank)
+and each fundamental cycle once built.  Everything here is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .preorder_core import _bits
 
@@ -60,9 +59,9 @@ class SpanningTree:
     ``(parent, child, slot, up)`` per tree edge in BFS order, tree by
     tree, where ``up`` says that parent < child, so the slot is (parent,
     child), not (child, parent).  ``non_tree_slots`` ascend; both ends
-    of one lie in the same tree.  Each fundamental cycle is built once
-    and kept, all of them on first use of ``cycles``, or one by one by
-    :meth:`cycle`.  ``root`` is the root's class representative; any
+    of one lie in the same tree.  Each fundamental cycle is built once,
+    by :meth:`cycle`, and kept; ``cycles`` lists them all, a new tuple on
+    each read.  ``root`` is the root's class representative; any
     member label of that class (or None, for the least class) picks the
     same forest.  The forest holds no labels of its edges: the edge of
     step ``(parent, child, slot, up)`` is ``strict_pairs()[slot]``.
@@ -93,7 +92,7 @@ class SpanningTree:
         self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
         self._cycles = {}
 
-    @cached_property
+    @property
     def cycles(self):
         """One :class:`FundamentalCycle` per non-tree slot, in slot order."""
         return tuple(map(self.cycle, self.non_tree_slots))

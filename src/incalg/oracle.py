@@ -87,15 +87,15 @@ def guard_functions(preorder, ring):
                             f"{pairs * cells} residues, over the guard {GUARD_VECTORS}")
 
 
-def guarded_units(ring, exponent, force, what):
-    """The central units U for an enumeration of |U|^exponent ``what``.
+def guard_units(ring, exponent, force, what):
+    """The number |U| of central units for an enumeration of |U|^exponent ``what``.
 
     Refused over ``GUARD_VECTORS`` of those unless ``force``, stating the
     lower bound r + 1, r = floor(GUARD_VECTORS^(1/exponent)); and always
     over ``GUARD_VECTORS`` residues of U, cells per unit (k*k for
     M(k,Z/n)), after counting at most min(r, GUARD_VECTORS // cells) + 1
-    units (no r under ``force``).  At exponent 0 none are listed, but each
-    system still holds one unit, so one unit's residues are guarded."""
+    units (no r under ``force``).  At exponent 0 none are listed (1 is
+    returned), but each system holds one unit, whose residues are guarded."""
     cells, count = element_residues(ring), 1
     if exponent:
         r = cap = GUARD_VECTORS // cells
@@ -110,7 +110,7 @@ def guarded_units(ring, exponent, force, what):
     if count * cells > GUARD_VECTORS:
         raise GuardExceeded(f"listing the central units of {ring} takes over "
                             f"{GUARD_VECTORS} residues ({cells} per unit)")
-    return ring.central_units() if exponent else ()
+    return count
 
 
 def enumerate_mult(poset, ring, force=False):
@@ -125,7 +125,8 @@ def enumerate_mult(poset, ring, force=False):
     order with central units ascending.
     """
     pairs, up, slot_of = poset.index_pairs, poset._up, poset.slot_of
-    units = guarded_units(ring, len(pairs), force, "candidate vectors")
+    guard_units(ring, len(pairs), force, "candidate vectors")
+    units = ring.central_units() if pairs else ()
     closing = [[] for _ in pairs]  # closing[s]: the triples whose last slot is s
     for s, (i, j) in enumerate(pairs):
         for z in range(poset.n_classes):
@@ -165,7 +166,8 @@ def enumerate_inner(poset, ring, force=False):
     structural code is used, so the count |G|^(m - lambda) that the
     structure checks assert stays independent.
     """
-    units = guarded_units(ring, poset.n_classes - 1, force, "potentials")
+    guard_units(ring, poset.n_classes - 1, force, "potentials")
+    units = ring.central_units() if poset.n_classes > 1 else ()
     inverse, mul, one = {u: ring.inverse(u) for u in units}, ring.mul, (ring.one(),)
     seen = set()
     for combo in itertools.product(units, repeat=poset.n_classes - 1):

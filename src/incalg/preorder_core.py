@@ -212,7 +212,6 @@ class QuotientPoset:
             self.slot_of.append(dict(zip(above, range(len(pairs), len(pairs) + len(above)))))
             pairs += zip(repeat(ci), above)
         self.index_pairs = tuple(pairs)
-        self._height = None
         self._graph, self._trees = None, {}  # filled by comparability.tree_of
 
     @cached_property
@@ -279,14 +278,11 @@ class QuotientPoset:
     def height(self) -> int:
         """Longest strict chain length anywhere in the quotient: the
         longest chain upward from each class, in one top-down pass."""
-        if self._height is None:
-            up = self._up
-            longest = [0] * self.n_classes
-            for c in self.top_down():
-                above = _bits(up[c] & ~(1 << c))
-                longest[c] = 1 + max((longest[b] for b in above), default=-1)
-            self._height = max(longest)
-        return self._height
+        up, longest = self._up, [0] * self.n_classes
+        for c in self.top_down():
+            above = _bits(up[c] & ~(1 << c))
+            longest[c] = 1 + max((longest[b] for b in above), default=-1)
+        return max(longest)
 
     def top_down(self):
         """Class indices, each after every class strictly above it.

@@ -705,6 +705,30 @@ def test_info_refuses_rings_over_the_guard(capsys, crown_txt, spec, monkeypatch)
     assert (code, out, err) == (2, "", f"error: {INFO_REFUSALS[spec]}\n")
 
 
+def test_info_lists_units_up_to_its_output_bound(capsys, crown_txt, monkeypatch):
+    """info lists the central units only while their residues stay within
+    GUARD_VECTORS // 10: past it, exit 2 on one error line and nothing
+    listed (Z/1000003 at the real guard; then at a guard of 100); at or
+    under it, the units are listed."""
+    argv = ("info", "--poset", crown_txt, "--ring")
+    monkeypatch.setattr(ZMod, "central_units", _refuse_listing)
+    assert run(capsys, *argv, "Z/1000003") == (
+        2, "", "error: listing 1000002 central units of Z/1000003 takes 1000002 residues, "
+        "over the guard 1000000\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "GUARD_VECTORS", 1000)
+    for spec, units in (("Z/101", 100), ("M(2,Z/11)", 10), ("Z/2 x Z/5", 4)):
+        code, out, _ = run(capsys, *argv, spec)
+        assert code == 0 and len(json.loads(out)["central_units"]) == units
+    for cls in (ZMod, ProductRing, MatrixRing):
+        monkeypatch.setattr(cls, "central_units", _refuse_listing)
+    for spec, units, size in (("Z/103", 102, 102), ("Z/11 x Z/13", 120, 240),
+                              ("M(6,Z/5)", 4, 144)):
+        assert run(capsys, *argv, spec) == (
+            2, "", f"error: listing {units} central units of {spec} takes {size} residues, "
+            "over the guard 100\n")
+
+
 @pytest.mark.parametrize("spec, units, inner", [("M(3,Z/7)", 6, 216),
                                                 ("M(40,Z/1000)", 400, 400 ** 3)])
 def test_info_counts_units_not_ring_elements(capsys, crown_txt, spec, units, inner):

@@ -5,9 +5,10 @@ time, with ``RLIMIT_AS`` = 1 GiB and ``RLIMIT_CPU`` = 20 s set on the
 child only, on an input that is large, deep or malformed: a 20,000-element
 chain (200,010,000 comparable pairs), a 120,000-element chain and
 antichain (over the element guard), rings with far too many residues or
-units to list, a listing of 100,002 systems, a weight value nested
-200,000 brackets deep, bad weight records, a root in another component
-and an ``--out`` that names a directory or lies under a missing one.
+units to list, listings of 100,002 systems and of 9,999,990 central
+units, a weight value nested 200,000 brackets deep, bad weight records,
+a root in another component and an ``--out`` that names a directory or
+lies under a missing one.
 Whatever the input, the child exits 0, 1 or 2 (not by a signal), stderr
 holds no traceback, and a refusal is reported on one ``error:`` line.
 The cases in ``REFUSED`` must be refused so: exit 2 and one line of
@@ -84,7 +85,8 @@ REFUSED = (
         ["convolve", "--ring", "Z/2", "zeta", "zeta"], ["invert", "--ring", "Z/2", "zeta"],
         ["apply", "--weights", "pair.json", "zeta"])]
     + [("pair.txt", ["decompose", "--weights", "pair.json", "--out", "missing/prefix"]),
-       ("pair.txt", ["enumerate", "--ring", "Z/100003", "--list", "mult"])]
+       ("pair.txt", ["enumerate", "--ring", "Z/100003", "--list", "mult"]),
+       ("pair.txt", ["info", "--ring", "Z/9999991"])]
 )
 
 CASES = (

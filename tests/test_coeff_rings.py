@@ -15,6 +15,7 @@ from incalg.coeff_rings import (
     det_inverse,
     parse_ring_spec,
     scalar_view,
+    split_top_level,
 )
 from incalg.incidence_algebra import IncidenceFunction
 from incalg.mult_automorphisms import WeightSystem
@@ -230,6 +231,22 @@ def test_parse_errors_quote_a_bounded_excerpt():
     with pytest.raises(RingParseError) as e:
         ZMod(5).parse_element("x1")
     assert str(e.value) == "cannot parse 'x1' as an element of Z/5"
+
+
+@pytest.mark.parametrize("build, args, error, message", [
+    (ZMod, (1,), RingParseError, "modulus must be an integer >= 2, got 1"),
+    (ProductRing, ([ZMod(2)],), RingParseError, "product needs at least two factors"),
+    (MatrixRing, (0, ZMod(3)), RingParseError, "matrix size must be an integer >= 1, got 0"),
+    (MatrixRing, (2, ProductRing([ZMod(2), ZMod(3)])), RingParseError,
+     "matrix rings are supported over Z/n bases only"),
+    (split_top_level, ("1),(2",), RingParseError, "unbalanced brackets in '1),(2'"),
+    (ProductRing([ZMod(2), ZMod(3)]).inverse, ((0, 1),), NonUnitError,
+     "(0,1) is not invertible in Z/2 x Z/3"),
+], ids=["modulus-1", "one-factor", "size-0", "product-base", "unbalanced", "product-non-unit"])
+def test_refusals_name_what_they_refuse(build, args, error, message):
+    with pytest.raises(error) as err:
+        build(*args)
+    assert str(err.value) == message
 
 
 def test_matrix_ring_parse_format():

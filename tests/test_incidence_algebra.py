@@ -352,6 +352,15 @@ def test_hadamard_pointwise(chain3):
     assert doubled.value("a", "a") == 4
 
 
+def test_hadamard_drops_entries_where_m_is_zero(chain3):
+    """A pair without an entry in m has none in the product, whatever f holds there."""
+    r = ZMod(5)
+    m = IncidenceFunction.from_entries(chain3, r, [("a", "c", 2)])
+    f = IncidenceFunction.from_entries(chain3, r, [("a", "c", 3), ("a", "a", 2), ("b", "c", 4)])
+    product = IncidenceFunction.from_entries(chain3, r, [("a", "c", 1)])
+    assert hadamard(m, f) == product and hadamard(f, m) == product
+
+
 def test_function_json_round_trip(crown, seed=8):
     rng = random.Random(seed)
     r = ZMod(12)

@@ -154,6 +154,12 @@ def test_verify_bimodule_scalars():
         assert report.counts["automorphisms"] == autos
 
 
+def test_bimodule_sweep_needs_a_zmod_base():
+    with pytest.raises(NotImplementedError) as err:
+        verify_bimodule_scalars(1, 1, parse_ring_spec("Z/2 x Z/3"))
+    assert str(err.value) == "bimodule sweep is implemented for Z/n bases"
+
+
 def test_bimodule_guard_runs_before_any_matrix_is_built():
     """M(3x4,Z/3) has 3^12 = 531,441 matrices; the guard refuses its
     531441^12 additive maps before listing one."""

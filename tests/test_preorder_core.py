@@ -138,6 +138,19 @@ def test_connected_components():
     assert tree_of(q).components == [("a", "b"), ("c",), ("d",)]  # not connected
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (close_relations, (["a", ""], []), "labels must be non-empty strings, got ''"),
+    (close_relations, ([1], []), "labels must be non-empty strings, got 1"),
+    (close_relations, ("ab", [("z", "a")]), "undeclared label 'z' in relation (z, a)"),
+    (close_relations, ("ab", [("a", "z")]), "undeclared label 'z' in relation (a, z)"),
+    (load_preorder_text, ("elements\n",), "line 1: elements line needs at least one label"),
+], ids=["empty-label", "int-label", "undeclared-from", "undeclared-to", "bare-elements-line"])
+def test_refusals_name_what_they_refuse(build, args, message):
+    with pytest.raises(PreorderError) as err:
+        build(*args)
+    assert str(err.value) == message
+
+
 def test_load_preorder_text_round_trip(crown):
     text = preorder_to_text(crown)
     again = load_preorder_text(text)
