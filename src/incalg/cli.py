@@ -148,7 +148,7 @@ def _cmd_check(args) -> int:
     if args.root is not None and not args.expect_inner:
         raise ValueError("--root needs --expect-inner")
     ws, found = _walked(args, find_potential if args.expect_inner else None)
-    bad = ws.violations(10)  # at once when the walk showed ws a coboundary
+    bad = ws.violations(10)  # from --expect-inner's walk, or a walk of its own
     doc = {
         "ring": str(ws.ring),
         "pairs": len(ws.values),
@@ -182,23 +182,21 @@ def _cmd_decompose(args) -> int:
     if found is None:
         return _invalid(ws)
     w1, w0, potential = found
-    texts = {
-        "w1": weight_system_to_json(w1),
-        "w0": weight_system_to_json(w0),
-        "potential": potential_to_json(potential),
-    }
-    if args.out:
-        paths = {name: f"{args.out}.{name}.json" for name in texts}
-        for name, text in texts.items():
+    parts = {"w1": (weight_system_to_json, w1), "w0": (weight_system_to_json, w0),
+             "potential": (potential_to_json, potential)}
+    if args.out:  # each file written as soon as its text is built
+        paths = {name: f"{args.out}.{name}.json" for name in parts}
+        for name, (write, part) in parts.items():
             with open(paths[name], "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(write(part))
         sys.stdout.write(_dump(paths))
     else:
         # each text is a _dump document: nested one level deep, under keys in the
         # sorted order _dump writes, by indenting its lines one text at a time
         names = {"coboundary": "w0", "potential": "potential", "tree_trivial": "w1"}
         for sep, (key, name) in zip("{,,", names.items()):
-            nested = texts.pop(name).rstrip("\n").replace("\n", "\n  ")
+            write, part = parts[name]
+            nested = write(part).rstrip("\n").replace("\n", "\n  ")
             sys.stdout.write(f'{sep}\n  "{key}": {nested}')
         sys.stdout.write("\n}\n")
     return 0
@@ -221,9 +219,9 @@ def _cmd_enumerate(args) -> int:
         if (size := len(listed) * len(pairs) * element_residues(ring)) > bound:
             raise GuardExceeded(f"listing {len(listed)} systems on {len(pairs)} strict pairs over "
                                 f"{ring} takes {size} residues, over the guard {bound}")
-        doc["systems"] = [[{"from": x, "to": y, "value": v}
-                           for (x, y), v in zip(pairs, format_values(ring, w.values))]
-                          for w in listed]
+        text = format_values(ring, {v for w in listed for v in w.values})
+        doc["systems"] = [[{"from": x, "to": y, "value": text[v]}
+                           for (x, y), v in zip(pairs, w.values)] for w in listed]
     _emit(args, _dump(doc))
     return 0
 

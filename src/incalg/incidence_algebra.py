@@ -409,18 +409,19 @@ def hadamard(m: IncidenceFunction, f: IncidenceFunction) -> IncidenceFunction:
 
 
 def function_to_json(f: IncidenceFunction) -> str:
-    items = f.items()
-    pairs = list(map(itemgetter(0), items))
-    values = format_values(f.ring, list(map(itemgetter(1), items)))
+    table = sorted(labels := f.preorder.elements)
+    at = list(map({x: r for r, x in enumerate(table)}.__getitem__, labels))  # index -> rank
+    rows = sorted(zip(*[map(at.__getitem__, map(itemgetter(k), f.entries)) for k in (0, 1)],
+                      f.entries.values()))  # the pairs are distinct: values are never compared
     return write_records({}, "entries", ("from", "to", "value"),
-                         (map(itemgetter(0), pairs), map(itemgetter(1), pairs), values))
+                         [(table, map(itemgetter(0), rows)), (table, map(itemgetter(1), rows)),
+                          (format_values(f.ring, f.entries.values()), map(itemgetter(2), rows))])
 
 
 def format_values(ring, values):
-    """The texts of a sequence of ring elements, ``format_element``
-    called once per distinct value."""
-    text = {v: ring.format_element(v) for v in set(values)}
-    return map(text.__getitem__, values)
+    """The text of each distinct value of a sequence of ring elements,
+    ``{value: text}``, ``format_element`` called once per value."""
+    return {v: ring.format_element(v) for v in set(values)}
 
 
 def parse_values(ring, texts):
@@ -439,19 +440,31 @@ def write_records(header, list_key, fields, columns) -> str:
     """Text of a ``{list_key: [...], **header}`` file, the inverse of
     :func:`read_records`.
 
-    ``header`` maps names to strings, and ``columns`` holds one iterable
-    of strings per name in ``fields``, in that order; record r takes
-    item r of each.  Each column is encoded by one ``map`` and each
-    record is one ``%`` of a fixed template.  The text is byte for byte
-    what ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` writes.
+    ``header`` maps names to strings.  ``columns`` holds one ``(table,
+    keys)`` per name in ``fields``, in that order: record r's string for
+    the field is ``table[key r]``, a label table indexed by position or a
+    dict of value texts.  Each table entry is encoded once, into a
+    snippet with the text before it in a record; the file is one join of
+    the records' snippets, chained in C.  The text is byte for byte what
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` writes.
     """
-    enc = encode_basestring_ascii
+    enc, snips = encode_basestring_ascii, []
     order = sorted(range(len(fields)), key=fields.__getitem__)
-    record = "    {\n" + ",\n".join(f"      {enc(fields[i])}: %s" for i in order) + "\n    }"
-    body = ",\n".join(map(record.__mod__, zip(*[map(enc, columns[i]) for i in order])))
-    top = {name: enc(value) for name, value in header.items()}
-    top[list_key] = "[\n" + body + "\n  ]" if body else "[]"
-    return "{\n" + ",\n".join(f"  {enc(name)}: {top[name]}" for name in sorted(top)) + "\n}\n"
+    for q, i in enumerate(order):
+        (table, keys), end = columns[i], "\n    }" if q == len(order) - 1 else ""
+        lead = (",\n    {\n" if q == 0 else ",\n") + f"      {enc(fields[i])}: "
+        text = {k: lead + enc(t) + end for k, t in (
+            table.items() if isinstance(table, dict) else enumerate(table))}
+        snips.append(map(text.__getitem__, keys))
+    names = sorted([*header, list_key])
+    lines = [f"  {enc(name)}: " + (enc(header[name]) if name in header else "[") for name in names]
+    at = names.index(list_key) + 1
+    head, tail = "{\n" + ",\n".join(lines[:at]), "".join(f",\n{line}" for line in lines[at:])
+    records = chain.from_iterable(zip(*snips))
+    first = next(records, None)  # its lead loses the "," that separates records
+    if first is None:
+        return head + "]" + tail + "\n}\n"
+    return "".join(chain((head, first[1:]), records, ("\n  ]", tail, "\n}\n")))
 
 
 def read_records(text: str, what: str, list_key: str, fields, error):

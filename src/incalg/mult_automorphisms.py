@@ -18,9 +18,15 @@ its root; w1[x,y] = c[x,y] v[x] v[y]^-1 is one on the tree edges.  Each
 fundamental cycle weighs w1 on its non-tree edge (inverted when the
 cycle crosses it upwards), so c is inner iff w1 = 1, and
 c = w1 * (coboundary of v) is the unique tree-trivial decomposition.
-w1 = 1 also proves c valid, as a coboundary satisfies the chain condition
-(v[x]^-1 v[z] v[z]^-1 v[y] = v[x]^-1 v[y]); so the walks run the chain
-gate only by exception, where w1 is not one, to tell invalid from outer.
+A coboundary satisfies the chain condition (v[x]^-1 v[z] v[z]^-1 v[y] =
+v[x]^-1 v[y]) and central units commute, so for every triple x < z < y
+
+    c[x,y] / (c[x,z] c[z,y]) = w1[x,y] / (w1[x,z] w1[z,y]):
+
+c fails exactly where w1 fails, and only at triples (a, z, b), (a, b, y)
+or (x, a, b) around a slot (a, b) of F = {w1 != 1}.  So w1 = 1 proves c
+valid, and the walks run the chain gate only where w1 is not one, to tell
+invalid from outer; ``violations`` tests the triples around F when few.
 
 The tree walk, the chain check (the gate and the violation scan),
 coboundaries, products and inverses compute on plain ints:
@@ -56,7 +62,7 @@ from .incidence_algebra import (
     write_records,
     zeta,
 )
-from .preorder_core import PreorderError
+from .preorder_core import PreorderError, _bits
 
 
 class WeightSystemError(ValueError):
@@ -106,11 +112,12 @@ class WeightSystem:
     oracle filters them, the CLI reports them).
     """
 
-    __slots__ = ("poset", "ring", "values", "_valid")
+    __slots__ = ("poset", "ring", "values", "_valid", "_handed")
 
     def __init__(self, poset, ring, values):
         # trusted constructor: callers guarantee a central-unit tuple aligned to strict_pairs()
-        self.poset, self.ring, self.values, self._valid = poset, ring, values, None
+        self.poset, self.ring, self.values = poset, ring, values
+        self._valid = self._handed = None  # the gate's verdict; a walk handed to violations
 
     @classmethod
     def from_values(cls, poset, ring, values) -> "WeightSystem":
@@ -137,36 +144,58 @@ class WeightSystem:
         """Triples (x, z, y) with x < z < y where the chain condition fails,
         the first ``limit`` of them (all by default), by slot (x, y), then z.
 
-        :meth:`is_valid` tests c[x,y] = c[x,z] c[z,y] only where z covers
-        x and z < y.  That is enough, by induction on the interval [x,y]:
-        for x < z < y pick a cover z' of x with z' <= z.  If z' = z the
-        gate checked the triple.  Otherwise the gate gives
-        c[x,y] = c[x,z'] c[z',y] and c[x,z] = c[x,z'] c[z',z], and
-        induction on the shorter interval [z',y] gives
-        c[z',y] = c[z',z] c[z,y]; so c[x,y] = c[x,z'] c[z',z] c[z,y] =
-        c[x,z] c[z,y].  The cover checks are chain triples themselves, so
-        the gate fails exactly when this list is non-empty.  Only then
-        does the scan run, the gate's test over all middles: per row i, on
-        ``poset.triples(i, strict up-set of i)``, the failures of every
-        factor sorted by (slot (i, j), slot (i, z)), up to the row where
-        ``limit`` is reached.
+        The scan reads F = {w1 != 1} off a walk, the caller's (handed over
+        in ``_handed`` by :func:`_require_valid`) or its own, by C-level map
+        chains; a failing triple touches F (see the module notes).  While
+        the triples the slots (a, b) of F touch, (a, z, b) for a < z < b,
+        (a, b, y) for b < y and (x, a, b) for x < a, count (by popcounts,
+        once per slot) fewer than the strict pairs, it gathers and tests
+        them: that is the gate's verdict and the whole list, and F = {}
+        proves c valid with no gate and no ``_cover_triples``.  Past that
+        budget (a valid non-inner system has a large F) the gate of
+        :meth:`is_valid` runs and, only when it fails, the row scan: per row
+        i, on ``poset.triples(i, strict up-set of i)``, the failures of
+        every factor sorted by (slot (i, j), slot (i, z)), up to the row
+        where ``limit`` is reached.
         """
-        if self.is_valid():
+        if self._valid:
             return []
-        poset, cols, out = self.poset, self.ring.scalars[0](self.values), []
-        for i, row in enumerate(poset._up):
-            S, T, U = poset.triples(i, row & ~(1 << i))
-            bad = set().union(*[compress(count(), m) for m in _mismatches(cols, S, T, U)])
-            out += [(i, *poset.index_pairs[U[p]]) for p in sorted(bad, key=lambda p: (S[p], T[p]))]
-            if limit is not None and len(out) >= limit:
+        poset, pairs, reps = self.poset, self.poset.index_pairs, self.poset.reps.__getitem__
+        cols, vs = self._handed or _walk(self, None)[1:]
+        up, rows, slot_of, near, out, size = poset._up, poset._graph.rows, poset.slot_of, [], [], 0
+        for a, b in map(pairs.__getitem__, chain.from_iterable(compress(count(), map(ne, map(
+                mod, map(mul, c, map(v.__getitem__, map(itemgetter(0), pairs))), repeat(n)),
+                map(v.__getitem__, map(itemgetter(1), pairs)))) for (n, c), v in zip(cols, vs))):
+            below, between = rows[a] & ~up[a], rows[a] & up[a] & rows[b] & ~up[b]
+            size += below.bit_count() + between.bit_count() + len(slot_of[b])
+            if size >= len(pairs):
                 break
-        return [tuple(map(poset.reps.__getitem__, t)) for t in out[:limit]]
+            near += zip(_bits(below), repeat(b), repeat(a))  # (x, a, b), as (x, y, z)
+            near += zip(repeat(a), repeat(b), _bits(between))  # (a, z, b)
+            near += zip(repeat(a), slot_of[b], repeat(b))  # (a, b, y)
+        else:  # sorted as (x, y, z): by slot (x, y), then slot (x, z)
+            out = [(x, z, y) for x, y, z in sorted(set(near)) if any(
+                c[slot_of[x][y]] != c[slot_of[x][z]] * c[slot_of[z][y]] % n for n, c in cols)]
+            self._valid = not out
+        if not out and not self.is_valid():  # past the budget, and the gate fails
+            for i, row in enumerate(up):
+                S, T, U = poset.triples(i, row & ~(1 << i))
+                bad = set().union(*[compress(count(), m) for m in _mismatches(cols, S, T, U)])
+                out += [(i, *pairs[U[p]]) for p in sorted(bad, key=lambda p: (S[p], T[p]))]
+                if limit is not None and len(out) >= limit:
+                    break
+        return [tuple(map(reps, t)) for t in out[:limit]]
 
     def is_valid(self) -> bool:
         """Whether the chain condition holds: no factor has a mismatch over
         ``poset._cover_triples`` (none at height <= 1), the map chains
-        stopping at the first one; why covers suffice is in :meth:`violations`.
-        Cached per instance; a walk that shows ws a coboundary sets it."""
+        stopping at the first one.  Covers suffice, by induction on [x,y]:
+        for x < z < y pick a cover z' of x with z' <= z.  If z' = z the gate
+        checked the triple.  Otherwise the gate gives c[x,y] = c[x,z'] c[z',y]
+        and c[x,z] = c[x,z'] c[z',z], and induction on the shorter [z',y]
+        gives c[z',y] = c[z',z] c[z,y]; so c[x,y] = c[x,z] c[z,y].  Cached
+        per instance; set by a walk that shows ws a coboundary, and by
+        :meth:`violations` when F settles the question."""
         if self._valid is None:
             S, T, U = self.poset._cover_triples
             self._valid = not S or not any(map(any, _mismatches(
@@ -265,8 +294,9 @@ def from_potential(potential: Potential) -> WeightSystem:
     return WeightSystem(potential.poset, potential.ring, join(cols))
 
 
-def _require_valid(ws: WeightSystem):
+def _require_valid(ws: WeightSystem, walk=None):  # walk: the caller's (cols, vs), for the scan
     if not ws.is_valid():
+        ws._handed = walk
         raise WeightSystemError(f"chain condition fails at triples {ws.violations(5)}")
 
 
@@ -307,7 +337,7 @@ def find_potential(ws: WeightSystem, root=None):
     for slot in tree.non_tree_slots:
         i, j = pairs[slot]
         if any(c[slot] * v[i] % n != v[j] for (n, c), v in zip(cols, vs)):
-            _require_valid(ws)
+            _require_valid(ws, (cols, vs))
             w = join([(c[slot] * v[i] * pow(v[j], -1, n) % n,) for (n, c), v in zip(cols, vs)])
             return NotInnerWitness(tree.cycle(slot), _cycle_value(ws.ring, (i, j), w[0]))
     ws._valid = True
@@ -343,7 +373,7 @@ def decompose(ws: WeightSystem, root=None):
         w1s.append(tuple([x * v[i] * inv[j] % n for x, (i, j) in zip(c, pairs)]))
         w0s.append(tuple([inv[i] * v[j] % n for i, j in pairs]))
     if any(w.count(1) < len(w) for w in w1s):
-        _require_valid(ws)
+        _require_valid(ws, (cols, vs))
     ws._valid, poset, ring, join = True, ws.poset, ws.ring, ws.ring.scalars[1]
     return (WeightSystem(poset, ring, join(w1s)), WeightSystem(poset, ring, join(w0s)),
             Potential(poset, ring, join(vs)))
@@ -374,10 +404,10 @@ def from_mult_function(m: IncidenceFunction) -> WeightSystem:
 
 
 def weight_system_to_json(ws: WeightSystem) -> str:
-    rep, pairs = ws.poset.reps.__getitem__, ws.poset.index_pairs
-    ends = [map(rep, map(itemgetter(k), pairs)) for k in (0, 1)]
+    reps, pairs = ws.poset.reps, ws.poset.index_pairs
     return write_records({"ring": str(ws.ring)}, "weights", ("from", "to", "value"),
-                         (*ends, format_values(ws.ring, ws.values)))
+                         [(reps, map(itemgetter(0), pairs)), (reps, map(itemgetter(1), pairs)),
+                          (format_values(ws.ring, ws.values), ws.values)])
 
 
 def weight_system_from_json(text: str, poset, ring=None) -> WeightSystem:
@@ -426,7 +456,6 @@ def load_weight_system(path, poset, ring=None) -> WeightSystem:
 
 
 def potential_to_json(potential: Potential) -> str:
-    values = format_values(potential.ring, potential.values)
-    return write_records({"ring": str(potential.ring)}, "values", ("class", "value"),
-                         (potential.poset.reps, values))
-
+    ring, values = potential.ring, potential.values
+    return write_records({"ring": str(ring)}, "values", ("class", "value"), [
+        (potential.poset.reps, range(len(values))), (format_values(ring, values), values)])

@@ -668,6 +668,34 @@ def test_reported_violations_are_the_first_of_the_scan(capsys, tmp_path, seed=12
     assert str(e.value) == f"chain condition fails at triples {bad[:5]}"
 
 
+def test_check_reads_its_verdict_off_the_walk(capsys, tmp_path, monkeypatch):
+    """check walks first and reads F = {w1 != 1} off the walk.  A valid
+    system (F empty) and one with a single slot off the walk's potential
+    (|F| = 1) get their verdict and violations without the gate: their
+    quotient never builds ``_cover_triples``.  A changed forest edge moves
+    v at its end, and the four slots of F then touch as many triples as
+    there are strict pairs, so the gate runs."""
+    labels = [f"c{i}" for i in range(6)]
+    chain = close_relations(labels, list(zip(labels, labels[1:])))
+    poset = tmp_path / "chain6.txt"
+    poset.write_text(preorder_to_text(chain))
+    built, load = [], cli._quotient
+    monkeypatch.setattr(cli, "_quotient", lambda path: built.append(load(path)) or built[-1])
+    v = dict(zip(labels, (1, 3, 2, 6, 4, 5)))  # c[x, y] = v[x]^-1 v[y] over Z/7
+    inner = {(x, y): str(pow(v[x], -1, 7) * v[y] % 7) for x, y in chain.quotient().strict_pairs()}
+    cases = [({}, False, []),
+             ({("c2", "c4"): "1"}, False,
+              [["c0", "c2", "c4"], ["c1", "c2", "c4"], ["c2", "c3", "c4"], ["c2", "c4", "c5"]]),
+             ({("c0", "c3"): "1"}, True,  # (c0, c3) is an edge of the star from c0
+              [["c0", "c1", "c3"], ["c0", "c2", "c3"], ["c0", "c3", "c4"], ["c0", "c3", "c5"]])]
+    for change, gate, bad in cases:
+        assert all(inner[pair] != value for pair, value in change.items())
+        path = write_weights(tmp_path, "w.json", "Z/7", {**inner, **change})
+        code, out, _ = run(capsys, "check", "--poset", str(poset), "--weights", path)
+        assert (code, json.loads(out)["violations"]) == (1 if bad else 0, bad)
+        assert ("_cover_triples" in built[-1].__dict__) is gate
+
+
 def _refuse_listing(self):
     raise AssertionError("central units listed")
 

@@ -694,29 +694,106 @@ def test_walk_certificate_on_corrupted_coboundaries(gate_posets, boolean6, spec,
     assert seen["invalid"] > 150 and seen["outer"] > 20
 
 
+def _random_poset(rng, labels, density):
+    """A seeded poset: labels[i] < labels[j] for a random choice of i < j, closed."""
+    return close_relations(labels, [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]
+                                    if rng.random() < density])
+
+
+def _crown_pullback(q, ring, rng):
+    """A valid non-inner system on a tower over the 4-crown a0, a1 < b0, b1
+    (labels ``<point>_<level>``): a pair across two crown points takes that
+    crown edge's weight, a pair over one point takes one.  The crown has
+    height one, so the chain condition holds; the edge weights are drawn
+    until the crown cycle's weight is not one."""
+    point, units, one = {x: x.split("_")[0] for x in q.reps}, ring.central_units(), ring.one()
+    while True:
+        w = {(a, b): rng.choice(units) for a in ("a0", "a1") for b in ("b0", "b1")}
+        ws = WeightSystem(q, ring, tuple(one if point[x] == point[y] else w[point[x], point[y]]
+                                         for x, y in q.strict_pairs()))
+        if isinstance(find_potential(WeightSystem(q, ring, ws.values)), NotInnerWitness):
+            return ws
+
+
+@pytest.mark.parametrize("spec", ["Z/7", "Z/2 x Z/3", "M(2,Z/3)"])
+def test_localised_scan_matches_definition(spec, seed=47):
+    """violations() equals the definitional scan on both of its paths, the
+    triples around F = {w1 != 1} and, past its budget, the gate and the
+    row scan; violations(l) is the head of the full list.  Seeded posets
+    of 3 to 9 points, one of them disconnected, and a crown tower carry
+    coboundaries and crown pullbacks (valid and non-inner), each with 0 to
+    3 slots changed, one edge of the walk's forest changed, or every slot
+    changed.  The gate runs exactly where ``_cover_triples`` gets
+    built, which tells the paths apart; each is taken."""
+    rng = random.Random(seed)
+    ring = parse_ring_spec(spec)
+    units = ring.central_units()
+    posets = [_random_poset(rng, [f"p{i}" for i in range(n)], density)
+              for n in range(3, 10) for density in (0.3, 0.7)]
+    posets.append(close_relations([*"abcdefg"], [("a", "b"), ("b", "c"), ("a", "d"),
+                                                  ("e", "f"), ("e", "g")]))  # two components
+    tower = close_relations(
+        [f"{p}_{h}" for p in ("a0", "a1", "b0", "b1") for h in (0, 1)],
+        [(f"{p}_0", f"{p}_1") for p in ("a0", "a1", "b0", "b1")]
+        + [(f"{a}_{h}", f"{b}_{h}") for a in ("a0", "a1") for b in ("b0", "b1") for h in (0, 1)])
+    paths = Counter()
+    for poset in [*posets, tower]:
+        q = poset.quotient()
+        if not q.index_pairs:
+            continue
+        bases = [from_potential(Potential(q, ring, tuple(rng.choice(units) for _ in q.reps)))
+                 for _ in range(2)]
+        if poset is tower:
+            bases += [_crown_pullback(q, ring, rng) for _ in range(3)]
+        steps = [slot for _, _, slot, _ in tree_of(q).steps]
+        for base, k in ((base, k) for base in bases for k in range(6)):
+            values = list(base.values)  # k = 4: a forest edge, which moves v below it; 5: all
+            for slot in ([rng.choice(steps)] if k == 4 else range(len(values)) if k == 5
+                         else rng.sample(range(len(values)), min(k, len(values)))):
+                values[slot] = rng.choice([u for u in units if u != values[slot]])
+            expected = _chain_violations_by_definition(WeightSystem(q, ring, tuple(values)))
+            q.__dict__.pop("_cover_triples", None)
+            ws = WeightSystem(q, ring, tuple(values))
+            assert ws.violations() == expected
+            assert ws.is_valid() == (not expected)
+            paths["gate" if "_cover_triples" in q.__dict__ else "F"] += 1
+            for limit in (1, 5, 10):
+                assert WeightSystem(q, ring, tuple(values)).violations(limit) == expected[:limit]
+    assert paths["F"] > 100 and paths["gate"] >= 10, paths
+
+
 def _dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "M(2,Z/3)", "Z/2 x Z/3"])
 def test_writers_match_json_dumps(spec, seed=29):
-    """The three file writers give json.dumps's indented bytes, escapes included."""
+    """The three file writers give json.dumps's indented bytes, escapes
+    included: labels that need escaping at both ends of a pair, in either
+    label order, columns with one distinct value (zeta, the all-ones
+    potential and its system), empty lists, and files of over 1,000
+    records (a 46-chain's 1,035 strict pairs, an antichain of 1,000)."""
     rng = random.Random(seed)
     r = parse_ring_spec(spec)
     fmt = r.format_element
     odd = close_relations(['a"1', "b\\2", "cé", "d"], [('a"1', "b\\2"), ('a"1', "cé")])
-    for p in (odd, close_relations(["solo"], [])):
+    escaped = close_relations(['a"1', "b\\2", "cé"], [("b\\2", 'a"1'), ("b\\2", "cé")])
+    chain = close_relations([f"c{i:02d}" for i in range(46)],
+                            [(f"c{i:02d}", f"c{i + 1:02d}") for i in range(45)])
+    crowd = close_relations([f"p{i:04d}" for i in range(1000)], [])
+    for p in (odd, escaped, close_relations(["solo"], []), chain, crowd):
         q = p.quotient()
-        for f in (IncidenceFunction(p, r, {}), random_function(p, r, rng)):
+        for f in (IncidenceFunction(p, r, {}), random_function(p, r, rng), zeta(p, r)):
             assert function_to_json(f) == _dumps({"entries": [
                 {"from": x, "to": y, "value": fmt(v)} for (x, y), v in sorted(f.items())]})
         units = r.central_units()
-        pot = Potential.from_values(q, r, {x: rng.choice(units) for x in q.reps})
-        ws = from_potential(pot)
-        assert weight_system_to_json(ws) == _dumps({"ring": str(r), "weights": [
-            {"from": x, "to": y, "value": fmt(v)} for (x, y), v in ws.items()]})
-        assert potential_to_json(pot) == _dumps({"ring": str(r), "values": [
-            {"class": x, "value": fmt(v)} for x, v in pot.items()]})
+        for pot in (Potential.from_values(q, r, {x: rng.choice(units) for x in q.reps}),
+                    Potential(q, r, (r.one(),) * len(q.reps))):
+            ws = from_potential(pot)
+            assert weight_system_to_json(ws) == _dumps({"ring": str(r), "weights": [
+                {"from": x, "to": y, "value": fmt(v)} for (x, y), v in ws.items()]})
+            assert potential_to_json(pot) == _dumps({"ring": str(r), "values": [
+                {"class": x, "value": fmt(v)} for x, v in pot.items()]})
 
 
 def test_from_mult_function_rejects_non_block_functions(preorder_21):
