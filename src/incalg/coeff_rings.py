@@ -311,9 +311,10 @@ def scalar_codec(ring):
     """``(split, join)`` between tuples of central units and Z/n scalars.
 
     ``split`` gives one ``(n, residues)`` per factor of the scalar view
-    and ``join`` maps one residue tuple per factor back.  A unit of Z/n
-    is its own scalar (both return the tuple they are given), lambda I of
-    M(k,Z/n) is lambda, and a product has one scalar per factor.
+    and ``join`` maps one residue tuple per factor back, building each
+    distinct lambda I of a column once.  A unit of Z/n is its own scalar
+    (both return the tuple they are given), lambda I of M(k,Z/n) is
+    lambda, and a product has one scalar per factor.
     """
     view = scalar_view(ring)
     if view[0][1:] == (0, None):  # Z/n itself: nothing to convert
@@ -324,8 +325,8 @@ def scalar_codec(ring):
                            for a in units])) for n, k, part in view]
 
     def join(columns):
-        parts = [tuple([scalar_matrix(k, u) for u in col]) if k else col
-                 for (_, k, _), col in zip(view, columns)]
+        parts = [tuple(map({u: scalar_matrix(k, u) for u in set(col)}.__getitem__, col)) if k
+                 else col for (_, k, _), col in zip(view, columns)]
         return parts[0] if view[0][2] is None else tuple(zip(*parts))
 
     return split, join

@@ -60,11 +60,11 @@ class SpanningTree:
     tree, where ``up`` says that parent < child, so the slot is (parent,
     child), not (child, parent).  ``non_tree_slots`` ascend; both ends
     of one lie in the same tree.  Each fundamental cycle is built once,
-    by :meth:`cycle`, and kept; ``cycles`` lists them all, a new tuple on
-    each read.  ``root`` is the root's class representative; any
-    member label of that class (or None, for the least class) picks the
-    same forest.  The forest holds no labels of its edges: the edge of
-    step ``(parent, child, slot, up)`` is ``strict_pairs()[slot]``.
+    by :meth:`cycle`, and kept; :func:`fundamental_cycles` lists them.
+    ``root`` is the root's class representative; any member label of
+    that class (or None, for the least class) picks the same forest.
+    The forest holds no labels of its edges: the edge of step ``(parent,
+    child, slot, up)`` is ``strict_pairs()[slot]``.
     """
 
     def __init__(self, graph: ComparabilityGraph, root=None):
@@ -91,11 +91,6 @@ class SpanningTree:
         in_tree = {s for _, _, s, _ in steps}
         self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
         self._cycles = {}
-
-    @property
-    def cycles(self):
-        """One :class:`FundamentalCycle` per non-tree slot, in slot order."""
-        return tuple(map(self.cycle, self.non_tree_slots))
 
     def cycle(self, slot) -> FundamentalCycle:
         """The cycle of a non-tree slot: from the lexicographically smaller
@@ -146,8 +141,9 @@ def tree_of(poset, root=None) -> SpanningTree:
 
 
 def fundamental_cycles(graph: ComparabilityGraph, tree: SpanningTree):
-    """One cycle per non-tree edge, in sorted edge order; built once per tree."""
-    return tree.cycles
+    """One :class:`FundamentalCycle` per non-tree slot, in slot order: a
+    new tuple on each call, of cycles each built once per tree."""
+    return tuple(map(tree.cycle, tree.non_tree_slots))
 
 
 def path_weight(ws, path):

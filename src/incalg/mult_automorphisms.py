@@ -26,7 +26,8 @@ v[x]^-1 v[y]) and central units commute, so for every triple x < z < y
 c fails exactly where w1 fails, and only at triples (a, z, b), (a, b, y)
 or (x, a, b) around a slot (a, b) of F = {w1 != 1}.  So w1 = 1 proves c
 valid, and the walks run the chain gate only where w1 is not one, to tell
-invalid from outer; ``violations`` tests the triples around F when few.
+invalid from outer, and hand their walk whole to ``violations``: it tests
+the triples around F while those it gathers number fewer than the pairs.
 
 The tree walk, the chain check (the gate and the violation scan),
 coboundaries, products and inverses compute on plain ints:
@@ -145,34 +146,33 @@ class WeightSystem:
         the first ``limit`` of them (all by default), by slot (x, y), then z.
 
         The scan reads F = {w1 != 1} off a walk, the caller's (handed over
-        in ``_handed`` by :func:`_require_valid`) or its own, by C-level map
-        chains; a failing triple touches F (see the module notes).  While
-        the triples the slots (a, b) of F touch, (a, z, b) for a < z < b,
-        (a, b, y) for b < y and (x, a, b) for x < a, count (by popcounts,
-        once per slot) fewer than the strict pairs, it gathers and tests
-        them: that is the gate's verdict and the whole list, and F = {}
-        proves c valid with no gate and no ``_cover_triples``.  Past that
-        budget (a valid non-inner system has a large F) the gate of
-        :meth:`is_valid` runs and, only when it fails, the row scan: per row
-        i, on ``poset.triples(i, strict up-set of i)``, the failures of
-        every factor sorted by (slot (i, j), slot (i, z)), up to the row
-        where ``limit`` is reached.
+        whole, forest and all, in ``_handed`` by :func:`_require_valid`) or
+        its own, by C-level map chains; a failing triple touches F (see the
+        module notes).  It gathers the triples each slot (a, b) of F
+        touches, (a, z, b) for a < z < b, (a, b, y) for b < y and (x, a, b)
+        for x < a, reading the forest's neighbour rows, and while the
+        gathered count stays below the strict pairs it tests them: that is
+        the gate's verdict and the whole list, and F = {} proves c valid
+        with no gate and no ``_cover_triples``.  Past that budget (a valid
+        non-inner system has a large F) the gate of :meth:`is_valid` runs
+        and, only when it fails, the row scan: per row i, on
+        ``poset.triples(i, strict up-set of i)``, the failures of every
+        factor sorted by (slot (i, j), slot (i, z)), up to the row where
+        ``limit`` is reached.
         """
         if self._valid:
             return []
         poset, pairs, reps = self.poset, self.poset.index_pairs, self.poset.reps.__getitem__
-        cols, vs = self._handed or _walk(self, None)[1:]
-        up, rows, slot_of, near, out, size = poset._up, poset._graph.rows, poset.slot_of, [], [], 0
+        tree, cols, vs = self._handed or _walk(self, None)
+        up, rows, slot_of, near, out = poset._up, tree.graph.rows, poset.slot_of, [], []
         for a, b in map(pairs.__getitem__, chain.from_iterable(compress(count(), map(ne, map(
                 mod, map(mul, c, map(v.__getitem__, map(itemgetter(0), pairs))), repeat(n)),
                 map(v.__getitem__, map(itemgetter(1), pairs)))) for (n, c), v in zip(cols, vs))):
-            below, between = rows[a] & ~up[a], rows[a] & up[a] & rows[b] & ~up[b]
-            size += below.bit_count() + between.bit_count() + len(slot_of[b])
-            if size >= len(pairs):
-                break
-            near += zip(_bits(below), repeat(b), repeat(a))  # (x, a, b), as (x, y, z)
-            near += zip(repeat(a), repeat(b), _bits(between))  # (a, z, b)
+            near += zip(_bits(rows[a] & ~up[a]), repeat(b), repeat(a))  # (x, a, b), as (x, y, z)
+            near += zip(repeat(a), repeat(b), _bits(rows[a] & up[a] & rows[b] & ~up[b]))  # a<z<b
             near += zip(repeat(a), slot_of[b], repeat(b))  # (a, b, y)
+            if len(near) >= len(pairs):
+                break
         else:  # sorted as (x, y, z): by slot (x, y), then slot (x, z)
             out = [(x, z, y) for x, y, z in sorted(set(near)) if any(
                 c[slot_of[x][y]] != c[slot_of[x][z]] * c[slot_of[z][y]] % n for n, c in cols)]
@@ -294,7 +294,7 @@ def from_potential(potential: Potential) -> WeightSystem:
     return WeightSystem(potential.poset, potential.ring, join(cols))
 
 
-def _require_valid(ws: WeightSystem, walk=None):  # walk: the caller's (cols, vs), for the scan
+def _require_valid(ws: WeightSystem, walk=None):  # walk: the caller's whole _walk, for the scan
     if not ws.is_valid():
         ws._handed = walk
         raise WeightSystemError(f"chain condition fails at triples {ws.violations(5)}")
@@ -332,12 +332,12 @@ def find_potential(ws: WeightSystem, root=None):
     the gate passes, a :class:`NotInnerWitness`: the first fundamental
     cycle of weight not one.
     """
-    tree, cols, vs = _walk(ws, root)
+    walk = tree, cols, vs = _walk(ws, root)
     pairs, join = ws.poset.index_pairs, ws.ring.scalars[1]
     for slot in tree.non_tree_slots:
         i, j = pairs[slot]
         if any(c[slot] * v[i] % n != v[j] for (n, c), v in zip(cols, vs)):
-            _require_valid(ws, (cols, vs))
+            _require_valid(ws, walk)
             w = join([(c[slot] * v[i] * pow(v[j], -1, n) % n,) for (n, c), v in zip(cols, vs)])
             return NotInnerWitness(tree.cycle(slot), _cycle_value(ws.ring, (i, j), w[0]))
     ws._valid = True
@@ -366,14 +366,14 @@ def decompose(ws: WeightSystem, root=None):
     gives w1[x,y] = c[x,y] v[x] v[y]^-1 and w0[x,y] = v[x]^-1 v[y].  The
     gate runs only when w1 is not one.
     """
-    _, cols, vs = _walk(ws, root)
+    walk = _, cols, vs = _walk(ws, root)
     pairs, w1s, w0s = ws.poset.index_pairs, [], []
     for (n, c), v in zip(cols, vs):
         inv = [pow(x, -1, n) for x in v]
         w1s.append(tuple([x * v[i] * inv[j] % n for x, (i, j) in zip(c, pairs)]))
         w0s.append(tuple([inv[i] * v[j] % n for i, j in pairs]))
     if any(w.count(1) < len(w) for w in w1s):
-        _require_valid(ws, (cols, vs))
+        _require_valid(ws, walk)
     ws._valid, poset, ring, join = True, ws.poset, ws.ring, ws.ring.scalars[1]
     return (WeightSystem(poset, ring, join(w1s)), WeightSystem(poset, ring, join(w0s)),
             Potential(poset, ring, join(vs)))

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 
 from .coeff_rings import ZMod, count_central_units, element_residues, parse_ring_spec
-from .comparability import tree_of
+from .comparability import fundamental_cycles, tree_of
 from .incidence_algebra import (
     IncidenceFunction,
     NonInvertibleError,
@@ -202,7 +202,8 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     one, mul, inverse = ring.one(), ring.mul, ring.inverse
     ones = [one] * len(tree_slots)
     cls, slot_of = poset._c, poset.slot_of
-    walks = [[(cls(x), cls(y)) for x, y in zip(c.sequence, c.sequence[1:])] for c in tree.cycles]
+    walks = [[(cls(x), cls(y)) for x, y in zip(c.sequence, c.sequence[1:])]
+             for c in fundamental_cycles(tree.graph, tree)]
     cycles = [[(slot_of[a][b], True) if b in slot_of[a] else (slot_of[b][a], False)
                for a, b in walk] for walk in walks]
 

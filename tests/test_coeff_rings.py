@@ -190,12 +190,15 @@ def test_is_central_unit_is_membership_in_central_units(spec):
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/2 x Z/3", "M(1,Z/4)", "M(2,Z/3)", "M(3,Z/2)",
-                                  "Z/4 x M(2,Z/3)", "Z/2 x M(2,Z/2) x Z/5"])
+                                  "M(3,Z/4)", "Z/4 x M(2,Z/3)", "Z/2 x M(2,Z/2) x Z/5",
+                                  "M(3,Z/4) x Z/3 x M(2,Z/5)"])
 def test_scalar_codec_is_lambda_per_factor(spec):
     """``ring.scalars`` splits every central unit into one residue per
     factor of the scalar view: a unit of Z/n itself, the diagonal entry
     lambda of lambda I, read as the unit's component in a product; join
-    maps the residues back to the very same units."""
+    maps the residues back to the very same units, and builds each
+    lambda I of a joined column once: equal matrices there are one
+    object."""
     r = parse_ring_spec(spec)
     units = r.central_units()
     split, join = r.scalars
@@ -208,6 +211,13 @@ def test_scalar_codec_is_lambda_per_factor(spec):
             assert factor == (_lambda_identity(k, scalar) if k else scalar)
     assert join([col for _, col in columns]) == units
     assert join([col for _, col in split(())]) == ()
+    repeated = units * 3
+    joined = join([col for _, col in split(repeated)])
+    assert joined == repeated
+    for _, k, part in view:
+        blocks = [u if part is None else u[part] for u in joined]
+        if k:
+            assert len(set(map(id, blocks))) == len(set(blocks))
 
 
 def _lambda_identity(k, u):
