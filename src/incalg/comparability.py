@@ -15,6 +15,7 @@ and each fundamental cycle once built.  Everything here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .preorder_core import _bits
 
@@ -89,7 +90,7 @@ class SpanningTree:
         self.components = sorted(components)
         self.parent, self.depth, self.steps = parent, depth, tuple(steps)
         in_tree = {s for _, _, s, _ in steps}
-        self.non_tree_slots = tuple(s for s in range(graph.m) if s not in in_tree)
+        self.non_tree_slots = tuple(filterfalse(in_tree.__contains__, range(graph.m)))
         self._cycles = {}
 
     def cycle(self, slot) -> FundamentalCycle:

@@ -35,7 +35,7 @@ import json
 import sys
 from array import array
 from functools import partial
-from itertools import accumulate, chain, compress, count, pairwise, repeat
+from itertools import accumulate, chain, compress, count, pairwise, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -473,10 +473,10 @@ def read_records(text: str, what: str, list_key: str, fields, error):
     Each record must be an object holding a string under every name in
     ``fields``; the records come back as one list per field, in record
     order.  The columns are taken with ``itemgetter`` and their types
-    checked by one set test; only when either fails does a loop over the
-    records run, to name the first bad one.  Bad JSON (nesting too deep
-    for the parser included), a missing list and any bad record raise
-    ``error``.
+    checked by ``str.join`` over slices (JSON strings are exact ``str``);
+    only when either fails does a loop over the records run, to name the
+    first bad one.  Bad JSON (nesting too deep for the parser included),
+    a missing list and any bad record raise ``error``.
     """
     try:
         obj = json.loads(text)
@@ -485,11 +485,13 @@ def read_records(text: str, what: str, list_key: str, fields, error):
     if not isinstance(obj, dict) or not isinstance(obj.get(list_key), list):
         raise error(f'{what} file needs a "{list_key}" list')
     records = obj[list_key]
-    try:  # a record that is no object raises TypeError, a missing field KeyError
+    try:  # a record that is no object, or a field that is no string, raises TypeError
         columns = [list(map(itemgetter(name), records)) for name in fields]
-    except (KeyError, TypeError):
+        for column, start in product(columns, range(0, len(records), 8192)):
+            "".join(column[start:start + 8192])  # in slices: no copy of a whole column
+    except (KeyError, TypeError):  # KeyError: a missing field
         columns = None
-    if columns is None or not set(map(type, chain.from_iterable(columns))) <= {str}:
+    if columns is None:
         strings = (str,) * len(fields)
         for rec in records:
             row = tuple(map(rec.get, fields)) if isinstance(rec, dict) else None

@@ -28,6 +28,9 @@ or (x, a, b) around a slot (a, b) of F = {w1 != 1}.  So w1 = 1 proves c
 valid, and the walks run the chain gate only where w1 is not one, to tell
 invalid from outer, and hand their walk whole to ``violations``: it tests
 the triples around F while those it gathers number fewer than the pairs.
+A walk is handed on once, in ``_handed``: the next walk of its forest
+takes it and clears the slot (``decompose`` then ``find_potential`` walk
+once); ``violations`` reads the slot and leaves it.
 
 The tree walk, the chain check (the gate and the violation scan),
 coboundaries, products and inverses compute on plain ints:
@@ -118,7 +121,7 @@ class WeightSystem:
     def __init__(self, poset, ring, values):
         # trusted constructor: callers guarantee a central-unit tuple aligned to strict_pairs()
         self.poset, self.ring, self.values = poset, ring, values
-        self._valid = self._handed = None  # the gate's verdict; a walk handed to violations
+        self._valid = self._handed = None  # the gate's verdict; the walk handed on (_walk)
 
     @classmethod
     def from_values(cls, poset, ring, values) -> "WeightSystem":
@@ -145,10 +148,10 @@ class WeightSystem:
         """Triples (x, z, y) with x < z < y where the chain condition fails,
         the first ``limit`` of them (all by default), by slot (x, y), then z.
 
-        The scan reads F = {w1 != 1} off a walk, the caller's (handed over
-        whole, forest and all, in ``_handed`` by :func:`_require_valid`) or
-        its own, by C-level map chains; a failing triple touches F (see the
-        module notes).  It gathers the triples each slot (a, b) of F
+        The scan reads F = {w1 != 1} off the walk in ``_handed``, which it
+        does not clear (a second call walks no more), or off a walk it makes
+        and leaves there, by C-level map chains; a failing triple touches F
+        (see the module notes).  It gathers the triples each slot (a, b) of F
         touches, (a, z, b) for a < z < b, (a, b, y) for b < y and (x, a, b)
         for x < a, reading the forest's neighbour rows, and while the
         gathered count stays below the strict pairs it tests them: that is
@@ -302,20 +305,25 @@ def _require_valid(ws: WeightSystem, walk=None):  # walk: the caller's whole _wa
 
 def _walk(ws: WeightSystem, root):
     """The forest for root, the scalar columns (n, c) of ws and per column
-    v mod n, one at each tree root, pushed along the steps.  An invalid ws
-    is refused before an unknown root, as if the gate ran first."""
+    v mod n, one at each tree root, pushed along the steps; taken (the slot
+    cleared) when ``ws._handed`` holds a walk of that forest, else made and
+    left there.  An invalid ws is refused before an unknown root."""
     try:
         tree = tree_of(ws.poset, root)
     except PreorderError:
         _require_valid(ws)
         raise
+    walk, ws._handed = ws._handed, None
+    if walk is not None and walk[0] is tree:
+        return walk
     cols, vs = ws.ring.scalars[0](ws.values), []
     for n, c in cols:
         v = [1] * len(ws.poset.reps)
         for i, j, slot, up in tree.steps:
             v[j] = v[i] * (c[slot] if up else pow(c[slot], -1, n)) % n
         vs.append(tuple(v))
-    return tree, cols, vs
+    ws._handed = walk = tree, cols, vs
+    return walk
 
 
 def _cycle_value(ring, pair, w):
@@ -333,13 +341,14 @@ def find_potential(ws: WeightSystem, root=None):
     cycle of weight not one.
     """
     walk = tree, cols, vs = _walk(ws, root)
-    pairs, join = ws.poset.index_pairs, ws.ring.scalars[1]
+    pairs, join, factors = ws.poset.index_pairs, ws.ring.scalars[1], list(zip(cols, vs))
     for slot in tree.non_tree_slots:
         i, j = pairs[slot]
-        if any(c[slot] * v[i] % n != v[j] for (n, c), v in zip(cols, vs)):
-            _require_valid(ws, walk)
-            w = join([(c[slot] * v[i] * pow(v[j], -1, n) % n,) for (n, c), v in zip(cols, vs)])
-            return NotInnerWitness(tree.cycle(slot), _cycle_value(ws.ring, (i, j), w[0]))
+        for (n, c), v in factors:
+            if c[slot] * v[i] % n != v[j]:
+                _require_valid(ws, walk)
+                w = join([(c[slot] * v[i] * pow(v[j], -1, n) % n,) for (n, c), v in factors])
+                return NotInnerWitness(tree.cycle(slot), _cycle_value(ws.ring, (i, j), w[0]))
     ws._valid = True
     return Potential(ws.poset, ws.ring, join(vs))
 

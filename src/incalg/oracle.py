@@ -26,6 +26,7 @@ import itertools
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 from .coeff_rings import ZMod, count_central_units, element_residues, parse_ring_spec
 from .comparability import fundamental_cycles, tree_of
@@ -191,21 +192,24 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
     recomposes w1 w0 with ``ring.mul`` slot by slot, accepts w1 by
     membership in the enumerated Mult and w0 in the enumerated
     coboundaries, and multiplies c around every fundamental cycle of the
-    forest with ``ring.mul``, inverting the weight of each descending step,
-    so it shares no arithmetic with the library's Z/n scalars.
+    forest with ``ring.mul``, inverting descending steps by a table of
+    ``ring.inverse``, so it shares no arithmetic with the library's scalars.
     """
     tree = tree_of(poset, root)  # an unknown root is refused before the enumerations
     mult = enumerate_mult(poset, ring, force)
     inner = enumerate_inner(poset, ring, force)
     mult_keys, inner_keys = {w.values for w in mult}, {w.values for w in inner}
     tree_slots = [slot for _, _, slot, _ in tree.steps]
-    one, mul, inverse = ring.one(), ring.mul, ring.inverse
-    ones = [one] * len(tree_slots)
+    one, mul = ring.one(), ring.mul
+    identity_key = (one,) * tree.graph.m
+    tree_at = itemgetter(*tree_slots) if tree_slots else lambda values: ()
+    ones = tree_at(identity_key)
     cls, slot_of = poset._c, poset.slot_of
     walks = [[(cls(x), cls(y)) for x, y in zip(c.sequence, c.sequence[1:])]
              for c in fundamental_cycles(tree.graph, tree)]
     cycles = [[(slot_of[a][b], True) if b in slot_of[a] else (slot_of[b][a], False)
                for a, b in walk] for walk in walks]
+    inverse = {u: ring.inverse(u) for u in (ring.central_units() if cycles else ())}.__getitem__
 
     def by_cycles(c):
         """Whether c multiplies to one around every fundamental cycle,
@@ -223,20 +227,19 @@ def verify_structure(poset, ring, root=None, force=False) -> VerificationReport:
         w1, w0, _ = decompose(ws, root)
         ok = (
             tuple(map(mul, w1.values, w0.values)) == ws.values
-            and [w1.values[s] for s in tree_slots] == ones
+            and tree_at(w1.values) == ones
             and w1.values in mult_keys
             and w0.values in inner_keys
         )
         if not ok:
             decompose_failures.append(ws.items())
-        if [ws.values[s] for s in tree_slots] == ones:
+        if tree_at(ws.values) == ones:
             tree_trivial.append(ws)
         by_potential = not isinstance(find_potential(ws, root), NotInnerWitness)
         if not (by_cycles(ws.values) == by_potential == (ws.values in inner_keys)):
             disagreements.append(ws.items())
 
     crossing = [w.values for w in tree_trivial if w.values in inner_keys]
-    identity_key = (one,) * tree.graph.m
     rank = len(tree_slots)  # no units listed for a one-class poset
     expected_inner = len(ring.central_units()) ** rank if rank else 1
     checks = [

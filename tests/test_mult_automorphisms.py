@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from incalg import mult_automorphisms
+from incalg.cli import run_command
 from incalg.coeff_rings import ZMod, parse_ring_spec
 from incalg.comparability import (
     ComparabilityGraph,
@@ -43,7 +45,7 @@ from incalg.oracle import (
     random_function,
     verify_structure,
 )
-from incalg.preorder_core import close_relations, load_preorder_text
+from incalg.preorder_core import close_relations, load_preorder_text, preorder_to_text
 from reference import class_members, cycle_weight, inflate
 
 
@@ -692,6 +694,76 @@ def test_walk_certificate_on_corrupted_coboundaries(gate_posets, boolean6, spec,
                 values[slot] = rng.choice([u for u in units if u != values[slot]])
             seen[_check_walks(WeightSystem(q, ring, tuple(values)), rng.choice(q.reps))] += 1
     assert seen["invalid"] > 150 and seen["outer"] > 20
+
+
+def _count_walks(monkeypatch):
+    """Wrap the tree walk; returns a counter of the fresh walks it made.  A
+    walk taken from ``_handed`` comes back as the same tuple, and every
+    walk is kept, so the distinct tuples are the walks made."""
+    walks, walk = [], mult_automorphisms._walk
+    monkeypatch.setattr(mult_automorphisms, "_walk",
+                        lambda ws, root: walks.append(walk(ws, root)) or walks[-1])
+    return lambda: len({id(w) for w in walks})
+
+
+@pytest.mark.parametrize("spec", ["Z/5", "Z/2 x Z/3"])
+def test_decompose_hands_its_walk_to_find_potential(spec, monkeypatch):
+    """On every system enumerate_mult lists on the connected posets of at
+    most 4 points, decompose then find_potential with the same root (None,
+    then the least class by name) walk once and leave no walk on the
+    system; with another root, find_potential walks again and leaves its
+    walk."""
+    ring, fresh = parse_ring_spec(spec), _count_walks(monkeypatch)
+    systems = 0
+    for poset in connected_posets(4):
+        q = poset.quotient()
+        for ws in enumerate_mult(q, ring):
+            made = fresh()
+            decompose(ws)
+            find_potential(ws, q.reps[0])
+            assert (fresh(), ws._handed) == (made + 1, None)
+            if q.n_classes > 1:
+                decompose(ws)
+                find_potential(ws, q.reps[-1])
+                assert fresh() == made + 3 and ws._handed[0] is tree_of(q, q.reps[-1])
+            systems += 1
+    assert systems == {"Z/5": 885, "Z/2 x Z/3": 103}[spec]
+
+
+def test_cli_walks_an_invalid_system_once(capsys, tmp_path, monkeypatch):
+    """is-inner, decompose and check --expect-inner on an invalid system
+    (one slot of the identity changed) make one walk each: the walk that
+    meets the failing gate is handed to violations, which every later
+    report reads.  Each prints the first violations of a fresh scan."""
+    ring = ZMod(5)
+    cases = 0
+    for poset in connected_posets(4):
+        q = poset.quotient()
+        for slot in range(len(q.index_pairs)):
+            values = list(WeightSystem.identity(q, ring).values)
+            values[slot] = 2
+            bad = WeightSystem(q, ring, tuple(values)).violations()
+            if not bad:
+                continue
+            cases += 1
+            (tmp_path / "p.txt").write_text(preorder_to_text(poset))
+            (tmp_path / "w.json").write_text(weight_system_to_json(
+                WeightSystem(q, ring, tuple(values))))
+            files = ["--poset", str(tmp_path / "p.txt"), "--weights", str(tmp_path / "w.json")]
+            with monkeypatch.context() as m:
+                fresh = _count_walks(m)
+                for argv in (["is-inner", *files], ["decompose", *files]):
+                    made = fresh()
+                    assert run_command(argv) == 1 and fresh() == made + 1
+                    assert capsys.readouterr() == (
+                        "", f"not a weight system: chain condition fails at {bad[0]}\n")
+                made = fresh()
+                assert run_command(["check", *files, "--expect-inner"]) == 1
+                assert fresh() == made + 1
+                assert json.loads(capsys.readouterr().out) == {
+                    "ring": "Z/5", "pairs": len(values), "valid": False,
+                    "violations": [list(t) for t in bad[:10]]}
+    assert cases >= 10
 
 
 def _random_poset(rng, labels, density):

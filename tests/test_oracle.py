@@ -7,7 +7,7 @@ from incalg import oracle
 from incalg.cli import run_command
 from incalg.coeff_rings import ZMod, parse_ring_spec
 from incalg.comparability import tree_of
-from incalg.mult_automorphisms import WeightSystem
+from incalg.mult_automorphisms import NotInnerWitness, Potential, WeightSystem
 from incalg.oracle import (
     DEFAULT_SUITE_RINGS,
     GuardExceeded,
@@ -102,6 +102,43 @@ def test_verify_structure_crown(crown):
     d = report.to_dict()
     assert d["passed"] is True
     assert len(d["checks"]) == 6
+
+
+def test_verify_structure_catches_a_lying_library(crown, monkeypatch):
+    """The judge does not take the library's word.  A decompose that
+    changes one slot of w0 on one system fails decompose-recompose over
+    Z/3, and a find_potential that calls one non-inner system inner fails
+    inner-test-agreement over Z/5, each naming that system; unpatched,
+    both instances pass."""
+    q, decompose, find_potential = crown.quotient(), oracle.decompose, oracle.find_potential
+    lied = []
+
+    def lying_decompose(ws, root=None):
+        w1, w0, v = decompose(ws, root)
+        if lied:
+            return w1, w0, v
+        lied.append(ws)
+        values = list(w0.values)
+        values[0] = 3 - values[0]  # the other unit of Z/3
+        return w1, WeightSystem(q, ws.ring, tuple(values)), v
+
+    def lying_find_potential(ws, root=None):
+        found = find_potential(ws, root)
+        if lied or not isinstance(found, NotInnerWitness):
+            return found
+        lied.append(ws)
+        return Potential(q, ws.ring, (1,) * q.n_classes)
+
+    for spec, name, patch in (("Z/3", "decompose", lying_decompose),
+                              ("Z/5", "find_potential", lying_find_potential)):
+        lied.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, name, patch)
+            report = verify_structure(q, ZMod(int(spec[2:])))
+        failed = {c.name: c.details for c in report.checks if not c.passed}
+        check = "decompose-recompose" if name == "decompose" else "inner-test-agreement"
+        assert failed == {check: {"failures": [lied[0].items()]}}
+        assert verify_structure(q, ZMod(int(spec[2:]))).passed
 
 
 def test_verify_structure_matrix_ring(crown):
